@@ -72,11 +72,14 @@ def wrap_periodic(x):
 def check_domain(kind: BasisKind, x, *, what: str = "coordinate") -> np.ndarray:
     """Validate coordinates against the basis domain.
 
-    Exponential coordinates are wrapped by periodicity instead of rejected
-    (the torus identification makes wrapping exact); the other kinds raise
-    :class:`DomainError` outside [0, 1].
+    Non-finite coordinates raise :class:`DomainError` for every kind.
+    Exponential coordinates are then wrapped by periodicity instead of
+    rejected (the torus identification makes wrapping exact); the other
+    kinds raise :class:`DomainError` outside [0, 1].
     """
     x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"{what} is not finite (nan or inf)")
     if kind.is_complex:
         return wrap_periodic(x)
     if np.any(x < 0.0) or np.any(x > 1.0):
@@ -137,18 +140,22 @@ def eval_1d_table(kind: BasisKind, freqs, x) -> np.ndarray:
 
     Returns an array of shape ``(len(x), len(freqs))`` with column ``j``
     holding ``eta_{freqs[j]}`` at all points.  Used by the design operator
-    to cache per-dimension factor tables.
+    to build its stacked per-order tables.
     """
     freqs = np.asarray(freqs, dtype=np.int64)
     if not kind.is_complex and np.any(freqs < 0):
         raise ValueError(f"negative frequency is invalid for basis {kind.token!r}")
     x = check_domain(kind, np.asarray(x, dtype=np.float64))
+    # in-place ufuncs keep the peak at about two tables for large ``x``
     if kind is BasisKind.EXPONENTIAL:
-        return np.exp(2j * np.pi * np.outer(x, freqs))
+        table = 2j * np.pi * np.outer(x, freqs)
+        return np.exp(table, out=table)
     if kind is BasisKind.COSINE:
-        table = np.cos(np.pi * np.outer(x, freqs))
+        table = np.outer(x, freqs)
+        table *= np.pi
     else:
         theta = np.arccos(np.clip(2.0 * x - 1.0, -1.0, 1.0))
-        table = np.cos(np.outer(theta, freqs))
-    table[:, freqs != 0] *= SQRT2
+        table = np.outer(theta, freqs)
+    np.cos(table, out=table)
+    table *= np.where(freqs != 0, SQRT2, 1.0)
     return table

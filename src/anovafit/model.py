@@ -106,16 +106,10 @@ class SensitivityReport:
 class RefinementConfig:
     """Thresholds steering the active-set refinement procedures."""
 
-    gsi_thresholds: tuple[float, ...] | None = None  # entry per term order
     ranking_threshold: float | None = None
     expansion_order: int | None = None
 
     def __post_init__(self):
-        if self.gsi_thresholds is not None:
-            thresholds = tuple(float(e) for e in self.gsi_thresholds)
-            if not thresholds or any(not 0.0 < e < 1.0 for e in thresholds):
-                raise ConfigError("gsi thresholds must lie in (0, 1)")
-            object.__setattr__(self, "gsi_thresholds", thresholds)
         if self.ranking_threshold is not None and not 0.0 < self.ranking_threshold < 1.0:
             raise ConfigError("ranking threshold must lie in (0, 1)")
         if self.expansion_order is not None and self.expansion_order < 1:

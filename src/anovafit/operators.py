@@ -2,14 +2,40 @@
 
 The design matrix has one row per node and one column per frequency of a
 :class:`~anovafit.terms.FrequencyIndexUnion`; the entry is the tensor basis
-function of that frequency at that node.  The operator never materializes
-the matrix: at construction it caches, per dimension, a table of the 1-d
-basis values actually needed, and each application rebuilds the per-term
-column blocks as products of table columns (an apply costs
-``O(rows * cols)`` scalar work for bounded term order).
+function of that frequency at that node.  Each term's column block is a
+tensor product of 1-d basis tables, so the operator never forms it (the
+grouped transformations of Bartel, Potts & Schmischke, arXiv 2010.10199).
 
-Accumulation order over groups and within numpy reductions is fixed, so
-repeated applications of the same operator are bitwise-identical.
+**Precondition.**  Every term of order ``l`` carries the same full grid
+``g_l^l`` over one 1-d grid ``g_l`` of ``n_l = N_l - 1`` frequencies,
+enumerated in :func:`itertools.product` order, which is what
+:func:`~anovafit.terms.build_index_union` produces.  The constructor checks
+this and raises :class:`ValueError` for a union that breaks it.
+
+**Tables.**  For each order ``l`` the operator stores one read-only stacked
+table ``T_l`` of shape ``(M, n_l * v_l)``, where ``v_l`` counts the
+variables that appear in some order-``l`` term: variable number ``p`` (in
+ascending order) owns the column block ``[p * n_l, (p + 1) * n_l)``,
+holding its 1-d basis functions over ``g_l`` at all ``M`` nodes.  That is
+``M * n_l * v_l`` entries per order, independent of the number of terms.
+
+**Apply.**  Orders 1 and 2 scatter their coefficients into a zero-padded
+array indexed by table columns and are applied with one BLAS call each:
+
+* order 1: one GEMV, ``T_1 @ w``; the adjoint is ``T_1^H r``;
+* order 2: one quadratic form, ``rowsum((T_2 @ B) * T_2)``, where the
+  ``(p, q)`` block of the ``(n v x n v)`` matrix ``B`` is term ``(p, q)``'s
+  coefficients reshaped ``n x n``; the adjoint ``G = T_2^H (conj(T_2) * r)``
+  holds every term's block at the same place.  Both cost
+  ``O(M * (n_2 v_2)^2)`` in one GEMM;
+* order 3 and up: per term, successive contraction of the coefficient
+  tensor with the term's column blocks of ``T_l``.
+
+**Determinism.**  An apply runs a fixed sequence of numpy operations on
+fixed shapes, writes only to freshly allocated scratch arrays, and never
+modifies a table (they are read-only, so a stray in-place update raises
+instead of corrupting the cache).  For a fixed BLAS thread count, repeated
+applications of the same operator are therefore bitwise-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +47,117 @@ from .terms import FrequencyIndexUnion
 
 # matrix entries allowed for the dense test oracle
 DENSE_ORACLE_MAX_ENTRIES = 2_000_000
+
+
+class _OrderStack:
+    """Stacked 1-d table of one term order and the coefficient maps into it."""
+
+    def __init__(self, order, grid, terms, kind, X):
+        variables = sorted({var for term, _ in terms for var in term})
+        n = len(grid)
+        width = n * len(variables)
+        block = {var: p * n for p, var in enumerate(variables)}
+        # rows of the (M * v, n) table run over (node, variable) pairs, so the
+        # reshape puts variable p's basis functions in columns p*n .. p*n+n-1
+        x = X[:, np.asarray(variables) - 1].ravel()
+        table = eval_1d_table(kind, grid, x).reshape(X.shape[0], width)
+        table.setflags(write=False)
+        self.order = order
+        self.n = n
+        self.table = table
+        self.conj = kind.is_complex
+        # per term: coefficient slice and the first table column of each factor
+        self.terms = [(sl, [block[var] for var in term]) for term, sl in terms]
+        if order <= 2:
+            # src[i] is a coefficient index, dst[i] its flat position in the
+            # order-dimensional array over table columns (w or B)
+            local = np.indices((n,) * order).reshape(order, -1)
+            self.src = np.concatenate(
+                [np.arange(sl.start, sl.stop) for sl, _ in self.terms]
+            )
+            self.dst = np.concatenate([
+                np.ravel_multi_index(
+                    tuple(s + local[k] for k, s in enumerate(starts)),
+                    (width,) * order,
+                )
+                for _, starts in self.terms
+            ])
+
+    def _scatter(self, c):
+        width = self.table.shape[1]
+        packed = np.zeros(width**self.order, dtype=self.table.dtype)
+        packed[self.dst] = c[self.src]
+        return packed.reshape((width,) * self.order)
+
+    def matvec(self, c):
+        T = self.table
+        if self.order == 1:
+            return T @ self._scatter(c)
+        if self.order == 2:
+            P = T @ self._scatter(c)
+            P *= T
+            return P.sum(axis=1)
+        rows, n = T.shape[0], self.n
+        out = np.zeros(rows, dtype=T.dtype)
+        for sl, starts in self.terms:
+            P = T[:, starts[0]:starts[0] + n] @ c[sl].reshape(n, -1)
+            for s in starts[1:]:
+                P = (P.reshape(rows, n, -1) * T[:, s:s + n, None]).sum(axis=1)
+            out += P[:, 0]
+        return out
+
+    def adjoint_matvec(self, r, out):
+        """Write ``conj(block)^T r`` of every term of this order into ``out``."""
+        T = self.table
+        # conj(T)^H r == conj(T^T conj(r)): conjugate the vector, not the table
+        rc = r.conj() if self.conj else r
+        if self.order <= 2:
+            G = T.T @ (rc if self.order == 1 else T * rc[:, None])
+            G = G.ravel()[self.dst]
+            out[self.src] = G.conj() if self.conj else G
+            return
+        rows, n = T.shape[0], self.n
+        for sl, starts in self.terms:
+            W = rc[:, None]
+            for s in reversed(starts[1:]):
+                W = (T[:, s:s + n, None] * W[:, None, :]).reshape(rows, -1)
+            G = (T[:, starts[0]:starts[0] + n].T @ W).ravel()
+            out[sl] = G.conj() if self.conj else G
+
+
+def _group_by_order(index_union: FrequencyIndexUnion):
+    """Constant indices and ``{order: (grid, [(term, slice), ...])}``.
+
+    Raises :class:`ValueError` unless every term of an order carries that
+    order's full grid in :func:`itertools.product` order and no term repeats.
+    """
+    constant = []
+    by_order: dict[int, tuple[np.ndarray, np.ndarray, list]] = {}
+    seen = set()
+    for i, (term, freqs) in enumerate(index_union.groups):
+        if term in seen:
+            raise ValueError(f"term {term} appears twice in the index union")
+        seen.add(term)
+        order = len(term)
+        sl = index_union.group_slice(i)
+        if order == 0:
+            if freqs.shape != (1, 0):
+                raise ValueError("the empty term must carry the single zero frequency")
+            constant.append(sl.start)
+            continue
+        if order not in by_order:
+            grid = np.unique(freqs[:, 0])
+            full = grid[np.indices((len(grid),) * order).reshape(order, -1).T]
+            by_order[order] = (grid, full, [])
+        grid, full, terms = by_order[order]
+        if freqs.shape != full.shape or not np.array_equal(freqs, full):
+            raise ValueError(
+                f"term {term} does not carry the full grid "
+                f"{grid.tolist()}^{order} shared by its order"
+            )
+        terms.append((term, sl))
+    grouped = {order: (grid, terms) for order, (grid, _, terms) in sorted(by_order.items())}
+    return constant, grouped
 
 
 class DesignOperator:
@@ -36,6 +173,7 @@ class DesignOperator:
                 f"expects {index_union.dimension}"
             )
         kind = index_union.kind
+        constant, grouped = _group_by_order(index_union)
         X = np.array(check_domain(kind, X, what="node coordinate"), order="C")
         X.setflags(write=False)
 
@@ -45,26 +183,11 @@ class DesignOperator:
         self.rows = X.shape[0]
         self.cols = index_union.size
         self.shape = (self.rows, self.cols)
-
-        # per-dimension tables over the distinct frequencies used there
-        needed: dict[int, set[int]] = {}
-        for term, freqs in index_union.groups:
-            for pos, var in enumerate(term):
-                needed.setdefault(var, set()).update(freqs[:, pos].tolist())
-        tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for var, freq_set in needed.items():
-            uniq = np.asarray(sorted(freq_set), dtype=np.int64)
-            tables[var] = (uniq, eval_1d_table(kind, uniq, X[:, var - 1]))
-
-        # per-group plan: coefficient slice plus column-index arrays into tables
-        plan = []
-        for i, (term, freqs) in enumerate(index_union.groups):
-            factors = []
-            for pos, var in enumerate(term):
-                uniq, table = tables[var]
-                factors.append(table[:, np.searchsorted(uniq, freqs[:, pos])])
-            plan.append((index_union.group_slice(i), factors))
-        self._plan = plan
+        self._constant = constant
+        self._stacks = [
+            _OrderStack(order, grid, terms, kind, X)
+            for order, (grid, terms) in grouped.items()
+        ]
 
     @property
     def oversampling(self) -> float:
@@ -79,32 +202,24 @@ class DesignOperator:
             raise ValueError(f"{what} is complex but the basis is real")
         return v.astype(self.kind.dtype, copy=False)
 
-    def _block(self, factors) -> np.ndarray:
-        block = factors[0]
-        for extra in factors[1:]:
-            block = block * extra
-        return block
-
     def matvec(self, coeffs) -> np.ndarray:
         """Values ``sum_k coeffs[k] * phi_k(x_m)`` at every node."""
         c = self._coerce(coeffs, self.cols, "coefficient vector")
         out = np.zeros(self.rows, dtype=self.kind.dtype)
-        for sl, factors in self._plan:
-            if not factors:  # empty term: constant basis function
-                out += c[sl.start]
-            else:
-                out += self._block(factors) @ c[sl]
+        for i in self._constant:
+            out += c[i]
+        for stack in self._stacks:
+            out += stack.matvec(c)
         return out
 
     def adjoint_matvec(self, values) -> np.ndarray:
         """Adjoint application ``sum_m conj(phi_k(x_m)) * values[m]`` per frequency."""
         r = self._coerce(values, self.rows, "value vector")
         out = np.empty(self.cols, dtype=self.kind.dtype)
-        for sl, factors in self._plan:
-            if not factors:
-                out[sl.start] = r.sum()
-            else:
-                out[sl] = self._block(factors).conj().T @ r
+        for i in self._constant:
+            out[i] = r.sum()
+        for stack in self._stacks:
+            stack.adjoint_matvec(r, out)
         return out
 
 

@@ -60,10 +60,12 @@ def random_instance(
     """Random oversampled design-operator instance for solver/operator tests."""
     while True:
         dimension = int(rng.integers(2, 6))
-        max_order = int(rng.integers(1, 3))
+        max_order = min(int(rng.integers(1, 4)), dimension)
         termset = random_termset(rng, dimension, max_order)
         bandwidths = BandwidthProfile.from_list(
-            [int(rng.choice([2, 4, 6])), 2][: max(termset.max_order, 1)]
+            [int(rng.choice([2, 4, 6])), int(rng.choice([2, 4])), int(rng.choice([2, 4]))][
+                : max(termset.max_order, 1)
+            ]
         )
         union = build_index_union(termset, bandwidths, kind)
         if union.size <= max_columns:

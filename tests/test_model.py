@@ -11,6 +11,7 @@ from anovafit import (
     ConfigError,
     DataError,
     DegenerateModelError,
+    DomainError,
     Model,
     RefinementConfig,
     SensitivityReport,
@@ -167,6 +168,18 @@ class TestPredict:
         got = predict(model, nodes)
         want = naive_predict(model, nodes)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind", [BasisKind.COSINE, BasisKind.EXPONENTIAL, BasisKind.CHEBYSHEV]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_nodes_rejected(self, kind, bad):
+        termset = superposition_terms(3, 1)
+        union = build_index_union(termset, BandwidthProfile.from_list([4]), kind)
+        model = planted_model(3, termset.terms, [4], np.ones(union.size), kind)
+        with pytest.raises(DomainError, match="finite") as info:
+            predict(model, [[bad, 0.1, 0.1]])
+        assert isinstance(info.value, DataError)
 
     def test_term_decomposition_sums_to_prediction(self):
         rng = np.random.default_rng(8)
@@ -423,8 +436,6 @@ class TestRefinement:
             )
 
     def test_refinement_config_validation(self):
-        with pytest.raises(ConfigError):
-            RefinementConfig(gsi_thresholds=(1.2,))
         with pytest.raises(ConfigError):
             RefinementConfig(ranking_threshold=0.0)
         with pytest.raises(ConfigError):

@@ -8,6 +8,7 @@ from anovafit import (
     BasisKind,
     DesignOperator,
     DomainError,
+    FrequencyIndexUnion,
     TermSet,
     build_index_union,
     dense_design_matrix,
@@ -110,14 +111,80 @@ def test_oversampling_ratio_exposed():
 
 
 def test_repeated_application_is_bitwise_deterministic():
+    # real basis: ndarray.conj() of a real table is the table itself, so an
+    # in-place update in the adjoint would corrupt the next matvec
     rng = np.random.default_rng(13)
     op, _, union = _cosine_instance(rng)
     g = rng.standard_normal(union.size)
+    r = rng.standard_normal(op.rows)
     first = op.matvec(g)
+    adjoint = op.adjoint_matvec(r)
     second = op.matvec(g)
     assert np.array_equal(first, second)
-    r = rng.standard_normal(op.rows)
-    assert np.array_equal(op.adjoint_matvec(r), op.adjoint_matvec(r))
+    assert np.array_equal(adjoint, op.adjoint_matvec(r))
+    assert np.array_equal(first, op.matvec(g))
+
+
+REFINED_SETS = {
+    # non-adjacent variables: order-2 table columns are not the order-1 ones
+    "order2": (((1,), (2,), (1, 4), (3, 5)), [6, 4]),
+    # order-3 terms with three frequencies per factor, sharing variables
+    "order3": (((2,), (1, 3), (1, 2, 4), (2, 4, 5)), [4, 4, 4]),
+}
+
+
+@pytest.mark.parametrize("kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV])
+@pytest.mark.parametrize("name", sorted(REFINED_SETS))
+def test_refined_set_matches_dense(kind, name):
+    terms, bandwidths = REFINED_SETS[name]
+    ts = TermSet(5, terms)
+    union = build_index_union(ts, BandwidthProfile.from_list(bandwidths), kind)
+    rng = np.random.default_rng(21)
+    lo, hi = kind.domain
+    nodes = rng.uniform(lo, hi, size=(40, 5))
+    op = DesignOperator(nodes, union)
+    dense = dense_design_matrix(nodes, union)
+    coeffs = rng.standard_normal(union.size)
+    values = rng.standard_normal(op.rows)
+    if kind.is_complex:
+        coeffs = coeffs + 1j * rng.standard_normal(union.size)
+        values = values + 1j * rng.standard_normal(op.rows)
+    np.testing.assert_allclose(op.matvec(coeffs), dense @ coeffs, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        op.adjoint_matvec(values), dense.conj().T @ values, rtol=1e-12, atol=1e-12
+    )
+
+
+def test_group_off_the_full_grid_rejected():
+    union = build_index_union(
+        superposition_terms(3, 2), BandwidthProfile.from_list([4, 4]), BasisKind.COSINE
+    )
+    groups = list(union.groups)
+    term, freqs = groups[-1]
+    groups[-1] = (term, freqs[:-1])  # drop one frequency of the last pair term
+    offsets = union.offsets
+    broken = FrequencyIndexUnion(
+        union.dimension, union.kind, tuple(groups), offsets, union.size - 1
+    )
+    with pytest.raises(ValueError, match="full grid"):
+        DesignOperator(np.full((4, 3), 0.5), broken)
+    # same size, permuted enumeration: also not the product order
+    groups[-1] = (term, freqs[::-1])
+    shuffled = FrequencyIndexUnion(
+        union.dimension, union.kind, tuple(groups), offsets, union.size
+    )
+    with pytest.raises(ValueError, match="full grid"):
+        DesignOperator(np.full((4, 3), 0.5), shuffled)
+
+
+@pytest.mark.parametrize("kind", [BasisKind.COSINE, BasisKind.EXPONENTIAL, BasisKind.CHEBYSHEV])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_nodes_rejected(kind, bad):
+    union = build_index_union(
+        superposition_terms(2, 1), BandwidthProfile.from_list([4]), kind
+    )
+    with pytest.raises(DomainError, match="finite"):
+        DesignOperator([[0.1, 0.2], [bad, 0.3]], union)
 
 
 def test_length_mismatch_raises():
