@@ -14,6 +14,16 @@ Three families are supported, selected by :class:`BasisKind`:
 
 Multivariate basis functions are plain tensor products of the 1-d family;
 frequency ``0`` contributes the constant factor ``1`` in every coordinate.
+
+:func:`eval_1d` and :func:`eval_tensor` evaluate each function directly
+(one ``cos``/``exp`` per value) and serve as the reference.  The table
+builder :func:`eval_1d_table`, which the design operator uses, spends one
+transcendental per point and fills all degrees by recurrence: the
+Chebyshev three-term recurrence ``T_k = 2c T_{k-1} - T_{k-2}`` for the
+real kinds (with ``c = cos(pi x)`` or ``c = 2x - 1``) and repeated
+multiplication by ``z = e^{2 pi i x}`` for the exponentials (Mason &
+Handscomb, *Chebyshev Polynomials*, 2003).  It runs in fixed blocks of
+points and agrees with direct evaluation to about ``k^2 eps``.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 SQRT2 = float(np.sqrt(2.0))
+# points per recurrence block of eval_1d_table; keeps its scratch in cache
+_TABLE_BLOCK = 8192
 
 
 class BasisKind(enum.Enum):
@@ -141,21 +153,51 @@ def eval_1d_table(kind: BasisKind, freqs, x) -> np.ndarray:
     Returns an array of shape ``(len(x), len(freqs))`` with column ``j``
     holding ``eta_{freqs[j]}`` at all points.  Used by the design operator
     to build its stacked per-order tables.
+
+    Each point costs one transcendental: ``c = cos(pi x)`` (cosine), none
+    (Chebyshev, ``c = 2x - 1`` clipped to [-1, 1]) or ``z = exp(2 pi i x)``
+    (exponential).  Degrees ``k = 0 .. max|freqs|`` then follow from the
+    recurrence ``T_k = 2c T_{k-1} - T_{k-2}`` (``T_k(c)`` is ``cos(k pi x)``,
+    respectively ``cos(k arccos(2x - 1))``), or from ``z^k = z^{k-1} z``
+    with ``conj(z^|k|)`` for negative ``k``; the real kinds scale every
+    ``k != 0`` by ``sqrt(2)``.  The recurrence runs over blocks of
+    ``_TABLE_BLOCK`` points, so its scratch stays in cache and the only
+    large allocation is the returned table.  Its error grows like
+    ``k^2 eps`` (about ``3e-14`` at ``|k| = 11``) against direct evaluation,
+    which :func:`eval_1d` keeps as the reference.
     """
     freqs = np.asarray(freqs, dtype=np.int64)
     if not kind.is_complex and np.any(freqs < 0):
         raise ValueError(f"negative frequency is invalid for basis {kind.token!r}")
-    x = check_domain(kind, np.asarray(x, dtype=np.float64))
-    # in-place ufuncs keep the peak at about two tables for large ``x``
-    if kind is BasisKind.EXPONENTIAL:
-        table = 2j * np.pi * np.outer(x, freqs)
-        return np.exp(table, out=table)
-    if kind is BasisKind.COSINE:
-        table = np.outer(x, freqs)
-        table *= np.pi
-    else:
-        theta = np.arccos(np.clip(2.0 * x - 1.0, -1.0, 1.0))
-        table = np.outer(theta, freqs)
-    np.cos(table, out=table)
-    table *= np.where(freqs != 0, SQRT2, 1.0)
+    x = check_domain(kind, np.asarray(x, dtype=np.float64)).ravel()
+    top = int(np.abs(freqs).max(initial=0))
+    table = np.empty((x.size, freqs.size), dtype=kind.dtype)
+    # powers[k] holds degree k at the points of the current block
+    powers = np.empty((top + 1, min(x.size, _TABLE_BLOCK)), dtype=kind.dtype)
+    powers[0] = 1.0
+    for start in range(0, x.size, _TABLE_BLOCK):
+        xb = x[start:start + _TABLE_BLOCK]
+        p = powers[:, :xb.size]
+        if top:
+            if kind is BasisKind.EXPONENTIAL:
+                np.exp(2j * np.pi * xb, out=p[1])
+                for k in range(2, top + 1):
+                    np.multiply(p[k - 1], p[1], out=p[k])
+            else:
+                if kind is BasisKind.COSINE:
+                    np.cos(np.pi * xb, out=p[1])
+                else:
+                    np.clip(2.0 * xb - 1.0, -1.0, 1.0, out=p[1])
+                twice = 2.0 * p[1]
+                for k in range(2, top + 1):
+                    np.multiply(twice, p[k - 1], out=p[k])
+                    np.subtract(p[k], p[k - 2], out=p[k])
+        block = table[start:start + xb.size]
+        for j, k in enumerate(freqs.tolist()):
+            if k < 0:
+                np.conjugate(p[-k], out=block[:, j])
+            elif k and not kind.is_complex:
+                np.multiply(p[k], SQRT2, out=block[:, j])
+            else:
+                block[:, j] = p[k]
     return table

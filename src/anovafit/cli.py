@@ -212,6 +212,11 @@ def cmd_predict(args) -> int:
         model_obj = json.load(fh)
     model = model_from_obj(model_obj)
     ds = load_csv(args.csv, args.target)
+    if ds.dimension != model.terms.dimension:
+        raise DataError(
+            f"{args.csv}: {ds.dimension} feature columns, but the model is over "
+            f"{model.terms.dimension} variables"
+        )
     stats = _model_file_normalization(model_obj)
     target_normalized = False
     if stats is not None:

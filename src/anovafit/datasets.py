@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
@@ -188,11 +189,16 @@ def load_csv(path, target_column: str | None) -> Dataset:
 
     With ``target_column=None`` every column is a feature and the targets
     are zeros (useful for prediction-only inputs).
+
+    The header is read with :mod:`csv`; the body is parsed in one
+    :func:`numpy.loadtxt` call, so a cell must follow numpy's float grammar
+    (ASCII, optionally quoted and padded, no ``_`` digit separators).  Blank
+    lines are skipped.  A malformed row or a non-numeric or non-finite cell
+    raises :class:`DataError` naming the line and, for a cell, its column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [name.strip() for name in header]
@@ -204,31 +210,24 @@ def load_csv(path, target_column: str | None) -> Dataset:
             )
         else:
             target_idx = header.index(target_column)
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below as "no data rows"
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
                 )
-            parsed = []
-            for name, cell in zip(header, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{line_no}: column {name!r}: non-numeric cell {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}:{line_no}: column {name!r}: non-finite cell {cell!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-    if not rows:
+                table = np.loadtxt(
+                    fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                    dtype=np.float64,
+                )
+        except ValueError as exc:
+            raise _diagnose_csv(path, header, str(exc)) from None
+    if table.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=np.float64)
+    if table.shape[1] != len(header) or not np.all(np.isfinite(table)):
+        raise _diagnose_csv(
+            path, header, "a row does not match the header or holds a non-finite cell"
+        )
     feature_idx = [i for i in range(len(header)) if i != target_idx]
     if not feature_idx:
         raise DataError(f"{path}: no feature columns besides the target")
@@ -244,6 +243,43 @@ def load_csv(path, target_column: str | None) -> Dataset:
         tuple(header[i] for i in feature_idx),
         target_name=target_name,
     )
+
+
+def _csv_cell(cell: str) -> float:
+    """``float(cell)`` restricted to what :func:`numpy.loadtxt` parses."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(cell)
+    return float(cell)
+
+
+def _diagnose_csv(path, header, problem: str) -> DataError:
+    """Locate the first bad row or cell of a body that failed to load.
+
+    Rescans the body row by row; falls back to ``problem`` (the parser's
+    own message) if no row or cell is found at fault.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                return DataError(
+                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
+                )
+            for name, cell in zip(header, row):
+                try:
+                    value = _csv_cell(cell)
+                except ValueError:
+                    return DataError(
+                        f"{path}:{line_no}: column {name!r}: non-numeric cell {cell!r}"
+                    )
+                if not math.isfinite(value):
+                    return DataError(
+                        f"{path}:{line_no}: column {name!r}: non-finite cell {cell!r}"
+                    )
+    return DataError(f"{path}: {problem}")
 
 
 # --- normalization and projection ----------------------------------------

@@ -23,7 +23,8 @@ holding its 1-d basis functions over ``g_l`` at all ``M`` nodes.  That is
 array indexed by table columns and are applied with one BLAS call each:
 
 * order 1: one GEMV, ``T_1 @ w``; the adjoint is ``T_1^H r``;
-* order 2: one quadratic form, ``rowsum((T_2 @ B) * T_2)``, where the
+* order 2: one quadratic form, ``rowsum((T_2 @ B) * T_2)`` (the row sum
+  by one :func:`numpy.einsum`, with no product temporary), where the
   ``(p, q)`` block of the ``(n v x n v)`` matrix ``B`` is term ``(p, q)``'s
   coefficients reshaped ``n x n``; the adjoint ``G = T_2^H (conj(T_2) * r)``
   holds every term's block at the same place.  Both cost
@@ -94,9 +95,7 @@ class _OrderStack:
         if self.order == 1:
             return T @ self._scatter(c)
         if self.order == 2:
-            P = T @ self._scatter(c)
-            P *= T
-            return P.sum(axis=1)
+            return np.einsum("ij,ij->i", T @ self._scatter(c), T)
         rows, n = T.shape[0], self.n
         out = np.zeros(rows, dtype=T.dtype)
         for sl, starts in self.terms:

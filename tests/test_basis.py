@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anovafit import BasisKind, DomainError, eval_1d, eval_tensor
-from anovafit.basis import eval_1d_table, wrap_periodic
+from anovafit.basis import _TABLE_BLOCK, eval_1d_table, wrap_periodic
 
 from conftest import orthonormality_defect
 
@@ -139,6 +139,30 @@ def test_table_matches_scalar_eval(kind):
     table = eval_1d_table(kind, freqs, x)
     for j, k in enumerate(freqs):
         np.testing.assert_allclose(table[:, j], eval_1d(kind, int(k), x), rtol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_table_recurrence_matches_direct_eval(kind):
+    # |k| up to 11 (the largest grid in use, N = 12), the domain endpoints,
+    # and more than two recurrence blocks with a partial last one
+    rng = np.random.default_rng(11)
+    lo, hi = kind.domain
+    x = np.concatenate([[lo, hi], rng.uniform(lo, hi, 2 * _TABLE_BLOCK + 77)])
+    freqs = np.arange(-11, 12) if kind.is_complex else np.arange(11, -1, -1)
+    table = eval_1d_table(kind, freqs, x)
+    assert table.shape == (x.size, freqs.size) and table.dtype == kind.dtype
+    for j, k in enumerate(freqs):
+        np.testing.assert_allclose(table[:, j], eval_1d(kind, int(k), x), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_table_of_empty_inputs(kind):
+    freqs = np.array([0, -2, 3]) if kind.is_complex else np.array([0, 2, 3])
+    empty = eval_1d_table(kind, freqs, np.empty(0))
+    assert empty.shape == (0, 3) and empty.dtype == kind.dtype
+    constant = eval_1d_table(kind, [0], np.full(5, 0.25))
+    np.testing.assert_array_equal(constant, np.ones((5, 1)))
+    assert eval_1d_table(kind, [], np.full(5, 0.25)).shape == (5, 0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

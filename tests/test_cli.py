@@ -294,6 +294,32 @@ class TestPredict:
         assert "metrics" not in payload
 
 
+    def test_feature_count_mismatch_exits_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        rows = ["a,b,y"]
+        for x, z in rng.uniform(size=(30, 2)):
+            rows.append(f"{x:.6f},{z:.6f},{x * z:.6f}")
+        train_path = tmp_path / "train.csv"
+        train_path.write_text("\n".join(rows) + "\n")
+        model_path = tmp_path / "model.json"
+        code, _, _ = run_cli(
+            capsys,
+            "fit", "--csv", str(train_path), "--target", "y", "--ds", "1",
+            "--bandwidths", "4", "--split", "0.8", "--normalize",
+            "--out", str(model_path),
+        )
+        assert code == 0
+        wide_path = tmp_path / "wide.csv"
+        wide_path.write_text("a,b,c,y\n0.1,0.2,0.3,1.0\n0.4,0.5,0.6,2.0\n")
+        code, out, err = run_cli(
+            capsys, "predict", "--model", str(model_path),
+            "--csv", str(wide_path), "--target", "y",
+        )
+        assert code == 3
+        assert out == ""
+        assert "3 feature columns" in err and "over 2 variables" in err
+
+
 class TestPlots:
     def test_svg_outputs_deterministic(self, friedman2_model, tmp_path, capsys):
         model_path, _ = friedman2_model

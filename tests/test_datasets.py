@@ -1,6 +1,7 @@
 """Tests for generators, CSV ingestion, normalization, splits, and sweeps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,52 @@ class TestLoadCsv:
         path.write_text("")
         with pytest.raises(DataError, match="empty"):
             load_csv(path, "y")
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("a,y\r\n1,2\r\n\r\n3,4", ([[1.0], [3.0]], [2.0, 4.0])),
+            ('"a","y"\n"1.5", 2 \n -3 ,"4e1"\n', ([[1.5], [-3.0]], [2.0, 40.0])),
+            ("a,b,y\n1,2,3\n", ([[1.0, 2.0]], [3.0])),
+            ("a,y\n1,2\n \n3,4\n", r"data.csv:3: expected 2 cells, got 1"),
+            ("a,y\n", r"data.csv: no data rows"),
+            ("a,y\n\n\n", r"data.csv: no data rows"),
+            ("a,b,y\n1,2,3\n4,5\n", r"data.csv:3: expected 3 cells, got 2"),
+            ("a,y\n1,2\n3,inf\n", r"data.csv:3: column 'y': non-finite cell 'inf'"),
+            ("a,y\nNaN,2\n", r"data.csv:2: column 'a': non-finite cell 'NaN'"),
+            ("a,y\n1,2\n3,\n", r"data.csv:3: column 'y': non-numeric cell ''"),
+            ("a,y\n1,1_0\n", r"data.csv:2: column 'y': non-numeric cell '1_0'"),
+            ("a,y\n\uff11,2\n", r"data.csv:2: column 'a': non-numeric cell"),
+        ],
+        ids=[
+            "crlf-blank-line-no-final-newline",
+            "quoted-and-padded",
+            "single-row",
+            "whitespace-only-line",
+            "header-only",
+            "blank-body",
+            "short-row",
+            "inf",
+            "nan",
+            "empty-cell",
+            "digit-separator",
+            "full-width-digit",
+        ],
+    )
+    def test_grammar(self, tmp_path, text, want):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(want, str):
+                with pytest.raises(DataError, match=want):
+                    load_csv(path, "y")
+                return
+            ds = load_csv(path, "y")
+        nodes, targets = want
+        np.testing.assert_array_equal(ds.nodes, nodes)
+        np.testing.assert_array_equal(ds.targets, targets)
+        assert ds.columns == tuple("ab"[: len(nodes[0])])
 
     def test_featureless_input(self, tmp_path):
         path = tmp_path / "data.csv"
