@@ -2,8 +2,9 @@
 """Bandwidth sweep tables for the synthetic benchmark functions.
 
 Re-runs the final-stage fit of each benchmark over a grid of order-1/order-2
-bandwidths and prints the median test MSE per configuration, mirroring the
-layout of the published sweep tables.
+bandwidths and prints the median test MSE and the number of failed
+repetitions per configuration, mirroring the layout of the published sweep
+tables.
 
 Usage:
     python3 scripts/friedman_tables.py --function 1 --reps 10 --seed 0
@@ -11,21 +12,22 @@ Usage:
 
 import argparse
 
-import numpy as np
-
 from anovafit import (
     BandwidthProfile,
     BasisKind,
+    FriedmanSpec,
     SolverConfig,
+    SplitPlan,
     TermSet,
     drop_variables,
     expected_index_count,
     fit,
+    median_evaluate,
     mse,
     predict,
     superposition_terms,
 )
-from anovafit.bench import friedman_rep_data
+from anovafit.bench import TEST_SIZE, TRAIN_SIZE
 
 SWEEPS = {
     1: {
@@ -50,18 +52,20 @@ def sweep(which: int, reps: int, seed: int) -> None:
     setting = SWEEPS[which]
     active = setting["active"]
     config = SolverConfig(regularization=setting["lambda"])
+    plan = SplitPlan(train_size=TRAIN_SIZE, test_size=TEST_SIZE, repetitions=reps, seed=seed)
     print(f"friedman {which}  (lambda = {setting['lambda']}, reps = {reps})")
-    print(f"{'N1':>4} {'N2':>4} {'|I(U)|':>7} {'median MSE':>14}")
+    print(f"{'N1':>4} {'N2':>4} {'|I(U)|':>7} {'median MSE':>14} {'failed':>6}")
     for n1, n2 in setting["grid"]:
         profile = BandwidthProfile.from_list([n1, n2])
-        errors = []
-        for rep in range(reps):
-            train, test = friedman_rep_data(which, rep, seed)
+
+        def recipe(train, test):
             model = fit(train.nodes, train.targets, active, profile,
                         BasisKind.COSINE, config)
-            errors.append(mse(test.targets, predict(model, test.nodes)))
+            return mse(test.targets, predict(model, test.nodes))
+
+        summary = median_evaluate(recipe, FriedmanSpec(which), plan)
         size = expected_index_count(active, profile)
-        print(f"{n1:>4} {n2:>4} {size:>7} {np.median(errors):>14.6g}")
+        print(f"{n1:>4} {n2:>4} {size:>7} {summary.median:>14.6g} {summary.failures:>6}")
 
 
 def main() -> None:

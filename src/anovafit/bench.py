@@ -1,4 +1,4 @@
-"""Scripted benchmark pipelines.
+"""The one repetition loop, ``median_evaluate``, and the benchmark pipelines.
 
 ``bench_friedman`` reruns, per seeded repetition, the staged recipe that
 produces the published reference results on the three synthetic benchmark
@@ -31,7 +31,7 @@ from .datasets import (
     rng_stream,
     split,
 )
-from .errors import ConfigError, NumericalError
+from .errors import AnovaFitError, ConfigError, NumericalError
 from .model import (
     Model,
     SensitivityReport,
@@ -72,6 +72,91 @@ REFERENCE_RESULTS = {
 }
 
 METRICS: dict[str, Callable] = {"mse": mse, "rmse": rmse, "relative": relative_error}
+
+# Errors that count a repetition as failed; anything else is a bug and
+# propagates out of the loop.
+COUNTED_ERRORS = (AnovaFitError, FloatingPointError, np.linalg.LinAlgError)
+
+
+def rep_data(
+    source: Dataset | FriedmanSpec, plan: SplitPlan, rep: int
+) -> tuple[Dataset, Dataset]:
+    """Training and test sets of repetition ``rep`` of ``plan``.
+
+    A synthetic source gives fresh samples from the ``(seed, rep)`` "train"
+    and "test" streams; a dataset is partitioned by :func:`split`.
+    """
+    if isinstance(source, FriedmanSpec):
+        if not plan.generated:
+            raise ConfigError("synthetic sources need a generated split plan")
+        train = friedman_sample(source, plan.train_size, rng_stream(plan.seed, rep, "train"))
+        test = friedman_sample(source, plan.test_size, rng_stream(plan.seed, rep, "test"))
+        return train, test
+    return split(source, plan, rep)
+
+
+@dataclass(frozen=True)
+class EvaluationSummary:
+    """Median and quartiles of a metric over repetitions, and the failures."""
+
+    metric: str
+    median: float
+    q1: float
+    q3: float
+    repetitions: int
+    values: tuple[float, ...]
+    failed_reps: tuple[dict, ...] = ()
+
+    @property
+    def failures(self) -> int:
+        return len(self.failed_reps)
+
+    def to_json_obj(self) -> dict:
+        return {
+            "metric": self.metric,
+            "median": self.median,
+            "q1": self.q1,
+            "q3": self.q3,
+            "repetitions": self.repetitions,
+            "failures": self.failures,
+            "failed_reps": list(self.failed_reps),
+        }
+
+
+def median_evaluate(
+    recipe: Callable[[Dataset, Dataset], float],
+    source: Dataset | FriedmanSpec,
+    plan: SplitPlan,
+    *,
+    metric_name: str = "mse",
+) -> EvaluationSummary:
+    """Median and quartiles of a fit metric over the repetitions of ``plan``.
+
+    Per repetition, ``recipe`` turns the training and test sets of
+    :func:`rep_data` into one metric value.  A repetition whose recipe
+    raises one of ``COUNTED_ERRORS`` is recorded as ``{rep, type, message}``
+    and skipped; any other exception, and any error in deriving the data,
+    propagates.  Only all repetitions failing raises :class:`NumericalError`.
+    """
+    values = []
+    failed = []
+    for rep in range(plan.repetitions):
+        train, test = rep_data(source, plan, rep)
+        try:
+            values.append(float(recipe(train, test)))
+        except COUNTED_ERRORS as exc:
+            failed.append({"rep": rep, "type": type(exc).__name__, "message": str(exc)})
+    if not values:
+        raise NumericalError(f"all {plan.repetitions} repetitions failed: {failed[0]['message']}")
+    return EvaluationSummary(
+        metric=metric_name,
+        median=float(np.median(values)),
+        q1=float(np.percentile(values, 25)),
+        q3=float(np.percentile(values, 75)),
+        repetitions=plan.repetitions,
+        values=tuple(values),
+        failed_reps=tuple(failed),
+    )
 
 
 def _fit_cosine(train: Dataset, termset: TermSet, bandwidths, lam: float) -> Model:
@@ -143,40 +228,39 @@ def friedman_rep_data(
     which: int, rep_index: int, seed: int
 ) -> tuple[Dataset, Dataset]:
     """Training and test samples for one repetition of the benchmark setting."""
-    spec = FriedmanSpec(which)
-    train = friedman_sample(spec, TRAIN_SIZE, rng_stream(seed, rep_index, "train"))
-    test = friedman_sample(spec, TEST_SIZE, rng_stream(seed, rep_index, "test"))
-    return train, test
+    return rep_data(FriedmanSpec(which), _friedman_plan(1, seed), rep_index)
+
+
+def _friedman_plan(repetitions: int, seed: int) -> SplitPlan:
+    return SplitPlan(
+        train_size=TRAIN_SIZE, test_size=TEST_SIZE, repetitions=repetitions, seed=seed
+    )
 
 
 def bench_friedman(which: int, repetitions: int = 100, seed: int = 0) -> dict:
     """Median test MSE of the staged pipeline over seeded repetitions."""
     spec = FriedmanSpec(which)
     final_fit = _FINAL_FITS[spec.which]
-    errors = []
     errors_truth = []
-    failures = 0
-    for rep in range(repetitions):
-        train, test = friedman_rep_data(which, rep, seed)
-        try:
-            model = final_fit(train)
-            predictions = predict(model, test.nodes)
-        except Exception:  # noqa: BLE001 - one bad repetition must not kill the sweep
-            failures += 1
-            continue
-        errors.append(mse(test.targets, predictions))
+
+    def recipe(train: Dataset, test: Dataset) -> float:
+        predictions = predict(final_fit(train), test.nodes)
+        error = mse(test.targets, predictions)
+        # appended last, so it holds exactly the repetitions that succeeded
         errors_truth.append(mse(friedman_eval(spec, test.nodes), predictions))
-    if not errors:
-        raise NumericalError(f"all {repetitions} repetitions failed")
+        return error
+
+    summary = median_evaluate(recipe, spec, _friedman_plan(repetitions, seed))
     reference = REFERENCE_RESULTS[spec.which]
     return {
         "function": spec.which,
         "repetitions": repetitions,
         "seed": seed,
-        "failures": failures,
-        "median_mse": float(np.median(errors)),
-        "q1_mse": float(np.percentile(errors, 25)),
-        "q3_mse": float(np.percentile(errors, 75)),
+        "failures": summary.failures,
+        "failed_reps": list(summary.failed_reps),
+        "median_mse": summary.median,
+        "q1_mse": summary.q1,
+        "q3_mse": summary.q3,
         "median_mse_vs_truth": float(np.median(errors_truth)),
         "reference_median_mse": reference["median_mse"],
         "reference_baselines": reference["baselines"],
@@ -221,49 +305,33 @@ REAL_PRESETS: dict[str, RealBenchConfig] = {
 }
 
 
-def run_real_rep(ds: Dataset, cfg: RealBenchConfig, plan: SplitPlan, rep: int) -> dict:
-    """One repetition of the real-data protocol; returns metric and set sizes."""
-    train_raw, test_raw = split(ds, plan, rep)
-    train = normalize(train_raw, include_target=cfg.normalize_targets)
-    test = normalize(test_raw, reference=train, include_target=cfg.normalize_targets)
-    termset = superposition_terms(ds.dimension, cfg.superposition_threshold)
-    if cfg.keep:
-        termset = drop_variables(termset, cfg.keep)
-    initial = _fit_cosine(train, termset, cfg.bandwidths, cfg.regularization)
-    cutoffs = (cfg.gsi_cutoff,) * cfg.superposition_threshold
-    active = threshold_active_set(gsi(initial), termset, cutoffs)
-    final = _fit_cosine(train, active, cfg.bandwidths, cfg.regularization)
-    value = METRICS[cfg.metric](test.targets, predict(final, test.nodes))
-    return {"metric": value, "active_terms": len(active)}
-
-
 def run_real_benchmark(
     ds: Dataset, cfg: RealBenchConfig, repetitions: int = 100, seed: int = 0
 ) -> dict:
     """Median metric of the split/normalize/threshold/refit protocol."""
+    termset = superposition_terms(ds.dimension, cfg.superposition_threshold)
+    if cfg.keep:
+        termset = drop_variables(termset, cfg.keep)
+    cutoffs = (cfg.gsi_cutoff,) * cfg.superposition_threshold
+    sizes = []
+
+    def recipe(train_raw: Dataset, test_raw: Dataset) -> float:
+        train = normalize(train_raw, include_target=cfg.normalize_targets)
+        test = normalize(test_raw, reference=train, include_target=cfg.normalize_targets)
+        initial = _fit_cosine(train, termset, cfg.bandwidths, cfg.regularization)
+        active = threshold_active_set(gsi(initial), termset, cutoffs)
+        final = _fit_cosine(train, active, cfg.bandwidths, cfg.regularization)
+        value = METRICS[cfg.metric](test.targets, predict(final, test.nodes))
+        # appended last, so it holds exactly the repetitions that succeeded
+        sizes.append(len(active))
+        return value
+
     plan = SplitPlan(
         train_fraction=cfg.train_fraction, repetitions=repetitions, seed=seed
     )
-    values = []
-    sizes = []
-    failures = 0
-    for rep in range(repetitions):
-        try:
-            outcome = run_real_rep(ds, cfg, plan, rep)
-        except Exception:  # noqa: BLE001
-            failures += 1
-            continue
-        values.append(outcome["metric"])
-        sizes.append(outcome["active_terms"])
-    if not values:
-        raise NumericalError(f"all {repetitions} repetitions failed")
+    summary = median_evaluate(recipe, ds, plan, metric_name=cfg.metric)
     return {
-        "metric": cfg.metric,
-        "repetitions": repetitions,
+        **summary.to_json_obj(),
         "seed": seed,
-        "failures": failures,
-        "median": float(np.median(values)),
-        "q1": float(np.percentile(values, 25)),
-        "q3": float(np.percentile(values, 75)),
         "median_active_terms": float(np.median(sizes)),
     }

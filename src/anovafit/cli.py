@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -25,14 +26,10 @@ from .basis import BasisKind
 from .datasets import (
     Dataset,
     FriedmanSpec,
-    Normalization,
     SplitPlan,
     apply_normalization,
-    friedman_sample,
     load_csv,
     normalize,
-    rng_stream,
-    split,
 )
 from .errors import ConfigError, DataError, NumericalError
 from .model import (
@@ -42,7 +39,7 @@ from .model import (
     fit,
     incremental_expand,
     load_model,
-    model_from_obj,
+    model_from_obj,  # noqa: F401 - perfbench/spans.py patches this name
     model_to_obj,
     mse,
     predict,
@@ -121,16 +118,13 @@ def _load_train_test(args) -> tuple[Dataset, Dataset]:
     if (args.friedman is None) == (args.csv is None):
         raise ConfigError("select exactly one data source: --friedman or --csv")
     if args.friedman is not None:
-        spec = FriedmanSpec(args.friedman)
         plan = _split_plan(args.split, synthetic=True, seed=args.seed)
-        train = friedman_sample(spec, plan.train_size, rng_stream(args.seed, 0, "train"))
-        test = friedman_sample(spec, plan.test_size, rng_stream(args.seed, 0, "test"))
-        return train, test
+        return bench.rep_data(FriedmanSpec(args.friedman), plan, 0)
     if args.target is None:
         raise ConfigError("--csv needs --target naming the target column")
     ds = load_csv(args.csv, args.target)
     plan = _split_plan(args.split, synthetic=False, seed=args.seed)
-    train, test = split(ds, plan, 0)
+    train, test = bench.rep_data(ds, plan, 0)
     if args.normalize or args.normalize_target:
         train = normalize(train, include_target=args.normalize_target)
         test = normalize(test, reference=train, include_target=args.normalize_target)
@@ -168,18 +162,8 @@ def cmd_fit(args) -> int:
         _parse_int_list(args.bandwidths, "--bandwidths")
     )
     model = fit(train.nodes, train.targets, termset, bandwidths, kind, config)
-
-    obj = model_to_obj(model)
-    if train.normalization is not None:
-        stats = train.normalization
-        obj["normalization"] = {
-            "feature_min": [float(v) for v in stats.feature_min],
-            "feature_max": [float(v) for v in stats.feature_max],
-            "target_min": stats.target_min,
-            "target_max": stats.target_max,
-        }
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    Path(args.out).write_text(text, encoding="utf-8")
+    model = dataclasses.replace(model, normalization=train.normalization)
+    _dump_json(model_to_obj(model), args.out)
 
     report = {
         "model": args.out,
@@ -195,29 +179,15 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _model_file_normalization(obj: dict) -> Normalization | None:
-    block = obj.get("normalization")
-    if block is None:
-        return None
-    return Normalization(
-        feature_min=np.asarray(block["feature_min"], dtype=np.float64),
-        feature_max=np.asarray(block["feature_max"], dtype=np.float64),
-        target_min=block.get("target_min"),
-        target_max=block.get("target_max"),
-    )
-
-
 def cmd_predict(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        model_obj = json.load(fh)
-    model = model_from_obj(model_obj)
+    model = load_model(args.model)
     ds = load_csv(args.csv, args.target)
     if ds.dimension != model.terms.dimension:
         raise DataError(
             f"{args.csv}: {ds.dimension} feature columns, but the model is over "
             f"{model.terms.dimension} variables"
         )
-    stats = _model_file_normalization(model_obj)
+    stats = model.normalization
     target_normalized = False
     if stats is not None:
         include_target = args.target is not None and stats.target_min is not None
@@ -366,8 +336,8 @@ def cmd_bench_real(args) -> int:
     if not Path(csv_path).exists():
         raise DataError(f"dataset file not found: {csv_path}")
     if args.target is None:
-        with open(csv_path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None) or [""]
         target = header[-1].strip()
     else:
         target = args.target

@@ -1,5 +1,5 @@
 """Data handling: synthetic benchmark generators, CSV ingestion,
-min-max normalization, splitting, and repeated-split evaluation.
+min-max normalization and splitting.
 
 Random streams
 --------------
@@ -17,11 +17,11 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError
 
 _PURPOSE_CODES = {"train": 0, "test": 1, "split": 2}
 
@@ -351,7 +351,7 @@ def project_columns(ds: Dataset, keep) -> Dataset:
     )
 
 
-# --- splitting and repeated evaluation ------------------------------------
+# --- splitting -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -393,7 +393,7 @@ class SplitPlan:
 def split(ds: Dataset, plan: SplitPlan, rep_index: int) -> tuple[Dataset, Dataset]:
     """Disjoint random train/test partition, deterministic in (seed, rep_index)."""
     if plan.generated:
-        raise ConfigError("generated plans sample fresh data; use median_evaluate")
+        raise ConfigError("generated plans sample fresh data; use rep_data")
     if not 0 <= rep_index < plan.repetitions:
         raise ValueError(f"rep_index {rep_index} outside 0..{plan.repetitions - 1}")
     n_train = int(round(plan.train_fraction * ds.size))
@@ -403,71 +403,3 @@ def split(ds: Dataset, plan: SplitPlan, rep_index: int) -> tuple[Dataset, Datase
         )
     perm = rng_stream(plan.seed, rep_index, "split").permutation(ds.size)
     return ds.take(np.sort(perm[:n_train])), ds.take(np.sort(perm[n_train:]))
-
-
-@dataclass(frozen=True)
-class EvaluationSummary:
-    metric: str
-    median: float
-    q1: float
-    q3: float
-    repetitions: int
-    failures: int
-    values: tuple[float, ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "metric": self.metric,
-            "median": self.median,
-            "q1": self.q1,
-            "q3": self.q3,
-            "repetitions": self.repetitions,
-            "failures": self.failures,
-        }
-
-
-Recipe = Callable[[Dataset, Dataset], float]
-
-
-def median_evaluate(
-    recipe: Recipe,
-    source: Union[Dataset, FriedmanSpec],
-    plan: SplitPlan,
-    *,
-    metric_name: str = "mse",
-) -> EvaluationSummary:
-    """Median and quartiles of a fit metric over repeated splits.
-
-    Per repetition the recipe receives a training and a test dataset and
-    returns one metric value.  A failing repetition is recorded and skipped
-    rather than aborting the sweep; only all repetitions failing raises.
-    """
-    values = []
-    failures = 0
-    for rep in range(plan.repetitions):
-        if isinstance(source, FriedmanSpec):
-            if not plan.generated:
-                raise ConfigError("synthetic sources need a generated split plan")
-            train = friedman_sample(
-                source, plan.train_size, rng_stream(plan.seed, rep, "train")
-            )
-            test = friedman_sample(
-                source, plan.test_size, rng_stream(plan.seed, rep, "test")
-            )
-        else:
-            train, test = split(source, plan, rep)
-        try:
-            values.append(float(recipe(train, test)))
-        except Exception:  # noqa: BLE001 - a broken repetition must not kill the sweep
-            failures += 1
-    if not values:
-        raise NumericalError(f"all {plan.repetitions} repetitions failed")
-    return EvaluationSummary(
-        metric=metric_name,
-        median=float(np.median(values)),
-        q1=float(np.percentile(values, 25)),
-        q3=float(np.percentile(values, 75)),
-        repetitions=plan.repetitions,
-        failures=failures,
-        values=tuple(values),
-    )

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import BasisKind
+from .datasets import Normalization
 from .errors import ConfigError, DataError, DegenerateModelError
 from .operators import DesignOperator
 from .solver import LsqrResult, SolverConfig, lsqr_solve
@@ -46,7 +47,11 @@ from .terms import (
 
 @dataclass(frozen=True)
 class Model:
-    """Fitted truncated expansion with its fit diagnostics."""
+    """Fitted truncated expansion with its fit diagnostics.
+
+    ``normalization`` holds the extrema that mapped the training data into
+    the basis domain; :func:`predict` still takes nodes in that domain.
+    """
 
     kind: BasisKind
     terms: TermSet
@@ -59,6 +64,7 @@ class Model:
     stop_reason: str
     oversampling: float
     real_output: bool = True
+    normalization: Normalization | None = None
 
     @property
     def constant(self):
@@ -365,7 +371,7 @@ def _coeffs_from_obj(obj, kind: BasisKind) -> np.ndarray:
 
 
 def model_to_obj(model: Model) -> dict:
-    return {
+    obj = {
         "basis": model.kind.token,
         "dimension": model.terms.dimension,
         "superposition_threshold": model.terms.superposition_threshold,
@@ -381,6 +387,28 @@ def model_to_obj(model: Model) -> dict:
             "oversampling": float(model.oversampling),
         },
     }
+    stats = model.normalization
+    if stats is not None:
+        obj["normalization"] = {
+            "feature_min": [float(v) for v in stats.feature_min],
+            "feature_max": [float(v) for v in stats.feature_max],
+            "target_min": stats.target_min,
+            "target_max": stats.target_max,
+        }
+    return obj
+
+
+def _normalization_from_obj(block: dict | None, dimension: int) -> Normalization | None:
+    if block is None:
+        return None
+    lo = np.asarray(block["feature_min"], dtype=np.float64)
+    hi = np.asarray(block["feature_max"], dtype=np.float64)
+    if lo.shape != (dimension,) or hi.shape != (dimension,):
+        raise DataError(f"normalization extrema must hold {dimension} values per bound")
+    t_lo, t_hi = block.get("target_min"), block.get("target_max")
+    if t_lo is not None or t_hi is not None:
+        t_lo, t_hi = float(t_lo), float(t_hi)  # a lone bound raises TypeError
+    return Normalization(lo, hi, t_lo, t_hi)
 
 
 def model_from_obj(obj: dict) -> Model:
@@ -392,6 +420,7 @@ def model_from_obj(obj: dict) -> Model:
         bandwidths = BandwidthProfile.from_json_obj(obj["bandwidths"])
         coefficients = _coeffs_from_obj(obj["coefficients"], kind)
         diagnostics = obj.get("diagnostics", {})
+        stats = _normalization_from_obj(obj.get("normalization"), termset.dimension)
         model = Model(
             kind=kind,
             terms=termset,
@@ -404,8 +433,9 @@ def model_from_obj(obj: dict) -> Model:
             stop_reason=str(diagnostics.get("stop_reason", "unknown")),
             oversampling=float(diagnostics.get("oversampling", 0.0)),
             real_output=bool(obj.get("real_output", True)),
+            normalization=stats,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model object: {exc}") from exc
     if len(model.coefficients) != model.index_union.size:
         raise DataError(

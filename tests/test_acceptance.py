@@ -40,7 +40,7 @@ from anovafit.bench import (
     friedman_rep_data,
     run_real_benchmark,
 )
-from anovafit.datasets import FriedmanSpec, SplitPlan, load_csv, median_evaluate
+from anovafit import FriedmanSpec, SplitPlan, load_csv, median_evaluate
 
 from conftest import orthonormality_defect, random_instance
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from anovafit import load_termset
+from anovafit import load_model, load_termset, save_model
 from anovafit.cli import main
 
 
@@ -281,6 +281,41 @@ class TestPredict:
         assert len(payload["predictions"]) == 40
         assert payload["metrics"]["rmse"] < 1.0
 
+    @pytest.mark.parametrize(
+        "flags", [("--normalize",), ("--normalize", "--normalize-target")]
+    )
+    def test_normalization_survives_load_and_save(self, flags, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        rows = ["a,b,y"]
+        for x, z in rng.uniform(5.0, 10.0, size=(60, 2)):
+            rows.append(f"{x:.6f},{z:.6f},{np.sin(x) + z:.6f}")
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        model_path = tmp_path / "model.json"
+        code, _, _ = run_cli(
+            capsys,
+            "fit", "--csv", str(csv_path), "--target", "y", "--basis", "per",
+            "--ds", "2", "--bandwidths", "6,2", "--split", "0.8", *flags,
+            "--out", str(model_path),
+        )
+        assert code == 0
+        model = load_model(model_path)
+        block = read_json(model_path)["normalization"]
+        assert model.normalization.feature_min.tolist() == block["feature_min"]
+        assert model.normalization.target_max == block["target_max"]
+        resaved = tmp_path / "resaved.json"
+        save_model(model, resaved)
+        assert resaved.read_bytes() == model_path.read_bytes()
+        outputs = []
+        for path in (model_path, resaved):
+            code, out, _ = run_cli(
+                capsys, "predict", "--model", str(path),
+                "--csv", str(csv_path), "--target", "y",
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_predictions_without_target(self, friedman2_model, tmp_path, capsys):
         model_path, _ = friedman2_model
         csv_path = tmp_path / "new.csv"
@@ -369,6 +404,31 @@ class TestBench:
         assert summary["repetitions"] == 5
         assert summary["metric"] == "rmse"
         assert summary["median"] < 0.5
+
+    def test_bench_real_default_target_from_quoted_header(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        rows = ['"a","b","y"']
+        for x, z in rng.uniform(size=(40, 2)):
+            rows.append(f"{x:.6f},{z:.6f},{x + z * z:.6f}")
+        csv_path = tmp_path / "quoted.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            capsys, "bench-real", "custom", "--csv", str(csv_path),
+            "--split", "0.7", "--reps", "2",
+        )
+        assert code == 0, err
+        assert json.loads(out)["target"] == "y"
+
+    def test_bench_real_split_error_exits_3(self, tmp_path, capsys):
+        csv_path = tmp_path / "tiny.csv"
+        csv_path.write_text("a,b,y\n0.1,0.2,1.0\n0.3,0.4,2.0\n0.5,0.6,3.0\n")
+        code, out, err = run_cli(
+            capsys, "bench-real", "custom", "--csv", str(csv_path),
+            "--target", "y", "--split", "0.1", "--reps", "3",
+        )
+        assert code == 3
+        assert out == ""
+        assert "fraction 0.1 leaves an empty side for 3 rows" in err
 
     def test_bench_real_without_data_dir_exits_3(self, capsys, monkeypatch):
         monkeypatch.delenv("ANOVA_DATA_DIR", raising=False)

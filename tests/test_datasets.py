@@ -376,7 +376,7 @@ class TestMedianEvaluate:
         def recipe(tr, te):
             value = next(calls)
             if value is None:
-                raise RuntimeError("boom")
+                raise NumericalError("boom")
             return value
 
         summary = median_evaluate(recipe, ds, plan)
@@ -388,10 +388,50 @@ class TestMedianEvaluate:
         plan = SplitPlan(train_fraction=0.5, repetitions=2)
 
         def recipe(tr, te):
-            raise RuntimeError("boom")
+            raise NumericalError("boom")
 
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="all 2 repetitions failed"):
             median_evaluate(recipe, ds, plan)
+
+    @pytest.mark.parametrize(
+        "error", [DataError("bad"), FloatingPointError("bad"), np.linalg.LinAlgError("bad")]
+    )
+    def test_counted_failure_is_recorded(self, error):
+        ds = _toy_dataset(size=20)
+        plan = SplitPlan(train_fraction=0.5, repetitions=3)
+        calls = []
+
+        def recipe(tr, te):
+            calls.append(tr)
+            if len(calls) == 2:
+                raise error
+            return 1.0
+
+        summary = median_evaluate(recipe, ds, plan)
+        assert summary.failures == 1
+        assert summary.failed_reps == (
+            {"rep": 1, "type": type(error).__name__, "message": "bad"},
+        )
+        assert summary.to_json_obj()["failed_reps"] == list(summary.failed_reps)
+
+    def test_programming_error_propagates(self):
+        ds = _toy_dataset(size=20)
+        plan = SplitPlan(train_fraction=0.5, repetitions=3)
+        calls = []
+
+        def recipe(tr, te):
+            calls.append(tr)
+            raise TypeError("bug")
+
+        with pytest.raises(TypeError, match="bug"):
+            median_evaluate(recipe, ds, plan)
+        assert len(calls) == 1
+
+    def test_data_error_in_split_propagates(self):
+        ds = _toy_dataset(size=3)
+        plan = SplitPlan(train_fraction=0.1, repetitions=2)
+        with pytest.raises(DataError, match="empty side"):
+            median_evaluate(lambda tr, te: 1.0, ds, plan)
 
     def test_synthetic_source_generates_fresh_sets(self):
         plan = SplitPlan(train_size=30, test_size=50, repetitions=2, seed=5)
@@ -420,6 +460,7 @@ class TestMedianEvaluate:
             "q3": 2.0,
             "repetitions": 1,
             "failures": 0,
+            "failed_reps": [],
         }
 
 

@@ -506,6 +506,25 @@ class TestSerialization:
         with pytest.raises(DataError):
             model_from_obj({"basis": "cos"})
 
+    def test_normalization_block_validated(self):
+        from anovafit.model import model_from_obj, model_to_obj
+
+        rng = np.random.default_rng(14)
+        model = fit(rng.uniform(size=(30, 2)), rng.standard_normal(30),
+                    superposition_terms(2, 1), BandwidthProfile.from_list([4]),
+                    BasisKind.COSINE)
+        obj = model_to_obj(model)
+        assert "normalization" not in obj
+        good = {"feature_min": [0.0, 1.0], "feature_max": [2.0, 3.0],
+                "target_min": -1.0, "target_max": 4.0}
+        stats = model_from_obj({**obj, "normalization": good}).normalization
+        assert stats.feature_max.tolist() == [2.0, 3.0] and stats.target_max == 4.0
+        assert model_to_obj(model_from_obj({**obj, "normalization": good}))[
+            "normalization"] == good
+        for bad in ({"feature_max": [2.0]}, {"target_min": "low"}, {"target_max": None}):
+            with pytest.raises(DataError):
+                model_from_obj({**obj, "normalization": {**good, **bad}})
+
     def test_report_json_shape(self):
         report = SensitivityReport(
             dimension=2,
