@@ -118,6 +118,8 @@ def _load_train_test(args) -> tuple[Dataset, Dataset]:
     if (args.friedman is None) == (args.csv is None):
         raise ConfigError("select exactly one data source: --friedman or --csv")
     if args.friedman is not None:
+        if args.normalize or args.normalize_target:
+            raise ConfigError("--normalize and --normalize-target need --csv data")
         plan = _split_plan(args.split, synthetic=True, seed=args.seed)
         return bench.rep_data(FriedmanSpec(args.friedman), plan, 0)
     if args.target is None:
@@ -361,7 +363,8 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--lambda", dest="lam", type=float, default=0.0,
                         help="l2 regularization weight (default 0)")
     parser.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                        help="solver iteration cap (default 10x columns)")
+                        help="LSQR iteration cap (default 10x columns); setting it "
+                             "forces LSQR for small regularized fits")
     parser.add_argument("--tol", type=float, default=1e-8,
                         help="solver relative tolerance (default 1e-8)")
 

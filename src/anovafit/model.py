@@ -16,6 +16,9 @@ Interpretation outputs:
   share over its variables, down-weighted by how many same-order terms
   contain the variable, normalized to sum to 1.
 
+:func:`fit` solves small regularized systems directly and all others by
+LSQR; its docstring gives the rule.
+
 Refinement operates purely on term sets (thresholding, variable removal,
 incremental expansion); re-fitting after a refinement step is the caller's
 loop, so each step stays auditable.
@@ -34,7 +37,7 @@ from .basis import BasisKind
 from .datasets import Normalization
 from .errors import ConfigError, DataError, DegenerateModelError
 from .operators import DesignOperator
-from .solver import LsqrResult, SolverConfig, lsqr_solve
+from .solver import LsqrResult, SolverConfig, direct_solve, lsqr_solve
 from .terms import (
     BandwidthProfile,
     FrequencyIndexUnion,
@@ -43,6 +46,10 @@ from .terms import (
     build_index_union,
     normalize_term,
 )
+
+
+# rows * cols**2 up to which a fit may be solved directly (scripts/solver_crossover.py)
+DIRECT_SOLVE_MAX_WORK = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,15 @@ def fit(
     kind: BasisKind,
     config: SolverConfig | None = None,
 ) -> Model:
-    """Fit expansion coefficients by damped least squares on scattered data."""
+    """Fit expansion coefficients by damped least squares on scattered data.
+
+    The system is solved directly (:func:`~anovafit.solver.direct_solve` on
+    ``op.dense()``, reporting 0 iterations and stop reason ``"direct"``) when
+    ``regularization > 0``, ``max_iterations`` is None (a cap asks for LSQR's
+    truncation), ``rows * cols**2 <= DIRECT_SOLVE_MAX_WORK`` (the measured
+    crossover) and ``(||F||_F^2 + lam) / lam * eps <= tolerance`` (so the
+    squared condition number costs no accuracy); otherwise by LSQR.
+    """
     nodes = np.asarray(nodes, dtype=np.float64)
     values = np.asarray(values)
     if nodes.size == 0 or values.size == 0:
@@ -144,7 +159,7 @@ def fit(
             "system may be rank-deficient",
             stacklevel=2,
         )
-    result: LsqrResult = lsqr_solve(op, values, cfg)
+    result: LsqrResult = _solve(op, values, cfg)
     return Model(
         kind=kind,
         terms=termset,
@@ -158,6 +173,16 @@ def fit(
         oversampling=op.oversampling,
         real_output=not np.iscomplexobj(values),
     )
+
+
+def _solve(op: DesignOperator, values, cfg: SolverConfig) -> LsqrResult:
+    lam = cfg.regularization
+    small = op.rows * op.cols**2 <= DIRECT_SOLVE_MAX_WORK
+    if lam > 0.0 and cfg.max_iterations is None and small:
+        F = op.dense()
+        if (np.vdot(F, F).real + lam) / lam * np.finfo(np.float64).eps <= cfg.tolerance:
+            return direct_solve(F, values, lam)
+    return lsqr_solve(op, values, cfg)
 
 
 def _finalize(model: Model, values: np.ndarray) -> np.ndarray:

@@ -105,6 +105,22 @@ class _OrderStack:
             out += P[:, 0]
         return out
 
+    def dense_transposed(self, out):
+        """Write the rows of ``F^T`` of every term of this order into ``out``."""
+        Tt = np.ascontiguousarray(self.table.T)
+        if self.order == 1:
+            out[self.src] = Tt[self.dst]
+        elif self.order == 2:
+            width = Tt.shape[0]
+            out[self.src] = Tt[self.dst // width] * Tt[self.dst % width]
+        else:
+            n = self.n
+            for sl, starts in self.terms:
+                block = Tt[starts[0]:starts[0] + n]
+                for s in starts[1:]:
+                    block = (block[:, None] * Tt[None, s:s + n]).reshape(-1, Tt.shape[1])
+                out[sl] = block
+
     def adjoint_matvec(self, r, out):
         """Write ``conj(block)^T r`` of every term of this order into ``out``."""
         T = self.table
@@ -210,6 +226,15 @@ class DesignOperator:
         for stack in self._stacks:
             out += stack.matvec(c)
         return out
+
+    def dense(self) -> np.ndarray:
+        """Dense design matrix from the tables; the oracle is :func:`dense_design_matrix`."""
+        # filled as F^T, so that every write is a copy of contiguous rows
+        out = np.empty((self.cols, self.rows), dtype=self.kind.dtype)
+        out[self._constant] = 1.0
+        for stack in self._stacks:
+            stack.dense_transposed(out)
+        return out.T
 
     def adjoint_matvec(self, values) -> np.ndarray:
         """Adjoint application ``sum_m conj(phi_k(x_m)) * values[m]`` per frequency."""

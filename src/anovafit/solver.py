@@ -1,12 +1,12 @@
-"""Iterative least-squares solver for the coefficient fit.
+"""Least-squares solvers for the coefficient fit.
 
-Minimizes the damped objective
+Both minimize the damped objective
 
     || y - F g ||_2^2  +  lam * || g ||_2^2
 
-with the LSQR recurrence (Golub-Kahan bidiagonalization plus plane
-rotations, damping parameter ``sqrt(lam)``), using only ``matvec`` and
-``adjoint_matvec`` applications of the design operator.  Works unchanged in
+:func:`lsqr_solve` runs the LSQR recurrence (Golub-Kahan bidiagonalization
+plus plane rotations, damping parameter ``sqrt(lam)``), using only ``matvec``
+and ``adjoint_matvec`` applications of the design operator.  Works unchanged in
 real and complex arithmetic; all rotation scalars stay real.
 
 The damped residual norm is available per iteration and is non-increasing,
@@ -15,6 +15,9 @@ the damped residual dropping below ``tolerance`` relative to ``||y||``
 (consistent systems), or the normal-equation residual
 ``||F* r - lam g||`` dropping below ``tolerance`` relative to its natural
 scale (incompatible systems).
+
+:func:`direct_solve` solves the damped normal equations of a dense ``F``
+by one LU factorization; for ``lam > 0`` their matrix is at least ``lam I``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from .errors import NumericalError
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Regularization weight and stopping controls for :func:`lsqr_solve`."""
+    """Regularization weight and the stopping controls of :func:`lsqr_solve`.
+
+    An explicit ``max_iterations`` forces LSQR where ``fit`` would solve directly.
+    """
 
     regularization: float = 0.0
     max_iterations: int | None = None  # default: 10 * number of columns
@@ -54,7 +60,7 @@ class LsqrResult:
     coefficients: np.ndarray
     iterations: int
     relative_residual: float  # damped residual norm / ||y||
-    stop_reason: str  # "tolerance" or "max_iterations"
+    stop_reason: str  # "tolerance", "max_iterations" or "direct"
     residual_history: np.ndarray  # damped residual norm, entry per iteration
 
 
@@ -70,19 +76,42 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def lsqr_solve(op, y, config: SolverConfig | None = None) -> LsqrResult:
-    """Solve the damped least-squares problem for the operator ``op``."""
-    cfg = config if config is not None else SolverConfig()
-    m, n = op.shape
+def _check_system(shape, y, is_complex: bool) -> np.ndarray:
+    m, n = shape
     if m < 1 or n < 1:
-        raise ValueError(f"zero-length system: operator shape {op.shape}")
+        raise ValueError(f"zero-length system: operator shape {shape}")
     y = np.asarray(y)
     if y.shape != (m,):
         raise ValueError(f"value vector must have shape ({m},), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise NumericalError("value vector contains non-finite entries")
-    if np.iscomplexobj(y) and not op.kind.is_complex:
+    if np.iscomplexobj(y) and not is_complex:
         raise ValueError("complex values with a real basis")
+    return y
+
+
+def direct_solve(F: np.ndarray, y, regularization: float) -> LsqrResult:
+    """Solve ``(F* F + lam I) g = F* y`` for a dense ``F`` and ``lam > 0``.
+
+    Reports 0 iterations, stop reason ``"direct"`` and LSQR's relative
+    residual ``sqrt(||y - F g||^2 + lam ||g||^2) / ||y||``.
+    """
+    y = _check_system(F.shape, y, np.iscomplexobj(F)).astype(F.dtype, copy=False)
+    Fh = F.conj().T
+    gram = Fh @ F
+    gram.flat[:: gram.shape[0] + 1] += regularization
+    x = np.linalg.solve(gram, Fh @ y)
+    bnorm = _norm(y)
+    rnorm = math.sqrt(_norm(y - F @ x) ** 2 + regularization * _norm(x) ** 2)
+    relative = rnorm / bnorm if bnorm > 0.0 else 0.0
+    return LsqrResult(x, 0, relative, "direct", np.asarray([rnorm]))
+
+
+def lsqr_solve(op, y, config: SolverConfig | None = None) -> LsqrResult:
+    """Solve the damped least-squares problem for the operator ``op``."""
+    cfg = config if config is not None else SolverConfig()
+    m, n = op.shape
+    y = _check_system(op.shape, y, op.kind.is_complex)
 
     dtype = op.kind.dtype
     damp = math.sqrt(cfg.regularization)

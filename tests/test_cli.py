@@ -111,6 +111,16 @@ class TestFit:
         assert run_cli(capsys, "fit", "--friedman", "1", "--ds", "1",
                        "--bandwidths", "4,x", "--out", out_path)[0] == 2
 
+    @pytest.mark.parametrize("flags", [["--normalize"], ["--normalize-target"],
+                                       ["--normalize", "--normalize-target"]])
+    def test_normalize_with_friedman_exits_2(self, capsys, tmp_path, flags):
+        out_path = tmp_path / "m.json"
+        code, _, err = run_cli(capsys, "fit", "--friedman", "2", "--ds", "2",
+                               "--bandwidths", "4,2", *flags, "--out", str(out_path))
+        assert code == 2
+        assert "--csv" in err
+        assert not out_path.exists()
+
     def test_missing_csv_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "fit", "--csv", str(tmp_path / "nope.csv"), "--target", "y",

@@ -11,6 +11,7 @@ from anovafit import (
     ConfigError,
     DataError,
     DegenerateModelError,
+    DesignOperator,
     DomainError,
     Model,
     RefinementConfig,
@@ -37,6 +38,7 @@ from anovafit import (
     threshold_active_set,
     variance,
 )
+from anovafit import model as model_module
 from anovafit.datasets import FriedmanSpec, rng_stream
 
 from conftest import gauss_legendre
@@ -133,6 +135,61 @@ class TestFit:
         with pytest.raises(DataError):
             fit(np.zeros((0, 2)), np.zeros(0), superposition_terms(2, 1),
                 BandwidthProfile.from_list([2]), BasisKind.COSINE)
+
+
+class TestSolvePath:
+    """Which solver ``fit`` runs, on the Friedman-1 ranking stage (200 x 76)."""
+
+    LAM = 3.0
+
+    @staticmethod
+    def _train():
+        return friedman_sample(FriedmanSpec(1), 200, rng_stream(0, 0, "train"))
+
+    def _fit(self, **config):
+        train = self._train()
+        return fit(train.nodes, train.targets, superposition_terms(10, 2),
+                   BandwidthProfile.from_list([4, 2]), BasisKind.COSINE,
+                   SolverConfig(**config))
+
+    def test_stage_fit_is_direct_and_agrees_with_lsqr(self):
+        direct = self._fit(regularization=self.LAM)
+        assert (direct.stop_reason, direct.iterations) == ("direct", 0)
+        # an explicit iteration cap asks for LSQR
+        lsqr = self._fit(regularization=self.LAM, max_iterations=10_000)
+        assert lsqr.stop_reason == "tolerance" and lsqr.iterations > 0
+        rel = np.linalg.norm(direct.coefficients - lsqr.coefficients)
+        assert rel / np.linalg.norm(direct.coefficients) < 1e-6
+
+    def test_direct_fit_is_bitwise_repeatable(self):
+        first = self._fit(regularization=self.LAM)
+        second = self._fit(regularization=self.LAM)
+        assert first.stop_reason == "direct"
+        assert np.array_equal(first.coefficients, second.coefficients)
+
+    def test_zero_regularization_runs_lsqr(self):
+        model = self._fit()
+        assert model.stop_reason == "tolerance" and model.iterations > 0
+
+    def test_size_rule(self, monkeypatch):
+        work = 200 * 76**2
+        monkeypatch.setattr(model_module, "DIRECT_SOLVE_MAX_WORK", work)
+        assert self._fit(regularization=self.LAM).stop_reason == "direct"
+        monkeypatch.setattr(model_module, "DIRECT_SOLVE_MAX_WORK", work - 1)
+        assert self._fit(regularization=self.LAM).stop_reason == "tolerance"
+
+    def test_conditioning_guard(self):
+        union = build_index_union(
+            superposition_terms(10, 2), BandwidthProfile.from_list([4, 2]), BasisKind.COSINE
+        )
+        dense = DesignOperator(self._train().nodes, union).dense()
+        # the rule: (||F||_F^2 + lam) / lam * eps <= tolerance
+        bound = (np.sum(dense**2) + self.LAM) / self.LAM * np.finfo(np.float64).eps
+        above = self._fit(regularization=self.LAM, tolerance=1.001 * bound)
+        assert above.stop_reason == "direct"
+        below = self._fit(regularization=self.LAM, tolerance=0.999 * bound)
+        assert below.stop_reason != "direct" and below.iterations > 0
+        assert self._fit(regularization=1e-9).stop_reason != "direct"
 
 
 class TestPredict:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anovafit import (
     BandwidthProfile,
@@ -15,7 +17,7 @@ from anovafit import (
     superposition_terms,
 )
 
-from conftest import random_instance
+from conftest import random_instance, random_termset
 
 
 def _cosine_instance(rng, rows=20, d=3):
@@ -59,6 +61,52 @@ def test_matvec_and_adjoint_match_dense(kind):
         np.testing.assert_allclose(
             op.adjoint_matvec(values), dense.conj().T @ values, rtol=1e-12, atol=1e-12
         )
+
+
+def _check_dense(op, rng):
+    """``op.dense()`` against the oracle and against both applies."""
+    F = op.dense()
+    assert F.shape == op.shape and F.dtype == op.kind.dtype
+    np.testing.assert_allclose(
+        F, dense_design_matrix(op.nodes, op.index_union), rtol=1e-12, atol=1e-12
+    )
+    coeffs = rng.standard_normal(op.cols)
+    values = rng.standard_normal(op.rows)
+    if op.kind.is_complex:
+        coeffs = coeffs + 1j * rng.standard_normal(op.cols)
+        values = values + 1j * rng.standard_normal(op.rows)
+    np.testing.assert_allclose(F @ coeffs, op.matvec(coeffs), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        F.conj().T @ values, op.adjoint_matvec(values), rtol=1e-12, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV])
+def test_dense_matches_oracle_and_applies(kind):
+    rng = np.random.default_rng(9)
+    orders = set()
+    for _ in range(8):
+        op = random_instance(rng, kind, max_rows=60)
+        orders.add(max(len(term) for term, _ in op.index_union.groups))
+        _check_dense(op, rng)
+    assert orders == {1, 2, 3}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from([BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV]),
+    max_order=st.integers(1, 3),
+    n1=st.sampled_from([2, 4, 6]),
+    n_higher=st.sampled_from([2, 4]),
+    rows=st.integers(1, 25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_matches_oracle_property(kind, max_order, n1, n_higher, rows, seed):
+    rng = np.random.default_rng(seed)
+    bandwidths = BandwidthProfile.from_list([n1] + [n_higher] * (max_order - 1))
+    union = build_index_union(random_termset(rng, 4, max_order), bandwidths, kind)
+    lo, hi = kind.domain
+    _check_dense(DesignOperator(rng.uniform(lo, hi, size=(rows, 4)), union), rng)
 
 
 def test_adjoint_of_zero_and_single_row():
@@ -153,6 +201,7 @@ def test_refined_set_matches_dense(kind, name):
     np.testing.assert_allclose(
         op.adjoint_matvec(values), dense.conj().T @ values, rtol=1e-12, atol=1e-12
     )
+    np.testing.assert_allclose(op.dense(), dense, rtol=1e-12, atol=1e-12)
 
 
 def test_group_off_the_full_grid_rejected():

@@ -12,6 +12,7 @@ from anovafit import (
     TermSet,
     build_index_union,
     dense_design_matrix,
+    direct_solve,
     lsqr_solve,
     superposition_terms,
 )
@@ -129,6 +130,8 @@ def test_nonfinite_values_raise():
     y[0] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
         lsqr_solve(op, y)
+    with pytest.raises(NumericalError, match="non-finite"):
+        direct_solve(op.dense(), y, 1.0)
 
 
 def test_length_mismatch_raises():
@@ -147,3 +150,36 @@ def test_config_validation():
         SolverConfig(tolerance=1.5)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+
+
+@pytest.mark.parametrize("kind", [BasisKind.COSINE, BasisKind.EXPONENTIAL])
+def test_direct_matches_dense_oracle_and_lsqr(kind):
+    rng = np.random.default_rng(60)
+    for lam in (0.1, 2.0):
+        op = random_instance(rng, kind)
+        y = rng.standard_normal(op.rows)
+        if kind.is_complex:
+            y = y + 1j * rng.standard_normal(op.rows)
+        got = direct_solve(op.dense(), y, lam)
+        want = normal_equations_oracle(op, y, lam)
+        assert np.linalg.norm(got.coefficients - want) / np.linalg.norm(want) < 1e-10
+        lsqr = lsqr_solve(op, y, SolverConfig(regularization=lam, tolerance=1e-13))
+        rel = np.linalg.norm(got.coefficients - lsqr.coefficients) / np.linalg.norm(want)
+        assert rel < 1e-8
+        # LSQR's damped relative residual, from the oracle's matrix
+        dense = dense_design_matrix(op.nodes, op.index_union)
+        x = got.coefficients
+        damped = np.sqrt(np.linalg.norm(y - dense @ x) ** 2 + lam * np.linalg.norm(x) ** 2)
+        np.testing.assert_allclose(got.relative_residual, damped / np.linalg.norm(y), rtol=1e-10)
+        np.testing.assert_allclose(got.relative_residual, lsqr.relative_residual, rtol=1e-6)
+        assert (got.iterations, got.stop_reason) == (0, "direct")
+
+
+def test_direct_solve_edge_cases():
+    rng = np.random.default_rng(61)
+    op = random_instance(rng, BasisKind.COSINE)
+    with pytest.raises(ValueError, match="shape"):
+        direct_solve(op.dense(), np.ones(op.rows + 1), 1.0)
+    result = direct_solve(op.dense(), np.zeros(op.rows), 1.0)
+    assert np.array_equal(result.coefficients, np.zeros(op.cols))
+    assert result.relative_residual == 0.0
