@@ -32,7 +32,7 @@ import enum
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DataError, DomainError
 
 SQRT2 = float(np.sqrt(2.0))
 # points per recurrence block of eval_1d_table; keeps its scratch in cache
@@ -102,7 +102,7 @@ def check_domain(kind: BasisKind, x, *, what: str = "coordinate") -> np.ndarray:
 def _validate_frequency(kind: BasisKind, k: int) -> int:
     k = int(k)
     if not kind.is_complex and k < 0:
-        raise ValueError(f"negative frequency {k} is invalid for basis {kind.token!r}")
+        raise ConfigError(f"negative frequency {k} is invalid for basis {kind.token!r}")
     return k
 
 
@@ -135,7 +135,7 @@ def eval_tensor(kind: BasisKind, freqs, x):
     freqs = np.asarray(freqs, dtype=np.int64)
     x = np.asarray(x, dtype=np.float64)
     if freqs.ndim != 1 or x.ndim != 1 or freqs.shape != x.shape:
-        raise ValueError(
+        raise DataError(
             f"frequency/node dimension mismatch: {freqs.shape} vs {x.shape}"
         )
     out = kind.dtype.type(1.0)
@@ -168,7 +168,7 @@ def eval_1d_table(kind: BasisKind, freqs, x) -> np.ndarray:
     """
     freqs = np.asarray(freqs, dtype=np.int64)
     if not kind.is_complex and np.any(freqs < 0):
-        raise ValueError(f"negative frequency is invalid for basis {kind.token!r}")
+        raise ConfigError(f"negative frequency is invalid for basis {kind.token!r}")
     x = check_domain(kind, np.asarray(x, dtype=np.float64)).ravel()
     top = int(np.abs(freqs).max(initial=0))
     table = np.empty((x.size, freqs.size), dtype=kind.dtype)

@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -33,7 +32,6 @@ from .datasets import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .model import (
-    RefinementConfig,
     analyze,
     drop_variables,
     fit,
@@ -69,29 +67,12 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, cast) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [cast(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-
-
-def _solver_config(args) -> SolverConfig:
-    try:
-        return SolverConfig(
-            regularization=args.lam,
-            max_iterations=args.max_iter,
-            tolerance=args.tol,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        what = "integers" if cast is int else "numbers"
+        raise ConfigError(f"{flag} expects comma-separated {what}, got {text!r}") from None
 
 
 def _split_plan(text: str | None, *, synthetic: bool, seed: int) -> SplitPlan:
@@ -99,7 +80,7 @@ def _split_plan(text: str | None, *, synthetic: bool, seed: int) -> SplitPlan:
     if text is None:
         text = "200:1000" if synthetic else "0.7"
     if ":" in text:
-        parts = _parse_int_list(text.replace(":", ","), "--split")
+        parts = _parse_list(text.replace(":", ","), "--split", int)
         if len(parts) != 2:
             raise ConfigError(f"--split sizes must look like M_train:M_test, got {text!r}")
         if not synthetic:
@@ -145,7 +126,9 @@ def _metrics(y_true: np.ndarray, y_pred: np.ndarray) -> dict:
 
 def cmd_fit(args) -> int:
     kind = BasisKind.from_token(args.basis)
-    config = _solver_config(args)
+    config = SolverConfig(
+        regularization=args.lam, max_iterations=args.max_iter, tolerance=args.tol
+    )
     train, test = _load_train_test(args)
     if args.terms:
         termset = load_termset(args.terms)
@@ -160,9 +143,7 @@ def cmd_fit(args) -> int:
         raise ConfigError("give either --ds or --terms")
     if args.bandwidths is None:
         raise ConfigError("--bandwidths is required")
-    bandwidths = BandwidthProfile.from_list(
-        _parse_int_list(args.bandwidths, "--bandwidths")
-    )
+    bandwidths = BandwidthProfile.from_list(_parse_list(args.bandwidths, "--bandwidths", int))
     model = fit(train.nodes, train.targets, termset, bandwidths, kind, config)
     model = dataclasses.replace(model, normalization=train.normalization)
     _dump_json(model_to_obj(model), args.out)
@@ -250,7 +231,7 @@ def cmd_refine(args) -> int:
     before = set(termset.terms)
 
     if args.gsi_threshold is not None:
-        eps = _parse_float_list(args.gsi_threshold, "--gsi-threshold")
+        eps = _parse_list(args.gsi_threshold, "--gsi-threshold", float)
         if len(eps) == 1:
             eps = eps * termset.max_order
         termset = threshold_active_set(report, termset, eps)
@@ -265,10 +246,7 @@ def cmd_refine(args) -> int:
         else:
             _note("notice: no variable exceeds --drop-below; variables unchanged")
     if args.expand is not None:
-        config = RefinementConfig(
-            ranking_threshold=args.theta, expansion_order=args.expand
-        )
-        termset = incremental_expand(report, termset, config)
+        termset = incremental_expand(report, termset, args.theta, args.expand)
 
     after = set(termset.terms)
     if before == after:
@@ -306,14 +284,14 @@ def cmd_bench_real(args) -> int:
                 f"unknown dataset {args.name!r}: give --split (and other protocol "
                 f"flags) or use one of {sorted(bench.REAL_PRESETS)}"
             )
-        preset = bench.RealBenchConfig(train_fraction=float(args.split))
+        preset = bench.RealBenchConfig(train_fraction=args.split)
     overrides = {}
     if args.split is not None:
-        overrides["train_fraction"] = float(args.split)
+        overrides["train_fraction"] = args.split
     if args.superposition is not None:
         overrides["superposition_threshold"] = args.superposition
     if args.bandwidths is not None:
-        overrides["bandwidths"] = tuple(_parse_int_list(args.bandwidths, "--bandwidths"))
+        overrides["bandwidths"] = tuple(_parse_list(args.bandwidths, "--bandwidths", int))
     if args.lam is not None:
         overrides["regularization"] = args.lam
     if args.gsi_threshold is not None:
@@ -323,7 +301,7 @@ def cmd_bench_real(args) -> int:
     if args.normalize_target:
         overrides["normalize_targets"] = True
     if args.keep is not None:
-        overrides["keep"] = tuple(_parse_int_list(args.keep, "--keep"))
+        overrides["keep"] = tuple(_parse_list(args.keep, "--keep", int))
     config = dataclasses.replace(preset, **overrides)
 
     csv_path = args.csv
@@ -337,13 +315,10 @@ def cmd_bench_real(args) -> int:
         csv_path = str(Path(data_dir) / f"{args.name}.csv")
     if not Path(csv_path).exists():
         raise DataError(f"dataset file not found: {csv_path}")
-    if args.target is None:
-        with open(csv_path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None) or [""]
-        target = header[-1].strip()
-    else:
-        target = args.target
-    ds = load_csv(csv_path, target)
+    ds = load_csv(csv_path, args.target)
+    if args.target is None:  # the last column is the target
+        ds = Dataset(ds.nodes[:, :-1], ds.nodes[:, -1], ds.columns[:-1], ds.columns[-1])
+    target = ds.target_name
 
     result = bench.run_real_benchmark(ds, config, args.reps, args.seed)
     result["dataset"] = args.name
@@ -437,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.add_argument("--target", help="target column (default: last column)")
     p_br.add_argument("--reps", type=int, default=100)
     p_br.add_argument("--seed", type=int, default=0)
-    p_br.add_argument("--split", help="train fraction override")
+    p_br.add_argument("--split", type=float, help="train fraction override")
     p_br.add_argument("--ds", dest="superposition", type=int)
     p_br.add_argument("--bandwidths")
     p_br.add_argument("--lambda", dest="lam", type=float, default=None)
@@ -471,9 +446,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         _note(f"data error: {exc}")
         return 3
-    except ValueError as exc:
-        _note(f"error: {exc}")
-        return 2
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ def rng_stream(seed: int, rep_index: int = 0, purpose: str = "train") -> np.rand
     try:
         code = _PURPOSE_CODES[purpose]
     except KeyError:
-        raise ValueError(f"unknown rng purpose {purpose!r}") from None
+        raise ConfigError(f"unknown rng purpose {purpose!r}") from None
     seq = np.random.SeedSequence(int(seed), spawn_key=(int(rep_index), code))
     return np.random.default_rng(seq)
 
@@ -141,7 +141,7 @@ def friedman_eval(spec: FriedmanSpec, x) -> Union[float, np.ndarray]:
     single = x.ndim == 1
     pts = x[None, :] if single else x
     if pts.ndim != 2 or pts.shape[1] != spec.dimension:
-        raise ValueError(
+        raise DataError(
             f"friedman {spec.which} expects dimension {spec.dimension}, got shape {x.shape}"
         )
     if spec.which == 1:
@@ -171,7 +171,7 @@ def friedman_sample(
 ) -> Dataset:
     """Uniform i.i.d. nodes on [0,1]^d with (optionally noisy) evaluations."""
     if size < 1:
-        raise ValueError("sample size must be >= 1")
+        raise ConfigError("sample size must be >= 1")
     gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
     nodes = gen.uniform(0.0, 1.0, size=(size, spec.dimension))
     targets = friedman_eval(spec, nodes)
@@ -201,6 +201,8 @@ def load_csv(path, target_column: str | None) -> Dataset:
             header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
         header = [name.strip() for name in header]
         if target_column is None:
             target_idx = None
@@ -258,7 +260,8 @@ def _diagnose_csv(path, header, problem: str) -> DataError:
     Rescans the body row by row; falls back to ``problem`` (the parser's
     own message) if no row or cell is found at fault.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    # an undecodable byte becomes U+FFFD, which is reported as a non-numeric cell
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         next(reader)
         for line_no, row in enumerate(reader, start=2):
@@ -395,7 +398,7 @@ def split(ds: Dataset, plan: SplitPlan, rep_index: int) -> tuple[Dataset, Datase
     if plan.generated:
         raise ConfigError("generated plans sample fresh data; use rep_data")
     if not 0 <= rep_index < plan.repetitions:
-        raise ValueError(f"rep_index {rep_index} outside 0..{plan.repetitions - 1}")
+        raise ConfigError(f"rep_index {rep_index} outside 0..{plan.repetitions - 1}")
     n_train = int(round(plan.train_fraction * ds.size))
     if n_train < 1 or n_train >= ds.size:
         raise DataError(

@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, NumericalError -> 4.
+The library raises these where it finds the fault; the CLI maps them onto
+process exit codes: ConfigError -> 2, DataError -> 3, NumericalError -> 4.
+ConfigError and DataError are also ValueErrors, so ``except ValueError``
+still catches bad settings and bad arrays.  Any other exception that
+reaches the CLI's ``main`` is a bug and shows its traceback.
 """
 
 
@@ -9,11 +12,11 @@ class AnovaFitError(Exception):
     """Base class for package-specific errors."""
 
 
-class ConfigError(AnovaFitError):
+class ConfigError(AnovaFitError, ValueError):
     """Invalid or mutually inconsistent configuration values."""
 
 
-class DataError(AnovaFitError):
+class DataError(AnovaFitError, ValueError):
     """Malformed or out-of-contract input data."""
 
 

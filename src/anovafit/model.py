@@ -93,7 +93,7 @@ class SensitivityReport:
         for u, value in self.indices:
             if u == term:
                 return value
-        raise ValueError(f"term {term} not present in report")
+        raise ConfigError(f"term {term} not present in report")
 
     def sorted_indices(self) -> tuple[tuple[Term, float], ...]:
         """Indices by descending share; ties broken by order then lexicographic."""
@@ -113,20 +113,6 @@ class SensitivityReport:
             None if self.ranking is None else [float(r) for r in self.ranking]
         )
         return obj
-
-
-@dataclass(frozen=True)
-class RefinementConfig:
-    """Thresholds steering the active-set refinement procedures."""
-
-    ranking_threshold: float | None = None
-    expansion_order: int | None = None
-
-    def __post_init__(self):
-        if self.ranking_threshold is not None and not 0.0 < self.ranking_threshold < 1.0:
-            raise ConfigError("ranking threshold must lie in (0, 1)")
-        if self.expansion_order is not None and self.expansion_order < 1:
-            raise ConfigError("expansion order must be >= 1")
 
 
 def fit(
@@ -199,17 +185,11 @@ def predict(model: Model, nodes) -> np.ndarray:
 
 def predict_term(model: Model, term, nodes) -> np.ndarray:
     """Evaluate a single ANOVA term of the fitted expansion at new nodes."""
-    term = normalize_term(term)
-    union = model.index_union
-    for i, (u, freqs) in enumerate(union.groups):
-        if u == term:
-            sub = FrequencyIndexUnion(
-                union.dimension, union.kind, ((u, freqs),), (0,), len(freqs)
-            )
-            op = DesignOperator(nodes, sub)
-            block = model.coefficients[union.group_slice(i)]
-            return _finalize(model, op.matvec(block))
-    raise ValueError(f"term {term} is not part of the model")
+    sl = model.index_union.slice_for(term)
+    coefficients = np.zeros_like(model.coefficients)
+    coefficients[sl] = model.coefficients[sl]
+    op = DesignOperator(nodes, model.index_union)
+    return _finalize(model, op.matvec(coefficients))
 
 
 def variance(model: Model) -> float:
@@ -227,9 +207,7 @@ def gsi(model: Model) -> SensitivityReport:
         )
     union = model.index_union
     indices = []
-    for i, (term, _) in enumerate(union.groups):
-        if not term:
-            continue
+    for i, term in enumerate(union.terms[1:], start=1):
         block = model.coefficients[union.group_slice(i)]
         indices.append((term, float(np.sum(np.abs(block) ** 2)) / sigma2))
     return SensitivityReport(model.terms.dimension, sigma2, tuple(indices))
@@ -305,31 +283,32 @@ def drop_variables(termset: TermSet, keep) -> TermSet:
 
 
 def incremental_expand(
-    report: SensitivityReport, termset: TermSet, config: RefinementConfig
+    report: SensitivityReport,
+    termset: TermSet,
+    ranking_threshold: float,
+    expansion_order: int,
 ) -> TermSet:
     """Add higher-order interactions among the highly ranked variables.
 
-    Variables with ranking score above the configured threshold form a pool
-    ``v``; all subsets of ``v`` with order between the current superposition
-    threshold (exclusive) and the expansion order (inclusive) are added.
+    Variables whose ranking score exceeds ``ranking_threshold`` (in
+    ``(0, 1)``) form a pool ``v``; all subsets of ``v`` with order between
+    the current superposition threshold (exclusive) and ``expansion_order``
+    (inclusive, below the dimension) are added.
     """
-    if config.ranking_threshold is None or config.expansion_order is None:
-        raise ConfigError(
-            "incremental expansion needs ranking_threshold and expansion_order"
-        )
+    if not 0.0 < ranking_threshold < 1.0:
+        raise ConfigError("ranking threshold must lie in (0, 1)")
     if report.ranking is None:
-        raise ValueError("report carries no ranking; compute attribute_ranking first")
+        raise ConfigError("report carries no ranking; compute attribute_ranking first")
     current = termset.superposition_threshold or termset.max_order
-    n_v = config.expansion_order
-    if not current < n_v < termset.dimension:
+    if not current < expansion_order < termset.dimension:
         raise ConfigError(
-            f"expansion order {n_v} must lie strictly between the current "
+            f"expansion order {expansion_order} must lie strictly between the current "
             f"threshold {current} and the dimension {termset.dimension}"
         )
     pool = tuple(
         i
         for i in range(1, termset.dimension + 1)
-        if report.ranking[i - 1] > config.ranking_threshold
+        if report.ranking[i - 1] > ranking_threshold
     )
     if not pool:
         warnings.warn(
@@ -339,13 +318,13 @@ def incremental_expand(
         return termset
     additions = {
         u
-        for order in range(current + 1, n_v + 1)
+        for order in range(current + 1, expansion_order + 1)
         for u in itertools.combinations(pool, order)
     }
     if not additions:
         return termset
     merged = set(termset.terms) | additions
-    return TermSet(termset.dimension, tuple(merged), n_v)
+    return TermSet(termset.dimension, tuple(merged), expansion_order)
 
 
 # --- error metrics -------------------------------------------------------
@@ -355,7 +334,7 @@ def _paired(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(y_true)
     b = np.asarray(y_pred)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
-        raise ValueError(
+        raise DataError(
             f"metric inputs must be equal-length nonempty vectors, "
             f"got {a.shape} and {b.shape}"
         )
@@ -478,4 +457,8 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     with open(path, encoding="utf-8") as fh:
-        return model_from_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: not a JSON file: {exc}") from None
+    return model_from_obj(obj)

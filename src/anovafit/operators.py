@@ -6,11 +6,11 @@ function of that frequency at that node.  Each term's column block is a
 tensor product of 1-d basis tables, so the operator never forms it (the
 grouped transformations of Bartel, Potts & Schmischke, arXiv 2010.10199).
 
-**Precondition.**  Every term of order ``l`` carries the same full grid
-``g_l^l`` over one 1-d grid ``g_l`` of ``n_l = N_l - 1`` frequencies,
-enumerated in :func:`itertools.product` order, which is what
-:func:`~anovafit.terms.build_index_union` produces.  The constructor checks
-this and raises :class:`ValueError` for a union that breaks it.
+The union states each order's 1-d grid ``g_l`` of ``n_l = N_l - 1``
+frequencies once (``index_union.grids``), and every order-``l`` term
+carries ``g_l^l`` in :func:`itertools.product` order, so the operator
+reads the grids and term slices off the union and checks nothing about
+them.  The empty term is index 0 and contributes the constant column.
 
 **Tables.**  For each order ``l`` the operator stores one read-only stacked
 table ``T_l`` of shape ``(M, n_l * v_l)``, where ``v_l`` counts the
@@ -44,6 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import check_domain, eval_1d_table, eval_tensor
+from .errors import ConfigError, DataError
 from .terms import FrequencyIndexUnion
 
 # matrix entries allowed for the dense test oracle
@@ -140,55 +141,22 @@ class _OrderStack:
             out[sl] = G.conj() if self.conj else G
 
 
-def _group_by_order(index_union: FrequencyIndexUnion):
-    """Constant indices and ``{order: (grid, [(term, slice), ...])}``.
-
-    Raises :class:`ValueError` unless every term of an order carries that
-    order's full grid in :func:`itertools.product` order and no term repeats.
-    """
-    constant = []
-    by_order: dict[int, tuple[np.ndarray, np.ndarray, list]] = {}
-    seen = set()
-    for i, (term, freqs) in enumerate(index_union.groups):
-        if term in seen:
-            raise ValueError(f"term {term} appears twice in the index union")
-        seen.add(term)
-        order = len(term)
-        sl = index_union.group_slice(i)
-        if order == 0:
-            if freqs.shape != (1, 0):
-                raise ValueError("the empty term must carry the single zero frequency")
-            constant.append(sl.start)
-            continue
-        if order not in by_order:
-            grid = np.unique(freqs[:, 0])
-            full = grid[np.indices((len(grid),) * order).reshape(order, -1).T]
-            by_order[order] = (grid, full, [])
-        grid, full, terms = by_order[order]
-        if freqs.shape != full.shape or not np.array_equal(freqs, full):
-            raise ValueError(
-                f"term {term} does not carry the full grid "
-                f"{grid.tolist()}^{order} shared by its order"
-            )
-        terms.append((term, sl))
-    grouped = {order: (grid, terms) for order, (grid, _, terms) in sorted(by_order.items())}
-    return constant, grouped
-
-
 class DesignOperator:
     """Evaluation map from basis coefficients to values at fixed nodes."""
 
     def __init__(self, nodes, index_union: FrequencyIndexUnion):
         X = np.asarray(nodes, dtype=np.float64)
         if X.ndim != 2:
-            raise ValueError(f"nodes must be a 2-d array, got shape {X.shape}")
+            raise DataError(f"nodes must be a 2-d array, got shape {X.shape}")
         if X.shape[1] != index_union.dimension:
-            raise ValueError(
+            raise DataError(
                 f"nodes have {X.shape[1]} coordinates but the index union "
                 f"expects {index_union.dimension}"
             )
         kind = index_union.kind
-        constant, grouped = _group_by_order(index_union)
+        by_order: dict[int, list] = {}
+        for i, term in enumerate(index_union.terms[1:], start=1):
+            by_order.setdefault(len(term), []).append((term, index_union.group_slice(i)))
         X = np.array(check_domain(kind, X, what="node coordinate"), order="C")
         X.setflags(write=False)
 
@@ -198,10 +166,9 @@ class DesignOperator:
         self.rows = X.shape[0]
         self.cols = index_union.size
         self.shape = (self.rows, self.cols)
-        self._constant = constant
         self._stacks = [
-            _OrderStack(order, grid, terms, kind, X)
-            for order, (grid, terms) in grouped.items()
+            _OrderStack(order, index_union.grids[order], terms, kind, X)
+            for order, terms in by_order.items()
         ]
 
     @property
@@ -212,17 +179,15 @@ class DesignOperator:
     def _coerce(self, vec, length: int, what: str) -> np.ndarray:
         v = np.asarray(vec)
         if v.shape != (length,):
-            raise ValueError(f"{what} must have shape ({length},), got {v.shape}")
+            raise DataError(f"{what} must have shape ({length},), got {v.shape}")
         if np.iscomplexobj(v) and not self.kind.is_complex:
-            raise ValueError(f"{what} is complex but the basis is real")
+            raise DataError(f"{what} is complex but the basis is real")
         return v.astype(self.kind.dtype, copy=False)
 
     def matvec(self, coeffs) -> np.ndarray:
         """Values ``sum_k coeffs[k] * phi_k(x_m)`` at every node."""
         c = self._coerce(coeffs, self.cols, "coefficient vector")
-        out = np.zeros(self.rows, dtype=self.kind.dtype)
-        for i in self._constant:
-            out += c[i]
+        out = np.full(self.rows, c[0], dtype=self.kind.dtype)
         for stack in self._stacks:
             out += stack.matvec(c)
         return out
@@ -231,7 +196,7 @@ class DesignOperator:
         """Dense design matrix from the tables; the oracle is :func:`dense_design_matrix`."""
         # filled as F^T, so that every write is a copy of contiguous rows
         out = np.empty((self.cols, self.rows), dtype=self.kind.dtype)
-        out[self._constant] = 1.0
+        out[0] = 1.0
         for stack in self._stacks:
             stack.dense_transposed(out)
         return out.T
@@ -240,8 +205,7 @@ class DesignOperator:
         """Adjoint application ``sum_m conj(phi_k(x_m)) * values[m]`` per frequency."""
         r = self._coerce(values, self.rows, "value vector")
         out = np.empty(self.cols, dtype=self.kind.dtype)
-        for i in self._constant:
-            out[i] = r.sum()
+        out[0] = r.sum()
         for stack in self._stacks:
             stack.adjoint_matvec(r, out)
         return out
@@ -260,7 +224,7 @@ def dense_design_matrix(
     X = check_domain(kind, np.asarray(nodes, dtype=np.float64))
     full = index_union.frequencies_full()
     if X.shape[0] * len(full) > max_entries:
-        raise ValueError(
+        raise ConfigError(
             f"dense oracle limited to {max_entries} entries, "
             f"requested {X.shape[0] * len(full)}"
         )

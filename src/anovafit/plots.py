@@ -6,6 +6,8 @@ which matplotlib's embedded metadata would break.
 
 from __future__ import annotations
 
+from .errors import DataError
+
 WIDTH = 640
 HEIGHT = 360
 MARGIN_LEFT = 56
@@ -26,7 +28,7 @@ def svg_bar_chart(
 ) -> str:
     """Render labeled bars (optionally with a dashed threshold line) as SVG text."""
     if len(labels) != len(values) or not values:
-        raise ValueError("labels and values must be equal-length and nonempty")
+        raise DataError("labels and values must be equal-length and nonempty")
     top = max(max(values), threshold or 0.0, 1e-12) * 1.1
     plot_w = WIDTH - MARGIN_LEFT - 16
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

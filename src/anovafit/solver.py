@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, DataError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,11 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.regularization >= 0.0:
-            raise ValueError("regularization must be >= 0")
+            raise ConfigError("regularization must be >= 0")
         if not 0.0 < self.tolerance < 1.0:
-            raise ValueError("tolerance must lie in (0, 1)")
+            raise ConfigError("tolerance must lie in (0, 1)")
         if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ConfigError("max_iterations must be >= 1")
 
     def iteration_limit(self, n_columns: int) -> int:
         if self.max_iterations is not None:
@@ -79,14 +79,14 @@ def _norm(v: np.ndarray) -> float:
 def _check_system(shape, y, is_complex: bool) -> np.ndarray:
     m, n = shape
     if m < 1 or n < 1:
-        raise ValueError(f"zero-length system: operator shape {shape}")
+        raise DataError(f"zero-length system: operator shape {shape}")
     y = np.asarray(y)
     if y.shape != (m,):
-        raise ValueError(f"value vector must have shape ({m},), got {y.shape}")
+        raise DataError(f"value vector must have shape ({m},), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise NumericalError("value vector contains non-finite entries")
     if np.iscomplexobj(y) and not is_complex:
-        raise ValueError("complex values with a real basis")
+        raise DataError("complex values with a real basis")
     return y
 
 

@@ -3,7 +3,8 @@
 A *term* is a subset of the variable indices ``{1, ..., d}`` (1-based,
 stored sorted).  A :class:`TermSet` is an ordered collection of distinct
 terms that always contains the empty term; ordering is (order,
-lexicographic) so enumeration positions are reproducible.
+lexicographic), so the empty term comes first and enumeration positions
+are reproducible.
 
 Each term of order ``l > 0`` carries the full-grid frequency set
 ``grid(N_l)^l`` embedded into ``Z^d`` on its own coordinates, where the 1-d
@@ -35,9 +36,9 @@ def normalize_term(u) -> Term:
     """Sort and validate a single variable subset (1-based indices)."""
     t = tuple(sorted(int(i) for i in u))
     if len(set(t)) != len(t):
-        raise ValueError(f"term {t} repeats a variable")
+        raise ConfigError(f"term {t} repeats a variable")
     if t and t[0] < 1:
-        raise ValueError(f"term {t} uses a variable index below 1")
+        raise ConfigError(f"term {t} uses a variable index below 1")
     return t
 
 
@@ -55,21 +56,19 @@ class TermSet:
 
     def __post_init__(self):
         if self.dimension < 1:
-            raise ValueError("dimension must be positive")
+            raise ConfigError("dimension must be positive")
         normalized = [normalize_term(u) for u in self.terms]
         if len(set(normalized)) != len(normalized):
-            raise ValueError("duplicate terms in term set")
+            raise ConfigError("duplicate terms in term set")
         if () not in normalized:
             normalized.append(())
         normalized.sort(key=term_sort_key)
         for u in normalized:
             if u and u[-1] > self.dimension:
-                raise ValueError(
-                    f"term {u} exceeds dimension {self.dimension}"
-                )
+                raise ConfigError(f"term {u} exceeds dimension {self.dimension}")
         ds = self.superposition_threshold
         if ds is not None and not 1 <= ds <= self.dimension:
-            raise ValueError(f"superposition threshold {ds} out of range")
+            raise ConfigError(f"superposition threshold {ds} out of range")
         object.__setattr__(self, "terms", tuple(normalized))
 
     def __len__(self) -> int:
@@ -203,64 +202,55 @@ def full_grid_1d(kind: BasisKind, bandwidth: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrequencyIndexUnion:
-    """Union of the per-term embedded frequency grids, grouped by term.
+    """Union of the per-term embedded frequency grids, enumerated by term.
 
-    ``groups[i]`` is ``(term, freqs)`` where ``freqs`` has shape
-    ``(count, len(term))`` and stores only the coordinates on the term; all
-    off-term coordinates are zero by construction and every stored entry is
-    nonzero, so the support of each frequency equals its owning term.
-    Groups follow :class:`TermSet` order; the flattened enumeration assigns
-    group ``i`` the contiguous index range starting at ``offsets[i]``.
+    ``grids[l]`` is the 1-d grid shared by every term of order ``l``; such
+    a term carries the ``len(grids[l]) ** l`` frequencies of
+    ``itertools.product(grids[l], repeat=l)`` on its own coordinates, all
+    off-term coordinates being zero, so the support of each frequency
+    equals its owning term.  ``terms`` follow :class:`TermSet` order, so
+    the empty term, with the single zero frequency, is index 0; term ``i``
+    owns the contiguous index range starting at ``offsets[i]``.
     """
 
     dimension: int
     kind: BasisKind
-    groups: tuple[tuple[Term, np.ndarray], ...]
+    terms: tuple[Term, ...]
+    grids: dict[int, np.ndarray]
     offsets: tuple[int, ...]
     size: int
 
     def group_slice(self, i: int) -> slice:
-        count = len(self.groups[i][1])
-        return slice(self.offsets[i], self.offsets[i] + count)
+        stop = self.offsets[i + 1] if i + 1 < len(self.offsets) else self.size
+        return slice(self.offsets[i], stop)
 
     def slice_for(self, term) -> slice:
         term = normalize_term(term)
-        for i, (u, _) in enumerate(self.groups):
-            if u == term:
-                return self.group_slice(i)
-        raise ValueError(f"term {term} not present in index union")
+        if term not in self.terms:
+            raise ConfigError(f"term {term} is not part of the index union")
+        return self.group_slice(self.terms.index(term))
 
     def frequencies_full(self) -> np.ndarray:
         """All frequencies as ``(size, dimension)`` integer vectors in ``Z^d``."""
         full = np.zeros((self.size, self.dimension), dtype=np.int64)
-        for i, (term, freqs) in enumerate(self.groups):
-            if term:
-                cols = np.asarray(term, dtype=np.int64) - 1
-                full[self.group_slice(i)][:, cols] = freqs
+        for i, term in enumerate(self.terms[1:], start=1):
+            block = list(itertools.product(self.grids[len(term)], repeat=len(term)))
+            full[self.group_slice(i), np.asarray(term) - 1] = block
         return full
 
 
 def build_index_union(
     termset: TermSet, bandwidths: BandwidthProfile, kind: BasisKind
 ) -> FrequencyIndexUnion:
-    """Assemble the embedded full-grid frequency sets of every term."""
-    groups = []
-    offsets = []
-    total = 0
-    for term in termset.terms:
-        order = len(term)
-        if order == 0:
-            freqs = np.zeros((1, 0), dtype=np.int64)
-        else:
-            grid = full_grid_1d(kind, bandwidths.for_order(order))
-            freqs = np.asarray(
-                list(itertools.product(grid, repeat=order)), dtype=np.int64
-            ).reshape(-1, order)
-        offsets.append(total)
-        total += len(freqs)
-        groups.append((term, freqs))
+    """The full grid of every order and the index range of every term."""
+    grids = {
+        order: full_grid_1d(kind, bandwidths.for_order(order))
+        for order in termset.orders()
+    }
+    counts = [len(grids[len(u)]) ** len(u) if u else 1 for u in termset.terms]
+    offsets = tuple(itertools.accumulate(counts[:-1], initial=0))
     return FrequencyIndexUnion(
-        termset.dimension, kind, tuple(groups), tuple(offsets), total
+        termset.dimension, kind, termset.terms, grids, offsets, sum(counts)
     )
 
 
@@ -284,9 +274,9 @@ def save_termset(termset: TermSet, path) -> None:
 
 
 def load_termset(path) -> TermSet:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
         return TermSet.from_json_obj(
             int(obj["dimension"]), obj["terms"], obj.get("superposition_threshold")
         )

@@ -1,18 +1,29 @@
-"""The names the traced benchmark patches must exist in the library.
+"""Contracts that no behavioural test sees.
 
 ``perfbench/spans.py`` times library calls by replacing module attributes
 listed in its ``PATCHES`` table.  A renamed or removed name passes every
-other test and only breaks the traced benchmark run, so this test checks
-the table against the package.
+other test and only breaks the traced benchmark run, so the first test
+checks the table against the package.
+
+The library raises ``ConfigError``/``DataError`` where it finds a fault,
+and the CLI's ``main`` maps only those onto exit codes.  A new bare
+``raise ValueError`` or a catch-all ``except ValueError`` in ``main``
+would still pass the behavioural tests, so the last two tests read the
+source.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+PACKAGE = ROOT / "src" / "anovafit"
+# converts a parse failure that load_csv catches internally
+ALLOWED_VALUE_ERRORS = {("datasets", "_csv_cell")}
 
 
 def _patches():
@@ -26,3 +37,48 @@ def _patches():
 def test_patched_name_resolves(module_name, attr, span):
     module = importlib.import_module(module_name)
     assert hasattr(module, attr), f"{module_name}.{attr} (span {span}) is missing"
+
+
+def _is_value_error(node) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return any(_is_value_error(elt) for elt in node.elts)
+    return isinstance(node, ast.Name) and node.id == "ValueError"
+
+
+def _value_error_raises():
+    """``(module, enclosing function, line)`` of every ``raise ValueError``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and _is_value_error(node.exc):
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                name = scope.name if isinstance(scope, ast.FunctionDef) else "<module>"
+                found.append((path.stem, name, node.lineno))
+    return found
+
+
+def test_library_raises_typed_errors():
+    found = _value_error_raises()
+    assert {(module, name) for module, name, _ in found} >= ALLOWED_VALUE_ERRORS
+    stray = [site for site in found if site[:2] not in ALLOWED_VALUE_ERRORS]
+    assert stray == [], f"raise ConfigError or DataError instead of ValueError at {stray}"
+
+
+def test_cli_main_has_no_value_error_handler():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    handlers = [
+        node.lineno
+        for node in ast.walk(main)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and _is_value_error(node.type)
+    ]
+    assert handlers == [], f"cli.main catches ValueError at lines {handlers}"

@@ -447,6 +447,78 @@ class TestBench:
         assert "ANOVA_DATA_DIR" in err
 
 
+class TestErrorBoundary:
+    def test_bare_value_error_propagates(self, friedman2_model, monkeypatch, capsys):
+        model_path, _ = friedman2_model
+
+        def broken(model):
+            raise ValueError("a bug, not a user error")
+
+        monkeypatch.setattr("anovafit.cli.analyze", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["rank", "--model", str(model_path)])
+
+    def test_bench_real_non_numeric_split_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("a,b,y\n0.1,0.2,1.0\n0.3,0.4,2.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-real", "custom", "--csv", str(csv_path), "--split", "abc"])
+        assert exc.value.code == 2
+        assert "invalid float value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("basis", "wavelet"), ("bandwidths", {"1": 3})])
+    def test_bad_model_settings_exit_3(self, friedman2_model, tmp_path, capsys, key, value):
+        model_path, _ = friedman2_model
+        obj = read_json(model_path)
+        obj[key] = value
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "rank", "--model", str(bad_path))
+        assert code == 3
+        assert out == ""
+        assert "malformed model object" in err
+
+    def test_model_file_not_json_exits_3(self, tmp_path, capsys):
+        bad_path = tmp_path / "model.json"
+        bad_path.write_text("not json\n")
+        code, _, err = run_cli(capsys, "rank", "--model", str(bad_path))
+        assert code == 3
+        assert "not a JSON file" in err
+
+    def test_term_file_not_json_exits_3(self, tmp_path, capsys):
+        bad_path = tmp_path / "terms.json"
+        bad_path.write_bytes(b"[1")
+        code, _, err = run_cli(
+            capsys, "fit", "--friedman", "2", "--terms", str(bad_path),
+            "--bandwidths", "4", "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 3
+        assert "malformed term set file" in err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"\xffa,b,y\n" + b"0.1,0.2,1.0\n" * 4, "not UTF-8 text"),
+            # past the first block the reader decodes: reported by line and column
+            (b"a,b,y\n" + b"0.1,0.2,1.0\n" * 2000 + b"0.1,\xff,1.0\n",
+             ":2002: column 'b': non-numeric cell"),
+        ],
+        ids=["header", "late-cell"],
+    )
+    def test_csv_not_utf8_exits_3(self, friedman2_model, tmp_path, capsys, body, message):
+        model_path, _ = friedman2_model
+        csv_path = tmp_path / "latin.csv"
+        csv_path.write_bytes(body)
+        code, _, err = run_cli(capsys, "predict", "--model", str(model_path),
+                               "--csv", str(csv_path))
+        assert code == 3
+        assert message in err
+        code, _, err = run_cli(capsys, "bench-real", "custom", "--csv", str(csv_path),
+                               "--split", "0.5", "--reps", "1")
+        assert code == 3
+        assert message in err
+
+
 class TestParser:
     def test_no_subcommand_prints_help(self, capsys):
         code, _, err = run_cli(capsys)

@@ -14,7 +14,6 @@ from anovafit import (
     DesignOperator,
     DomainError,
     Model,
-    RefinementConfig,
     SensitivityReport,
     SolverConfig,
     TermSet,
@@ -41,7 +40,7 @@ from anovafit import (
 from anovafit import model as model_module
 from anovafit.datasets import FriedmanSpec, rng_stream
 
-from conftest import gauss_legendre
+from conftest import gauss_legendre, random_termset
 
 
 def planted_model(dimension, terms, bandwidths, coefficients, kind=BasisKind.COSINE):
@@ -258,6 +257,36 @@ class TestPredict:
         with pytest.raises(ValueError, match="not part"):
             predict_term(model, (1, 2), nodes)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV]
+        ),
+        max_order=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_term_predictions_sum_to_prediction(self, kind, max_order, seed):
+        rng = np.random.default_rng(seed)
+        dimension = int(rng.integers(max_order, 6))
+        termset = random_termset(rng, dimension, max_order)
+        bandwidths = [int(rng.choice([2, 4, 6]))]
+        bandwidths += [int(rng.choice([2, 4])) for _ in range(max_order - 1)]
+        union = build_index_union(termset, BandwidthProfile.from_list(bandwidths), kind)
+        coeffs = rng.standard_normal(union.size)
+        if kind.is_complex:
+            coeffs = coeffs + 1j * rng.standard_normal(union.size)
+        model = planted_model(dimension, termset.terms, bandwidths, coeffs, kind)
+        lo, hi = kind.domain
+        nodes = rng.uniform(lo, hi, size=(int(rng.integers(1, 20)), dimension))
+        total = sum(predict_term(model, u, nodes) for u in termset)
+        np.testing.assert_allclose(total, predict(model, nodes), rtol=1e-10, atol=1e-10)
+        absent = next(
+            (u for u in superposition_terms(dimension, max_order) if u not in termset),
+            (dimension + 1,),
+        )
+        with pytest.raises(ConfigError, match="not part"):
+            predict_term(model, absent, nodes)
+
 
 class TestVarianceAndGsi:
     def test_constant_model_has_zero_variance(self):
@@ -448,8 +477,7 @@ class TestRefinement:
             indices=(),
             ranking=np.array([0.3, 0.3, 0.3, 0.05, 0.05]),
         )
-        config = RefinementConfig(ranking_threshold=0.1, expansion_order=2)
-        expanded = incremental_expand(report, termset, config)
+        expanded = incremental_expand(report, termset, 0.1, 2)
         added = set(expanded.terms) - set(termset.terms)
         assert added == {(1, 2), (1, 3), (2, 3)}
         assert expanded.superposition_threshold == 2
@@ -458,8 +486,7 @@ class TestRefinement:
         termset = superposition_terms(6, 2)
         ranking = np.array([0.24, 0.24, 0.24, 0.24, 0.02, 0.02])
         report = SensitivityReport(6, 1.0, (), ranking=ranking)
-        config = RefinementConfig(ranking_threshold=0.1, expansion_order=3)
-        expanded = incremental_expand(report, termset, config)
+        expanded = incremental_expand(report, termset, 0.1, 3)
         added = set(expanded.terms) - set(termset.terms)
         assert added == {(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)}
 
@@ -468,35 +495,33 @@ class TestRefinement:
         report = SensitivityReport(
             5, 1.0, (), ranking=np.full(5, 0.2)
         )
-        config = RefinementConfig(ranking_threshold=0.9, expansion_order=2)
         with pytest.warns(UserWarning, match="unchanged"):
-            out = incremental_expand(report, termset, config)
+            out = incremental_expand(report, termset, 0.9, 2)
         assert out == termset
 
     def test_expand_validation(self):
         termset = superposition_terms(5, 2)
         report = SensitivityReport(5, 1.0, (), ranking=np.full(5, 0.2))
         with pytest.raises(ConfigError):
-            incremental_expand(report, termset,
-                               RefinementConfig(ranking_threshold=0.1))
+            incremental_expand(report, termset, 0.1, 2)
         with pytest.raises(ConfigError):
-            incremental_expand(report, termset,
-                               RefinementConfig(ranking_threshold=0.1, expansion_order=2))
-        with pytest.raises(ConfigError):
-            incremental_expand(report, termset,
-                               RefinementConfig(ranking_threshold=0.1, expansion_order=5))
+            incremental_expand(report, termset, 0.1, 5)
         with pytest.raises(ValueError, match="ranking"):
             incremental_expand(
                 SensitivityReport(5, 1.0, ()),
                 superposition_terms(5, 1),
-                RefinementConfig(ranking_threshold=0.1, expansion_order=2),
+                0.1,
+                2,
             )
 
-    def test_refinement_config_validation(self):
-        with pytest.raises(ConfigError):
-            RefinementConfig(ranking_threshold=0.0)
-        with pytest.raises(ConfigError):
-            RefinementConfig(expansion_order=0)
+    def test_expand_threshold_validation(self):
+        termset = superposition_terms(5, 1)
+        report = SensitivityReport(5, 1.0, (), ranking=np.full(5, 0.2))
+        for threshold in (0.0, 1.0, -0.5):
+            with pytest.raises(ConfigError, match="ranking threshold"):
+                incremental_expand(report, termset, threshold, 2)
+        with pytest.raises(ConfigError, match="expansion order"):
+            incremental_expand(report, termset, 0.1, 0)
 
 
 class TestMetrics:

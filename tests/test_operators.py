@@ -10,7 +10,6 @@ from anovafit import (
     BasisKind,
     DesignOperator,
     DomainError,
-    FrequencyIndexUnion,
     TermSet,
     build_index_union,
     dense_design_matrix,
@@ -87,7 +86,7 @@ def test_dense_matches_oracle_and_applies(kind):
     orders = set()
     for _ in range(8):
         op = random_instance(rng, kind, max_rows=60)
-        orders.add(max(len(term) for term, _ in op.index_union.groups))
+        orders.add(max(len(term) for term in op.index_union.terms))
         _check_dense(op, rng)
     assert orders == {1, 2, 3}
 
@@ -202,28 +201,6 @@ def test_refined_set_matches_dense(kind, name):
         op.adjoint_matvec(values), dense.conj().T @ values, rtol=1e-12, atol=1e-12
     )
     np.testing.assert_allclose(op.dense(), dense, rtol=1e-12, atol=1e-12)
-
-
-def test_group_off_the_full_grid_rejected():
-    union = build_index_union(
-        superposition_terms(3, 2), BandwidthProfile.from_list([4, 4]), BasisKind.COSINE
-    )
-    groups = list(union.groups)
-    term, freqs = groups[-1]
-    groups[-1] = (term, freqs[:-1])  # drop one frequency of the last pair term
-    offsets = union.offsets
-    broken = FrequencyIndexUnion(
-        union.dimension, union.kind, tuple(groups), offsets, union.size - 1
-    )
-    with pytest.raises(ValueError, match="full grid"):
-        DesignOperator(np.full((4, 3), 0.5), broken)
-    # same size, permuted enumeration: also not the product order
-    groups[-1] = (term, freqs[::-1])
-    shuffled = FrequencyIndexUnion(
-        union.dimension, union.kind, tuple(groups), offsets, union.size
-    )
-    with pytest.raises(ValueError, match="full grid"):
-        DesignOperator(np.full((4, 3), 0.5), shuffled)
 
 
 @pytest.mark.parametrize("kind", [BasisKind.COSINE, BasisKind.EXPONENTIAL, BasisKind.CHEBYSHEV])

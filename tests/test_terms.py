@@ -179,7 +179,7 @@ class TestIndexUnion:
         ts = superposition_terms(4, 3)
         union = build_index_union(ts, BandwidthProfile.from_list([4, 2, 2]), kind)
         full = union.frequencies_full()
-        for i, (term, _) in enumerate(union.groups):
+        for i, term in enumerate(union.terms):
             block = full[union.group_slice(i)]
             for k in block:
                 support = tuple(np.flatnonzero(k) + 1)
