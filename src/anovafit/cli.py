@@ -80,12 +80,13 @@ def _split_plan(text: str | None, *, synthetic: bool, seed: int) -> SplitPlan:
     if text is None:
         text = "200:1000" if synthetic else "0.7"
     if ":" in text:
-        parts = _parse_list(text.replace(":", ","), "--split", int)
-        if len(parts) != 2:
-            raise ConfigError(f"--split sizes must look like M_train:M_test, got {text!r}")
+        try:
+            train_size, test_size = (int(part) for part in text.split(":"))
+        except ValueError:
+            raise ConfigError(f"--split sizes must be M_train:M_test, got {text!r}") from None
         if not synthetic:
             raise ConfigError("size-based splits only apply to synthetic generators")
-        return SplitPlan(train_size=parts[0], test_size=parts[1], seed=seed)
+        return SplitPlan(train_size=train_size, test_size=test_size, seed=seed)
     try:
         fraction = float(text)
     except ValueError:

@@ -36,7 +36,7 @@ def rng_stream(seed: int, rep_index: int = 0, purpose: str = "train") -> np.rand
     return np.random.default_rng(seq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Normalization:
     """Per-column extrema recorded when a dataset was normalized."""
 
@@ -56,7 +56,7 @@ class Normalization:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Scattered nodes with target values and optional normalization state."""
 

@@ -52,7 +52,7 @@ from .terms import (
 DIRECT_SOLVE_MAX_WORK = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """Fitted truncated expansion with its fit diagnostics.
 
@@ -79,7 +79,7 @@ class Model:
         return self.coefficients[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitivityReport:
     """Variance, per-term sensitivity indices, and (optionally) a ranking."""
 

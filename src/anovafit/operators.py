@@ -8,9 +8,12 @@ grouped transformations of Bartel, Potts & Schmischke, arXiv 2010.10199).
 
 The union states each order's 1-d grid ``g_l`` of ``n_l = N_l - 1``
 frequencies once (``index_union.grids``), and every order-``l`` term
-carries ``g_l^l`` in :func:`itertools.product` order, so the operator
-reads the grids and term slices off the union and checks nothing about
-them.  The empty term is index 0 and contributes the constant column.
+carries ``g_l^l`` in :func:`itertools.product` order.  Terms are sorted by
+(order, lex), so the ``T_l`` terms of order ``l`` own one contiguous
+coefficient block of shape ``(T_l, n_l, ..., n_l)``; the operator takes
+that block and the ``(T_l, l)`` array of the terms' variables from
+:meth:`~anovafit.terms.FrequencyIndexUnion.order_block` and checks nothing
+about them.  The empty term is index 0 and contributes the constant column.
 
 **Tables.**  For each order ``l`` the operator stores one read-only stacked
 table ``T_l`` of shape ``(M, n_l * v_l)``, where ``v_l`` counts the
@@ -18,19 +21,23 @@ variables that appear in some order-``l`` term: variable number ``p`` (in
 ascending order) owns the column block ``[p * n_l, (p + 1) * n_l)``,
 holding its 1-d basis functions over ``g_l`` at all ``M`` nodes.  That is
 ``M * n_l * v_l`` entries per order, independent of the number of terms.
+``pos[t, k]`` is the position ``p`` of term ``t``'s ``k``-th variable, so
+the table viewed as ``(M, v_l, n_l)`` gives every factor of every term.
 
-**Apply.**  Orders 1 and 2 scatter their coefficients into a zero-padded
-array indexed by table columns and are applied with one BLAS call each:
+**Apply.**  Orders 1 and 2 take one BLAS call each:
 
-* order 1: one GEMV, ``T_1 @ w``; the adjoint is ``T_1^H r``;
+* order 1: the order-1 terms are the sorted variables, so the block is
+  already ordered like the table columns: one GEMV ``T_1 @ c_1``; the
+  adjoint writes ``T_1^H r`` into the block;
 * order 2: one quadratic form, ``rowsum((T_2 @ B) * T_2)`` (the row sum
-  by one :func:`numpy.einsum`, with no product temporary), where the
-  ``(p, q)`` block of the ``(n v x n v)`` matrix ``B`` is term ``(p, q)``'s
-  coefficients reshaped ``n x n``; the adjoint ``G = T_2^H (conj(T_2) * r)``
-  holds every term's block at the same place.  Both cost
-  ``O(M * (n_2 v_2)^2)`` in one GEMM;
+  by one :func:`numpy.einsum`, with no product temporary), where ``B``
+  viewed as ``(v, n, v, n)`` holds term ``t``'s ``n x n`` coefficients at
+  ``[pos[t, 0], :, pos[t, 1], :]`` and zeros elsewhere; the adjoint
+  ``G = T_2^H (conj(T_2) * r)`` holds every term's block at the same
+  index.  Both cost ``O(M * (n_2 v_2)^2)`` in one GEMM;
 * order 3 and up: per term, successive contraction of the coefficient
-  tensor with the term's column blocks of ``T_l``.
+  tensor with the term's factors of ``T_l``, so the scratch stays at
+  ``M * n_l^(l-1)`` entries.
 
 **Determinism.**  An apply runs a fixed sequence of numpy operations on
 fixed shapes, writes only to freshly allocated scratch arrays, and never
@@ -52,93 +59,70 @@ DENSE_ORACLE_MAX_ENTRIES = 2_000_000
 
 
 class _OrderStack:
-    """Stacked 1-d table of one term order and the coefficient maps into it."""
+    """Stacked 1-d table of one term order and that order's coefficient block."""
 
-    def __init__(self, order, grid, terms, kind, X):
-        variables = sorted({var for term, _ in terms for var in term})
+    def __init__(self, order, grid, block, factors, kind, X):
+        variables, pos = np.unique(factors, return_inverse=True)
         n = len(grid)
-        width = n * len(variables)
-        block = {var: p * n for p, var in enumerate(variables)}
         # rows of the (M * v, n) table run over (node, variable) pairs, so the
         # reshape puts variable p's basis functions in columns p*n .. p*n+n-1
-        x = X[:, np.asarray(variables) - 1].ravel()
-        table = eval_1d_table(kind, grid, x).reshape(X.shape[0], width)
+        x = X[:, variables - 1].ravel()
+        table = eval_1d_table(kind, grid, x).reshape(X.shape[0], n * len(variables))
         table.setflags(write=False)
         self.order = order
         self.n = n
+        self.v = len(variables)
         self.table = table
         self.conj = kind.is_complex
-        # per term: coefficient slice and the first table column of each factor
-        self.terms = [(sl, [block[var] for var in term]) for term, sl in terms]
-        if order <= 2:
-            # src[i] is a coefficient index, dst[i] its flat position in the
-            # order-dimensional array over table columns (w or B)
-            local = np.indices((n,) * order).reshape(order, -1)
-            self.src = np.concatenate(
-                [np.arange(sl.start, sl.stop) for sl, _ in self.terms]
-            )
-            self.dst = np.concatenate([
-                np.ravel_multi_index(
-                    tuple(s + local[k] for k, s in enumerate(starts)),
-                    (width,) * order,
-                )
-                for _, starts in self.terms
-            ])
-
-    def _scatter(self, c):
-        width = self.table.shape[1]
-        packed = np.zeros(width**self.order, dtype=self.table.dtype)
-        packed[self.dst] = c[self.src]
-        return packed.reshape((width,) * self.order)
+        self.block = block
+        self.pos = pos.reshape(factors.shape)
 
     def matvec(self, c):
-        T = self.table
+        T, n, pos = self.table, self.n, self.pos
         if self.order == 1:
-            return T @ self._scatter(c)
+            return T @ c[self.block]
         if self.order == 2:
-            return np.einsum("ij,ij->i", T @ self._scatter(c), T)
-        rows, n = T.shape[0], self.n
+            B = np.zeros((self.v, n, self.v, n), dtype=T.dtype)
+            B[pos[:, 0], :, pos[:, 1], :] = c[self.block].reshape(-1, n, n)
+            return np.einsum("ij,ij->i", T @ B.reshape(T.shape[1], -1), T)
+        rows = T.shape[0]
+        Tv = T.reshape(rows, self.v, n)
         out = np.zeros(rows, dtype=T.dtype)
-        for sl, starts in self.terms:
-            P = T[:, starts[0]:starts[0] + n] @ c[sl].reshape(n, -1)
-            for s in starts[1:]:
-                P = (P.reshape(rows, n, -1) * T[:, s:s + n, None]).sum(axis=1)
+        for p, C in zip(pos, c[self.block].reshape(len(pos), n, -1)):
+            P = Tv[:, p[0]] @ C
+            for q in p[1:]:
+                P = (P.reshape(rows, n, -1) * Tv[:, q, :, None]).sum(axis=1)
             out += P[:, 0]
         return out
 
     def dense_transposed(self, out):
-        """Write the rows of ``F^T`` of every term of this order into ``out``."""
-        Tt = np.ascontiguousarray(self.table.T)
-        if self.order == 1:
-            out[self.src] = Tt[self.dst]
-        elif self.order == 2:
-            width = Tt.shape[0]
-            out[self.src] = Tt[self.dst // width] * Tt[self.dst % width]
-        else:
-            n = self.n
-            for sl, starts in self.terms:
-                block = Tt[starts[0]:starts[0] + n]
-                for s in starts[1:]:
-                    block = (block[:, None] * Tt[None, s:s + n]).reshape(-1, Tt.shape[1])
-                out[sl] = block
+        """Write this order's rows of ``F^T`` into ``out``."""
+        n, pos = self.n, self.pos
+        Tt = np.ascontiguousarray(self.table.T).reshape(self.v, n, -1)
+        block = Tt[pos[:, 0]]
+        for k in range(1, self.order):
+            block = (block[:, :, None] * Tt[pos[:, k], None]).reshape(len(pos), n ** (k + 1), -1)
+        out[self.block] = block.reshape(len(pos) * n**self.order, -1)
 
     def adjoint_matvec(self, r, out):
-        """Write ``conj(block)^T r`` of every term of this order into ``out``."""
-        T = self.table
+        """Write ``F_l^H r`` into this order's coefficient block of ``out``."""
+        T, n, pos = self.table, self.n, self.pos
         # conj(T)^H r == conj(T^T conj(r)): conjugate the vector, not the table
         rc = r.conj() if self.conj else r
         if self.order <= 2:
             G = T.T @ (rc if self.order == 1 else T * rc[:, None])
-            G = G.ravel()[self.dst]
-            out[self.src] = G.conj() if self.conj else G
+            if self.order == 2:
+                G = G.reshape(self.v, n, self.v, n)[pos[:, 0], :, pos[:, 1], :]
+            out[self.block] = (G.conj() if self.conj else G).ravel()
             return
-        rows, n = T.shape[0], self.n
-        for sl, starts in self.terms:
+        rows = T.shape[0]
+        Tv = T.reshape(rows, self.v, n)
+        for p, dst in zip(pos, out[self.block].reshape(len(pos), -1)):
             W = rc[:, None]
-            for s in reversed(starts[1:]):
-                W = (T[:, s:s + n, None] * W[:, None, :]).reshape(rows, -1)
-            G = (T[:, starts[0]:starts[0] + n].T @ W).ravel()
-            out[sl] = G.conj() if self.conj else G
+            for q in reversed(p[1:]):
+                W = (Tv[:, q, :, None] * W[:, None, :]).reshape(rows, -1)
+            G = (Tv[:, p[0]].T @ W).ravel()
+            dst[:] = G.conj() if self.conj else G
 
 
 class DesignOperator:
@@ -154,9 +138,6 @@ class DesignOperator:
                 f"expects {index_union.dimension}"
             )
         kind = index_union.kind
-        by_order: dict[int, list] = {}
-        for i, term in enumerate(index_union.terms[1:], start=1):
-            by_order.setdefault(len(term), []).append((term, index_union.group_slice(i)))
         X = np.array(check_domain(kind, X, what="node coordinate"), order="C")
         X.setflags(write=False)
 
@@ -167,8 +148,8 @@ class DesignOperator:
         self.cols = index_union.size
         self.shape = (self.rows, self.cols)
         self._stacks = [
-            _OrderStack(order, index_union.grids[order], terms, kind, X)
-            for order, terms in by_order.items()
+            _OrderStack(order, grid, *index_union.order_block(order), kind, X)
+            for order, grid in index_union.grids.items()
         ]
 
     @property

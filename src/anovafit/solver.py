@@ -55,7 +55,7 @@ class SolverConfig:
         return 10 * n_columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LsqrResult:
     coefficients: np.ndarray
     iterations: int

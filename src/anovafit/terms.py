@@ -20,6 +20,7 @@ elements, with no duplicates.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -210,13 +211,15 @@ class FrequencyIndexUnion:
     off-term coordinates being zero, so the support of each frequency
     equals its owning term.  ``terms`` follow :class:`TermSet` order, so
     the empty term, with the single zero frequency, is index 0; term ``i``
-    owns the contiguous index range starting at ``offsets[i]``.
+    owns the contiguous index range starting at ``offsets[i]``, and the terms
+    of one order own one (:meth:`order_block`).  ``grids`` follow from the
+    other fields, so equality and hashing leave them out.
     """
 
     dimension: int
     kind: BasisKind
     terms: tuple[Term, ...]
-    grids: dict[int, np.ndarray]
+    grids: dict[int, np.ndarray] = field(compare=False)
     offsets: tuple[int, ...]
     size: int
 
@@ -229,6 +232,19 @@ class FrequencyIndexUnion:
         if term not in self.terms:
             raise ConfigError(f"term {term} is not part of the index union")
         return self.group_slice(self.terms.index(term))
+
+    def order_block(self, order: int) -> tuple[slice, np.ndarray]:
+        """Index range of the ``T_l`` terms of order ``l`` and their ``(T_l, l)`` variables.
+
+        The range holds a C-ordered ``(T_l, n_l, ..., n_l)`` array: one axis
+        over the terms in union order, then one per factor over ``grids[l]``.
+        """
+        lo = bisect.bisect_left(self.terms, order, key=len)
+        hi = bisect.bisect_right(self.terms, order, key=len)
+        if order < 1 or lo == hi:
+            raise ConfigError(f"the index union has no term of order {order}")
+        block = slice(self.offsets[lo], self.group_slice(hi - 1).stop)
+        return block, np.array(self.terms[lo:hi], dtype=np.intp)
 
     def frequencies_full(self) -> np.ndarray:
         """All frequencies as ``(size, dimension)`` integer vectors in ``Z^d``."""

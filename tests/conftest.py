@@ -1,6 +1,9 @@
 """Shared oracles and random-instance builders for the test suite."""
 
+import itertools
+
 import numpy as np
+from hypothesis import strategies as st
 
 from anovafit import (
     BandwidthProfile,
@@ -48,6 +51,21 @@ def random_termset(rng: np.random.Generator, dimension: int, max_order: int) -> 
     full = superposition_terms(dimension, max_order)
     kept = [u for u in full.nonempty_terms if rng.random() < 0.7]
     return TermSet(dimension, tuple(kept), max_order)
+
+
+@st.composite
+def term_sets(draw, max_dimension: int = 5, max_order: int = 3) -> TermSet:
+    """Arbitrary term set, drawn order by order.
+
+    Any order may be empty, and a pair or triple need not come with the
+    lower-order terms of its variables.
+    """
+    dimension = draw(st.integers(1, max_dimension))
+    terms = []
+    for order in range(1, min(max_order, dimension) + 1):
+        candidates = list(itertools.combinations(range(1, dimension + 1), order))
+        terms += draw(st.lists(st.sampled_from(candidates), unique=True))
+    return TermSet(dimension, tuple(terms))
 
 
 def random_instance(

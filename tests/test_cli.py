@@ -466,6 +466,14 @@ class TestErrorBoundary:
         assert exc.value.code == 2
         assert "invalid float value" in capsys.readouterr().err
 
+    def test_malformed_split_sizes_quote_the_input(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "fit", "--friedman", "1", "--ds", "1", "--bandwidths", "4",
+            "--split", "20.5:10", "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 2
+        assert "M_train:M_test" in err and "'20.5:10'" in err
+
     @pytest.mark.parametrize("key, value", [("basis", "wavelet"), ("bandwidths", {"1": 3})])
     def test_bad_model_settings_exit_3(self, friedman2_model, tmp_path, capsys, key, value):
         model_path, _ = friedman2_model

@@ -10,10 +10,12 @@ from anovafit import (
     BasisKind,
     ConfigError,
     DataError,
+    Dataset,
     DegenerateModelError,
     DesignOperator,
     DomainError,
     Model,
+    Normalization,
     SensitivityReport,
     SolverConfig,
     TermSet,
@@ -27,6 +29,7 @@ from anovafit import (
     gsi,
     incremental_expand,
     load_model,
+    lsqr_solve,
     mse,
     predict,
     predict_term,
@@ -618,3 +621,39 @@ class TestSerialization:
         assert obj["variance"] == 2.0
         assert obj["gsi"][0] == {"term": [1], "rho": 0.75}
         assert obj["ranking"] == [0.8, 0.2]
+
+
+def _union(n2=2):
+    return build_index_union(
+        superposition_terms(3, 2), BandwidthProfile.from_list([4, n2]), BasisKind.COSINE
+    )
+
+
+def _fitted():
+    rng = np.random.default_rng(15)
+    x = rng.uniform(size=(40, 3))
+    return fit(x, x[:, 0] - x[:, 1] * x[:, 2], superposition_terms(3, 2),
+               BandwidthProfile.from_list([4, 2]), BasisKind.COSINE)
+
+
+RECORDS = {
+    "union": _union,
+    "model": _fitted,
+    "report": lambda: analyze(_fitted()),
+    "dataset": lambda: Dataset(np.eye(2), np.ones(2), ("a", "b")),
+    "normalization": lambda: Normalization(np.zeros(2), np.ones(2), 0.0, 1.0),
+    "lsqr": lambda: lsqr_solve(
+        DesignOperator(np.random.default_rng(16).uniform(size=(20, 3)), _union()), np.ones(20)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_compare_without_raising(name):
+    a, b = RECORDS[name](), RECORDS[name]()
+    assert a == a
+    # the union compares by value; the records holding data compare by identity
+    assert (a == b) is (name == "union")
+    if name == "union":
+        assert hash(a) == hash(b)
+        assert a != _union(4)

@@ -16,7 +16,7 @@ from anovafit import (
     superposition_terms,
 )
 
-from conftest import random_instance, random_termset
+from conftest import random_instance, term_sets
 
 
 def _cosine_instance(rng, rows=20, d=3):
@@ -91,21 +91,31 @@ def test_dense_matches_oracle_and_applies(kind):
     assert orders == {1, 2, 3}
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from([BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV]),
-    max_order=st.integers(1, 3),
+    termset=term_sets(),
     n1=st.sampled_from([2, 4, 6]),
     n_higher=st.sampled_from([2, 4]),
     rows=st.integers(1, 25),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_dense_matches_oracle_property(kind, max_order, n1, n_higher, rows, seed):
+def test_dense_matches_oracle_property(kind, termset, n1, n_higher, rows, seed):
     rng = np.random.default_rng(seed)
-    bandwidths = BandwidthProfile.from_list([n1] + [n_higher] * (max_order - 1))
-    union = build_index_union(random_termset(rng, 4, max_order), bandwidths, kind)
+    bandwidths = BandwidthProfile.from_list([n1, n_higher, n_higher])
+    union = build_index_union(termset, bandwidths, kind)
     lo, hi = kind.domain
-    _check_dense(DesignOperator(rng.uniform(lo, hi, size=(rows, 4)), union), rng)
+    op = DesignOperator(rng.uniform(lo, hi, size=(rows, termset.dimension)), union)
+    _check_dense(op, rng)
+    # <F c, r> == <c, F^H r>
+    coeffs = rng.standard_normal(op.cols)
+    values = rng.standard_normal(op.rows)
+    if kind.is_complex:
+        coeffs = coeffs + 1j * rng.standard_normal(op.cols)
+        values = values + 1j * rng.standard_normal(op.rows)
+    lhs = np.vdot(values, op.matvec(coeffs))
+    rhs = np.vdot(op.adjoint_matvec(values), coeffs)
+    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-30)
 
 
 def test_adjoint_of_zero_and_single_row():

@@ -22,6 +22,8 @@ from anovafit import (
 )
 from anovafit.terms import is_downward_closed
 
+from conftest import term_sets
+
 
 class TestTermSet:
     def test_superposition_counts(self):
@@ -184,6 +186,26 @@ class TestIndexUnion:
             for k in block:
                 support = tuple(np.flatnonzero(k) + 1)
                 assert support == term
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        termset=term_sets(), kind=st.sampled_from(list(BasisKind)), n=st.sampled_from([2, 4, 6])
+    )
+    def test_order_blocks_tile_the_union(self, termset, kind, n):
+        union = build_index_union(termset, BandwidthProfile.from_list([n, n, n]), kind)
+        for absent in {0, 4} | set(range(1, 4)) - set(union.grids):
+            with pytest.raises(ConfigError, match="no term of order"):
+                union.order_block(absent)
+        stop = 1
+        for order in sorted(union.grids):
+            block, factors = union.order_block(order)
+            owned = [i for i, u in enumerate(union.terms) if len(u) == order]
+            assert block.start == stop == union.group_slice(owned[0]).start
+            assert block.stop == union.group_slice(owned[-1]).stop
+            assert factors.shape == (len(owned), order)
+            assert factors.tolist() == [list(union.terms[i]) for i in owned]
+            stop = block.stop
+        assert stop == union.size
 
     def test_frequencies_globally_distinct(self):
         ts = superposition_terms(4, 2)
