@@ -5,7 +5,8 @@ Each output line is ``name value``: a sha256 of the raw bytes of an output
 array, a ``float.hex`` of a scalar, or an exact count.  The script covers
 
 * ``matvec``, ``adjoint_matvec`` and ``dense()`` of seeded random design
-  operators (term orders 1-3, orders skipped, all three bases);
+  operators (term orders 1-3, orders skipped, all three bases), hashed
+  apart for instances of highest order <= 2 and of order 3;
 * the ``bench_friedman(k, 100, 0)`` medians for k = 1, 2, 3;
 * a d=30 cosine fit (4066 columns, 4000 rows, lam=1) on the LSQR path,
   with its ``predict`` and ``analyze`` output.
@@ -76,10 +77,16 @@ def random_operator(rng: np.random.Generator, kind: BasisKind) -> DesignOperator
 
 
 def operator_lines() -> list[str]:
+    """Hashes per basis, split by the instance's highest term order (<= 2 or 3).
+
+    Only order-3 terms take the per-term path of ``matvec`` and
+    ``adjoint_matvec``, so a change to that path shows on the ``order3`` lines
+    alone.
+    """
     lines = []
     for kind in (BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV):
         rng = np.random.default_rng(20101019)
-        matvecs, adjoints, denses = [], [], []
+        outputs = {group: ([], [], []) for group in ("order12", "order3")}
         for _ in range(INSTANCES_PER_BASIS):
             op = random_operator(rng, kind)
             c = rng.standard_normal(op.cols)
@@ -87,13 +94,16 @@ def operator_lines() -> list[str]:
             if kind.is_complex:
                 c = c + 1j * rng.standard_normal(op.cols)
                 r = r + 1j * rng.standard_normal(op.rows)
+            top = max(len(term) for term in op.index_union.terms)
+            matvecs, adjoints, denses = outputs["order3" if top >= 3 else "order12"]
             matvecs.append(op.matvec(c))
             adjoints.append(op.adjoint_matvec(r))
             denses.append(op.dense())
-        token = kind.value
-        lines.append(f"operator.{token}.matvec {sha(*matvecs)}")
-        lines.append(f"operator.{token}.adjoint {sha(*adjoints)}")
-        lines.append(f"operator.{token}.dense {sha(*denses)}")
+        for group, (matvecs, adjoints, denses) in outputs.items():
+            name = f"operator.{kind.value}.{group}"
+            lines.append(f"{name}.matvec {sha(*matvecs)}")
+            lines.append(f"{name}.adjoint {sha(*adjoints)}")
+            lines.append(f"{name}.dense {sha(*denses)}")
     return lines
 
 

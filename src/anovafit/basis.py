@@ -152,7 +152,8 @@ def eval_1d_table(kind: BasisKind, freqs, x) -> np.ndarray:
 
     Returns an array of shape ``(len(x), len(freqs))`` with column ``j``
     holding ``eta_{freqs[j]}`` at all points.  Used by the design operator
-    to build its stacked per-order tables.
+    to build its stacked per-order tables, from nodes that already passed
+    :func:`check_domain`: ``x`` must lie in the basis domain.
 
     Each point costs one transcendental: ``c = cos(pi x)`` (cosine), none
     (Chebyshev, ``c = 2x - 1`` clipped to [-1, 1]) or ``z = exp(2 pi i x)``
@@ -169,7 +170,7 @@ def eval_1d_table(kind: BasisKind, freqs, x) -> np.ndarray:
     freqs = np.asarray(freqs, dtype=np.int64)
     if not kind.is_complex and np.any(freqs < 0):
         raise ConfigError(f"negative frequency is invalid for basis {kind.token!r}")
-    x = check_domain(kind, np.asarray(x, dtype=np.float64)).ravel()
+    x = np.asarray(x, dtype=np.float64).ravel()
     top = int(np.abs(freqs).max(initial=0))
     table = np.empty((x.size, freqs.size), dtype=kind.dtype)
     # powers[k] holds degree k at the points of the current block

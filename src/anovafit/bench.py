@@ -56,17 +56,14 @@ TEST_SIZE = 1000
 REFERENCE_RESULTS = {
     1: {
         "median_mse": 1.43,
-        "best_mse": 1.36,
         "baselines": {"svm": 4.36, "lm": 7.71, "mnet": 9.21, "rForst": 6.02},
     },
     2: {
         "median_mse": 17.21e3,
-        "best_mse": 16.84e3,
         "baselines": {"svm": 18.13e3, "lm": 36.15e3, "mnet": 19.61e3, "rForst": 21.50e3},
     },
     3: {
         "median_mse": 18.12e-3,
-        "best_mse": 19.30e-3,
         "baselines": {"svm": 23.15e-3, "lm": 45.42e-3, "mnet": 18.12e-3, "rForst": 22.21e-3},
     },
 }

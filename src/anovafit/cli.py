@@ -68,8 +68,11 @@ def _note(message: str) -> None:
 
 
 def _parse_list(text: str, flag: str, cast) -> list:
+    parts = text.split(",")
+    if any(part.strip() == "" for part in parts):
+        raise ConfigError(f"{flag} has an empty item, got {text!r}")
     try:
-        return [cast(part) for part in text.split(",") if part.strip() != ""]
+        return [cast(part) for part in parts]
     except ValueError:
         what = "integers" if cast is int else "numbers"
         raise ConfigError(f"{flag} expects comma-separated {what}, got {text!r}") from None

@@ -206,11 +206,13 @@ def gsi(model: Model) -> SensitivityReport:
             "model variance is zero; sensitivity indices are undefined"
         )
     union = model.index_union
-    indices = []
-    for i, term in enumerate(union.terms[1:], start=1):
-        block = model.coefficients[union.group_slice(i)]
-        indices.append((term, float(np.sum(np.abs(block) ** 2)) / sigma2))
-    return SensitivityReport(model.terms.dimension, sigma2, tuple(indices))
+    # each order's block as (T_l, n_l**l): one row per term, in union order
+    mass = np.concatenate([
+        np.sum(np.abs(model.coefficients[block].reshape(len(factors), -1)) ** 2, axis=1)
+        for block, factors in map(union.order_block, union.grids)
+    ])
+    indices = tuple((term, float(m) / sigma2) for term, m in zip(union.terms[1:], mass))
+    return SensitivityReport(model.terms.dimension, sigma2, indices)
 
 
 def attribute_ranking(report: SensitivityReport, termset: TermSet) -> np.ndarray:
@@ -377,9 +379,7 @@ def _coeffs_from_obj(obj, kind: BasisKind) -> np.ndarray:
 def model_to_obj(model: Model) -> dict:
     obj = {
         "basis": model.kind.token,
-        "dimension": model.terms.dimension,
-        "superposition_threshold": model.terms.superposition_threshold,
-        "terms": model.terms.to_json_obj(),
+        **model.terms.to_json_obj(),
         "bandwidths": model.bandwidths.to_json_obj(),
         "lambda": float(model.regularization),
         "coefficients": _coeffs_to_obj(model.coefficients),
@@ -418,9 +418,7 @@ def _normalization_from_obj(block: dict | None, dimension: int) -> Normalization
 def model_from_obj(obj: dict) -> Model:
     try:
         kind = BasisKind.from_token(obj["basis"])
-        termset = TermSet.from_json_obj(
-            int(obj["dimension"]), obj["terms"], obj.get("superposition_threshold")
-        )
+        termset = TermSet.from_json_obj(obj)
         bandwidths = BandwidthProfile.from_json_obj(obj["bandwidths"])
         coefficients = _coeffs_from_obj(obj["coefficients"], kind)
         diagnostics = obj.get("diagnostics", {})

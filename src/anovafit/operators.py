@@ -35,9 +35,10 @@ the table viewed as ``(M, v_l, n_l)`` gives every factor of every term.
   ``[pos[t, 0], :, pos[t, 1], :]`` and zeros elsewhere; the adjoint
   ``G = T_2^H (conj(T_2) * r)`` holds every term's block at the same
   index.  Both cost ``O(M * (n_2 v_2)^2)`` in one GEMM;
-* order 3 and up: per term, successive contraction of the coefficient
-  tensor with the term's factors of ``T_l``, so the scratch stays at
-  ``M * n_l^(l-1)`` entries.
+* order 3 and up: one term at a time, its ``n_l^l`` rows of ``F^T`` from
+  the tensor-product kernel that :meth:`DesignOperator.dense` runs on all
+  terms at once, then ``c_t @ rows`` (adjoint: ``rows @ r``); the scratch is
+  ``M * n_l^l`` entries plus the table transposed to ``(v_l, n_l, M)``.
 
 **Determinism.**  An apply runs a fixed sequence of numpy operations on
 fixed shapes, writes only to freshly allocated scratch arrays, and never
@@ -77,6 +78,21 @@ class _OrderStack:
         self.block = block
         self.pos = pos.reshape(factors.shape)
 
+    def transposed(self):
+        """The table as ``(v, n, M)``: ``[p, j]`` is variable ``p``'s ``j``-th basis row."""
+        return np.ascontiguousarray(self.table.T).reshape(self.v, self.n, self.table.shape[0])
+
+    def term_rows(self, Tt, pos):
+        """Rows of ``F^T`` of the terms at ``pos``, as ``(len(pos), n**order, M)``.
+
+        ``Tt`` is :meth:`transposed`, so every product runs over contiguous node rows.
+        """
+        n, M = self.n, Tt.shape[2]
+        rows = Tt[pos[:, 0]]
+        for k in range(1, self.order):
+            rows = (rows[:, :, None] * Tt[pos[:, k], None]).reshape(len(pos), n ** (k + 1), M)
+        return rows
+
     def matvec(self, c):
         T, n, pos = self.table, self.n, self.pos
         if self.order == 1:
@@ -85,24 +101,14 @@ class _OrderStack:
             B = np.zeros((self.v, n, self.v, n), dtype=T.dtype)
             B[pos[:, 0], :, pos[:, 1], :] = c[self.block].reshape(-1, n, n)
             return np.einsum("ij,ij->i", T @ B.reshape(T.shape[1], -1), T)
-        rows = T.shape[0]
-        Tv = T.reshape(rows, self.v, n)
-        out = np.zeros(rows, dtype=T.dtype)
-        for p, C in zip(pos, c[self.block].reshape(len(pos), n, -1)):
-            P = Tv[:, p[0]] @ C
-            for q in p[1:]:
-                P = (P.reshape(rows, n, -1) * Tv[:, q, :, None]).sum(axis=1)
-            out += P[:, 0]
-        return out
+        # one term at a time: pos[:, None] yields (1, order) position arrays
+        Tt, C = self.transposed(), c[self.block].reshape(len(pos), -1)
+        return sum(c_t @ self.term_rows(Tt, p)[0] for p, c_t in zip(pos[:, None], C))
 
     def dense_transposed(self, out):
         """Write this order's rows of ``F^T`` into ``out``."""
-        n, pos = self.n, self.pos
-        Tt = np.ascontiguousarray(self.table.T).reshape(self.v, n, -1)
-        block = Tt[pos[:, 0]]
-        for k in range(1, self.order):
-            block = (block[:, :, None] * Tt[pos[:, k], None]).reshape(len(pos), n ** (k + 1), -1)
-        out[self.block] = block.reshape(len(pos) * n**self.order, -1)
+        rows = self.term_rows(self.transposed(), self.pos)
+        out[self.block] = rows.reshape(len(self.pos) * self.n**self.order, self.table.shape[0])
 
     def adjoint_matvec(self, r, out):
         """Write ``F_l^H r`` into this order's coefficient block of ``out``."""
@@ -113,16 +119,10 @@ class _OrderStack:
             G = T.T @ (rc if self.order == 1 else T * rc[:, None])
             if self.order == 2:
                 G = G.reshape(self.v, n, self.v, n)[pos[:, 0], :, pos[:, 1], :]
-            out[self.block] = (G.conj() if self.conj else G).ravel()
-            return
-        rows = T.shape[0]
-        Tv = T.reshape(rows, self.v, n)
-        for p, dst in zip(pos, out[self.block].reshape(len(pos), -1)):
-            W = rc[:, None]
-            for q in reversed(p[1:]):
-                W = (Tv[:, q, :, None] * W[:, None, :]).reshape(rows, -1)
-            G = (Tv[:, p[0]].T @ W).ravel()
-            dst[:] = G.conj() if self.conj else G
+        else:
+            Tt = self.transposed()
+            G = np.array([self.term_rows(Tt, p)[0] @ rc for p in pos[:, None]])
+        out[self.block] = (G.conj() if self.conj else G).ravel()
 
 
 class DesignOperator:

@@ -100,15 +100,18 @@ class TermSet:
             used.update(u)
         return tuple(sorted(used))
 
-    def to_json_obj(self) -> list[list[int]]:
-        """Wire format: array of integer arrays, 1-based indices."""
-        return [list(u) for u in self.terms]
+    def to_json_obj(self) -> dict:
+        """Wire format, also embedded in model files; terms are 1-based index arrays."""
+        return {
+            "dimension": self.dimension,
+            "superposition_threshold": self.superposition_threshold,
+            "terms": [list(u) for u in self.terms],
+        }
 
     @classmethod
-    def from_json_obj(
-        cls, dimension: int, obj, superposition_threshold: int | None = None
-    ) -> "TermSet":
-        return cls(dimension, tuple(tuple(u) for u in obj), superposition_threshold)
+    def from_json_obj(cls, obj) -> "TermSet":
+        terms = tuple(tuple(u) for u in obj["terms"])
+        return cls(int(obj["dimension"]), terms, obj.get("superposition_threshold"))
 
 
 def superposition_terms(dimension: int, threshold: int) -> TermSet:
@@ -279,22 +282,14 @@ def expected_index_count(termset: TermSet, bandwidths: BandwidthProfile) -> int:
 
 
 def save_termset(termset: TermSet, path) -> None:
-    obj = {
-        "dimension": termset.dimension,
-        "superposition_threshold": termset.superposition_threshold,
-        "terms": termset.to_json_obj(),
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(termset.to_json_obj(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_termset(path) -> TermSet:
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return TermSet.from_json_obj(
-            int(obj["dimension"]), obj["terms"], obj.get("superposition_threshold")
-        )
+            return TermSet.from_json_obj(json.load(fh))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed term set file: {exc}") from exc

@@ -110,6 +110,13 @@ class TestFit:
         # malformed bandwidths
         assert run_cli(capsys, "fit", "--friedman", "1", "--ds", "1",
                        "--bandwidths", "4,x", "--out", out_path)[0] == 2
+        # an empty item, inside the list or trailing, is not skipped
+        for text in ("6,,4", "6,4,", ""):
+            code, _, err = run_cli(capsys, "fit", "--friedman", "2", "--ds", "2",
+                                   "--bandwidths", text, "--out", out_path)
+            assert code == 2
+            assert "--bandwidths has an empty item" in err
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("flags", [["--normalize"], ["--normalize-target"],
                                        ["--normalize", "--normalize-target"]])
@@ -201,6 +208,16 @@ class TestRankRefineRoundTrip:
         assert len(refined) == 11  # order-2 truncation over 4 variables
         diff = json.loads(out)
         assert diff["added"] == [] and diff["removed"] == []
+
+    def test_empty_threshold_item_exits_2(self, friedman2_model, tmp_path, capsys):
+        model_path, _ = friedman2_model
+        out_path = tmp_path / "terms.json"
+        for text in ("0.01,", "0.01,,0.02"):
+            code, _, err = run_cli(capsys, "refine", "--model", str(model_path),
+                                   "--gsi-threshold", text, "--out", str(out_path))
+            assert code == 2
+            assert "--gsi-threshold has an empty item" in err
+        assert not out_path.exists()
 
     def test_expand_needs_theta(self, friedman2_model, tmp_path, capsys):
         model_path, _ = friedman2_model
@@ -439,6 +456,16 @@ class TestBench:
         assert code == 3
         assert out == ""
         assert "fraction 0.1 leaves an empty side for 3 rows" in err
+
+    @pytest.mark.parametrize("flag, text", [("--keep", "1,,2"), ("--keep", "1,"),
+                                            ("--bandwidths", "4,,2")])
+    def test_bench_real_empty_list_item_exits_2(self, tmp_path, capsys, flag, text):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("a,b,y\n0.1,0.2,0.3\n")
+        code, _, err = run_cli(capsys, "bench-real", "custom", "--csv", str(csv_path),
+                               "--split", "0.7", flag, text)
+        assert code == 2
+        assert f"{flag} has an empty item" in err
 
     def test_bench_real_without_data_dir_exits_3(self, capsys, monkeypatch):
         monkeypatch.delenv("ANOVA_DATA_DIR", raising=False)

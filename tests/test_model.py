@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anovafit import (
@@ -43,7 +43,7 @@ from anovafit import (
 from anovafit import model as model_module
 from anovafit.datasets import FriedmanSpec, rng_stream
 
-from conftest import gauss_legendre, random_termset
+from conftest import gauss_legendre, random_termset, term_sets
 
 
 def planted_model(dimension, terms, bandwidths, coefficients, kind=BasisKind.COSINE):
@@ -240,6 +240,21 @@ class TestPredict:
             predict(model, [[bad, 0.1, 0.1]])
         assert isinstance(info.value, DataError)
 
+    @pytest.mark.parametrize(
+        "kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV]
+    )
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_zero_rows_give_empty_prediction(self, kind, order):
+        terms = superposition_terms(3, order).terms
+        union = build_index_union(
+            TermSet(3, terms), BandwidthProfile.from_list([4, 4, 4][:order]), kind
+        )
+        coeffs = np.arange(union.size, dtype=kind.dtype)
+        model = planted_model(3, terms, [4, 4, 4][:order], coeffs, kind)
+        values = predict(model, np.empty((0, 3)))
+        assert values.shape == (0,)
+        assert values.dtype == (np.float64 if model.real_output else np.complex128)
+
     def test_term_decomposition_sums_to_prediction(self):
         rng = np.random.default_rng(8)
         spec = FriedmanSpec(2)
@@ -430,6 +445,36 @@ class TestRanking:
         total_rho = sum(value for _, value in report.indices)
         np.testing.assert_allclose(total_rho, 1.0, atol=1e-10)
         np.testing.assert_allclose(report.ranking.sum(), 1.0, atol=1e-10)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV]
+        ),
+        termset=term_sets(),
+        n_higher=st.sampled_from([2, 4]),
+        lam=st.floats(min_value=0.1, max_value=10.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @pytest.mark.filterwarnings("ignore:.*oversampling:UserWarning")
+    def test_fitted_indices_and_ranking_sum_to_one(self, kind, termset, n_higher, lam, seed):
+        assume(len(termset) > 1)
+        rng = np.random.default_rng(seed)
+        lo, hi = kind.domain
+        nodes = rng.uniform(lo, hi, size=(40, termset.dimension))
+        model = fit(
+            nodes, rng.standard_normal(40), termset,
+            BandwidthProfile.from_list([4, n_higher, n_higher]), kind,
+            SolverConfig(regularization=lam),
+        )
+        assume(variance(model) > 0.0)
+        report = analyze(model)
+        rho = np.array([value for _, value in report.indices])
+        assert [u for u, _ in report.indices] == list(termset.nonempty_terms)
+        assert np.all(rho >= 0.0) and np.all(report.ranking >= 0.0)
+        assert abs(rho.sum() - 1.0) <= 1e-12
+        assert abs(report.ranking.sum() - 1.0) <= 1e-12
 
 
 class TestRefinement:

@@ -118,6 +118,20 @@ def test_dense_matches_oracle_property(kind, termset, n1, n_higher, rows, seed):
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-30)
 
 
+@pytest.mark.parametrize("kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_zero_row_operator(kind, order):
+    union = build_index_union(
+        superposition_terms(4, order), BandwidthProfile.from_list([4, 4, 4][:order]), kind
+    )
+    op = DesignOperator(np.empty((0, 4)), union)
+    assert op.shape == (0, union.size)
+    assert op.matvec(np.ones(op.cols)).shape == (0,)
+    np.testing.assert_array_equal(op.adjoint_matvec(np.empty(0)), np.zeros(op.cols))
+    F = op.dense()
+    assert F.shape == (0, op.cols) and F.dtype == kind.dtype
+
+
 def test_adjoint_of_zero_and_single_row():
     rng = np.random.default_rng(3)
     op, nodes, union = _cosine_instance(rng, rows=12)

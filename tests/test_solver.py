@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anovafit import (
     BandwidthProfile,
@@ -17,7 +19,7 @@ from anovafit import (
     superposition_terms,
 )
 
-from conftest import random_instance
+from conftest import random_instance, term_sets
 
 TIGHT = SolverConfig(tolerance=1e-13)
 
@@ -183,3 +185,30 @@ def test_direct_solve_edge_cases():
     result = direct_solve(op.dense(), np.zeros(op.rows), 1.0)
     assert np.array_equal(result.coefficients, np.zeros(op.cols))
     assert result.relative_residual == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV]),
+    termset=term_sets(),
+    n1=st.sampled_from([2, 4, 6]),
+    n_higher=st.sampled_from([2, 4]),
+    rows=st.integers(1, 60),
+    lam=st.floats(min_value=0.1, max_value=10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_direct_solve_matches_tight_lsqr(kind, termset, n1, n_higher, rows, lam, seed):
+    rng = np.random.default_rng(seed)
+    union = build_index_union(
+        termset, BandwidthProfile.from_list([n1, n_higher, n_higher]), kind
+    )
+    lo, hi = kind.domain
+    op = DesignOperator(rng.uniform(lo, hi, size=(rows, termset.dimension)), union)
+    y = rng.standard_normal(rows)
+    if kind.is_complex:
+        y = y + 1j * rng.standard_normal(rows)
+    direct = direct_solve(op.dense(), y, lam).coefficients
+    iterative = lsqr_solve(op, y, SolverConfig(regularization=lam, tolerance=1e-12))
+    assert iterative.stop_reason == "tolerance"
+    gap = np.linalg.norm(direct - iterative.coefficients)
+    assert gap <= 1e-8 * np.linalg.norm(direct)
