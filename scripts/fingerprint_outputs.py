@@ -9,7 +9,11 @@ array, a ``float.hex`` of a scalar, or an exact count.  The script covers
   apart for instances of highest order <= 2 and of order 3;
 * the ``bench_friedman(k, 100, 0)`` medians for k = 1, 2, 3;
 * a d=30 cosine fit (4066 columns, 4000 rows, lam=1) on the LSQR path,
-  with its ``predict`` and ``analyze`` output.
+  with its ``predict`` and ``analyze`` output;
+* refinement of that fit's term set from its report: the terms kept by
+  ``threshold_active_set`` at ``(t, t)`` for t = 1e-3, 1e-2, the variables
+  ranked above theta = 0.02, 0.05 with the size of ``drop_variables`` on
+  each, and the terms of ``incremental_expand(..., 0.05, 3)``.
 
 The script imports ``anovafit`` from the ``src/`` directory of its own
 checkout.  To check a change, run it in the parent's checkout and in the
@@ -40,9 +44,12 @@ from anovafit import (  # noqa: E402
     TermSet,
     analyze,
     build_index_union,
+    drop_variables,
     fit,
+    incremental_expand,
     predict,
     superposition_terms,
+    threshold_active_set,
 )
 from anovafit.bench import bench_friedman  # noqa: E402
 
@@ -114,6 +121,31 @@ def friedman_lines() -> list[str]:
     ]
 
 
+def terms_line(name: str, termset: TermSet) -> str:
+    text = repr(termset.terms).encode()
+    return f"{name} {len(termset)} {hashlib.sha256(text).hexdigest()}"
+
+
+def refine_lines(report, termset: TermSet) -> list[str]:
+    """Refinement steps on the d=30 report.
+
+    Written with the per-order tuple and the explicit ranking selection, so
+    the script runs unchanged against older checkouts.
+    """
+    lines = [
+        terms_line(f"refine.d30.threshold.{t:g}", threshold_active_set(report, termset, (t, t)))
+        for t in (1e-3, 1e-2)
+    ]
+    for theta in (0.02, 0.05):
+        keep = [i for i in range(1, termset.dimension + 1) if report.ranking[i - 1] > theta]
+        lines.append(
+            f"refine.d30.ranked.{theta:g} {','.join(map(str, keep))} "
+            f"terms={len(drop_variables(termset, keep))}"
+        )
+    lines.append(terms_line("refine.d30.expand", incremental_expand(report, termset, 0.05, 3)))
+    return lines
+
+
 def wide_fit_lines() -> list[str]:
     rng = np.random.default_rng(30)
     d, rows = 30, 4000
@@ -125,11 +157,12 @@ def wide_fit_lines() -> list[str]:
         + 5.0 * x[:, 4]
         + rng.standard_normal(rows)
     )
+    termset = superposition_terms(d, 2)
     with warnings.catch_warnings():
         # 4000 rows for 4066 columns: the regularization makes up for it
         warnings.simplefilter("ignore", UserWarning)
         model = fit(
-            x, y, superposition_terms(d, 2), BandwidthProfile.from_list([6, 4]),
+            x, y, termset, BandwidthProfile.from_list([6, 4]),
             BasisKind.COSINE, SolverConfig(regularization=1.0),
         )
     report = analyze(model)
@@ -141,7 +174,7 @@ def wide_fit_lines() -> list[str]:
         f"fit.d30.relative_residual {model.relative_residual.hex()}",
         f"fit.d30.predict {sha(predict(model, rng.random((2000, d))))}",
         f"fit.d30.analyze {sha(np.array([report.variance]), rho, report.ranking)}",
-    ]
+    ] + refine_lines(report, termset)
 
 
 def main() -> int:

@@ -189,32 +189,27 @@ def friedman3_ranking_stage(train: Dataset) -> tuple[TermSet, SensitivityReport]
 
 
 def _ranked_keep(report: SensitivityReport, threshold: float) -> tuple[int, ...]:
-    keep = tuple(
-        i for i in range(1, report.dimension + 1) if report.ranking[i - 1] > threshold
-    )
     # degenerate ranking: fall back to keeping everything
-    return keep or tuple(range(1, report.dimension + 1))
+    return report.ranked_above(threshold) or tuple(range(1, report.dimension + 1))
 
 
 def _friedman1_final(train: Dataset) -> Model:
     termset, report = friedman1_ranking_stage(train)
     reduced = drop_variables(termset, _ranked_keep(report, 0.02))
     refit = _fit_cosine(train, reduced, (6, 4), 1.0)
-    active = threshold_active_set(gsi(refit), reduced, (0.02, 0.02))
+    active = threshold_active_set(gsi(refit), reduced, 0.02)
     return _fit_cosine(train, active, (6, 4), 1.0)
 
 
 def _friedman2_final(train: Dataset) -> Model:
     termset, report = friedman2_gsi_stage(train)
-    active = threshold_active_set(report, termset, (0.02, 0.02))
+    active = threshold_active_set(report, termset, 0.02)
     return _fit_cosine(train, active, (4, 2), 0.0)
 
 
 def _friedman3_final(train: Dataset) -> Model:
     _, report = friedman3_ranking_stage(train)
-    reduced = drop_variables(
-        superposition_terms(4, 2), _ranked_keep(report, 0.03)
-    )
+    reduced = drop_variables(superposition_terms(4, 2), _ranked_keep(report, 0.03))
     return _fit_cosine(train, reduced, (12, 2), 2.0)
 
 
@@ -309,14 +304,13 @@ def run_real_benchmark(
     termset = superposition_terms(ds.dimension, cfg.superposition_threshold)
     if cfg.keep:
         termset = drop_variables(termset, cfg.keep)
-    cutoffs = (cfg.gsi_cutoff,) * cfg.superposition_threshold
     sizes = []
 
     def recipe(train_raw: Dataset, test_raw: Dataset) -> float:
         train = normalize(train_raw, include_target=cfg.normalize_targets)
         test = normalize(test_raw, reference=train, include_target=cfg.normalize_targets)
         initial = _fit_cosine(train, termset, cfg.bandwidths, cfg.regularization)
-        active = threshold_active_set(gsi(initial), termset, cutoffs)
+        active = threshold_active_set(gsi(initial), termset, cfg.gsi_cutoff)
         final = _fit_cosine(train, active, cfg.bandwidths, cfg.regularization)
         value = METRICS[cfg.metric](test.targets, predict(final, test.nodes))
         # appended last, so it holds exactly the repetitions that succeeded

@@ -81,7 +81,7 @@ def _parse_list(text: str, flag: str, cast) -> list:
 def _split_plan(text: str | None, *, synthetic: bool, seed: int) -> SplitPlan:
     """Parse ``--split``: a fraction like ``0.7`` or sizes like ``200:1000``."""
     if text is None:
-        text = "200:1000" if synthetic else "0.7"
+        text = f"{bench.TRAIN_SIZE}:{bench.TEST_SIZE}" if synthetic else "0.7"
     if ":" in text:
         try:
             train_size, test_size = (int(part) for part in text.split(":"))
@@ -236,15 +236,9 @@ def cmd_refine(args) -> int:
 
     if args.gsi_threshold is not None:
         eps = _parse_list(args.gsi_threshold, "--gsi-threshold", float)
-        if len(eps) == 1:
-            eps = eps * termset.max_order
-        termset = threshold_active_set(report, termset, eps)
+        termset = threshold_active_set(report, termset, eps[0] if len(eps) == 1 else eps)
     if args.drop_below is not None:
-        keep = [
-            i
-            for i in range(1, report.dimension + 1)
-            if report.ranking[i - 1] > args.drop_below
-        ]
+        keep = report.ranked_above(args.drop_below)
         if keep:
             termset = drop_variables(termset, keep)
         else:
@@ -393,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ref = sub.add_parser("refine", help="derive a refined term set from a model")
     p_ref.add_argument("--model", required=True)
     p_ref.add_argument("--gsi-threshold",
-                       help="keep terms with index above this (one value or per order)")
+                       help="keep terms with index above this: one value, or one per order")
     p_ref.add_argument("--drop-below", type=float,
-                       help="drop variables ranked at or below this")
+                       help="drop variables ranked at or below this, in [0, 1)")
     p_ref.add_argument("--expand", type=int,
                        help="add interactions of highly ranked variables up to this order")
     p_ref.add_argument("--theta", type=float,

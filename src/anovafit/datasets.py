@@ -26,13 +26,19 @@ from .errors import ConfigError, DataError
 _PURPOSE_CODES = {"train": 0, "test": 1, "split": 2}
 
 
+def _seed(value) -> int:
+    if int(value) < 0:
+        raise ConfigError(f"seeds and repetition indices must be non-negative, got {value}")
+    return int(value)
+
+
 def rng_stream(seed: int, rep_index: int = 0, purpose: str = "train") -> np.random.Generator:
     """Independent generator for one (seed, repetition, purpose) triple."""
     try:
         code = _PURPOSE_CODES[purpose]
     except KeyError:
         raise ConfigError(f"unknown rng purpose {purpose!r}") from None
-    seq = np.random.SeedSequence(int(seed), spawn_key=(int(rep_index), code))
+    seq = np.random.SeedSequence(_seed(seed), spawn_key=(_seed(rep_index), code))
     return np.random.default_rng(seq)
 
 
@@ -172,7 +178,7 @@ def friedman_sample(
     """Uniform i.i.d. nodes on [0,1]^d with (optionally noisy) evaluations."""
     if size < 1:
         raise ConfigError("sample size must be >= 1")
-    gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
+    gen = np.random.default_rng(_seed(rng)) if isinstance(rng, int) else rng
     nodes = gen.uniform(0.0, 1.0, size=(size, spec.dimension))
     targets = friedman_eval(spec, nodes)
     if noisy and spec.noise_scale > 0.0:

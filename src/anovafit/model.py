@@ -95,6 +95,14 @@ class SensitivityReport:
                 return value
         raise ConfigError(f"term {term} not present in report")
 
+    def ranked_above(self, threshold: float) -> tuple[int, ...]:
+        """1-based variables whose ranking score exceeds ``threshold`` (in ``[0, 1)``)."""
+        if self.ranking is None:
+            raise ConfigError("report carries no ranking; compute attribute_ranking first")
+        if not 0.0 <= threshold < 1.0:
+            raise ConfigError(f"ranking threshold must lie in [0, 1), got {threshold}")
+        return tuple(int(i) + 1 for i in np.flatnonzero(self.ranking > threshold))
+
     def sorted_indices(self) -> tuple[tuple[Term, float], ...]:
         """Indices by descending share; ties broken by order then lexicographic."""
         return tuple(
@@ -102,17 +110,14 @@ class SensitivityReport:
         )
 
     def to_json_obj(self) -> dict:
-        obj = {
+        return {
             "variance": float(self.variance),
             "gsi": [
                 {"term": list(u), "rho": float(value)}
                 for u, value in self.sorted_indices()
             ],
+            "ranking": None if self.ranking is None else [float(r) for r in self.ranking],
         }
-        obj["ranking"] = (
-            None if self.ranking is None else [float(r) for r in self.ranking]
-        )
-        return obj
 
 
 def fit(
@@ -248,23 +253,25 @@ def threshold_active_set(
 ) -> TermSet:
     """Keep the empty term plus every term whose index exceeds its order's threshold.
 
-    ``thresholds`` is indexed by term order (entry 0 applies to order-1
-    terms).  The result is generally not downward closed; absent subsets are
-    understood as zero terms, and :func:`~anovafit.terms.closure`
+    ``thresholds`` is one value for every order, or exactly one per order up
+    to the term set's highest order (entry 0 applies to order-1 terms), each
+    in ``(0, 1)``.  The result is generally not downward closed; absent
+    subsets are understood as zero terms, and :func:`~anovafit.terms.closure`
     materializes them when a closed set is structurally required.
     """
-    thresholds = tuple(float(e) for e in thresholds)
-    if any(not 0.0 < e < 1.0 for e in thresholds):
+    top = termset.max_order
+    values = tuple(float(e) for e in np.atleast_1d(thresholds))
+    if any(not 0.0 < e < 1.0 for e in values):
         raise ConfigError("gsi thresholds must lie in (0, 1)")
-    orders = termset.orders()
-    if orders and max(orders) > len(thresholds):
-        raise ConfigError(
-            f"need a threshold for every order up to {max(orders)}, "
-            f"got {len(thresholds)}"
-        )
-    kept = [
-        u for u in termset.nonempty_terms if report.rho(u) > thresholds[len(u) - 1]
-    ]
+    if np.ndim(thresholds) == 0:
+        values *= top
+    elif len(values) != top:
+        raise ConfigError(f"need one threshold per order up to {top}, got {len(values)}")
+    rho = dict(report.indices)
+    missing = [u for u in termset.nonempty_terms if u not in rho]
+    if missing:
+        raise ConfigError(f"term {missing[0]} not present in report")
+    kept = [u for u in termset.nonempty_terms if rho[u] > values[len(u) - 1]]
     return TermSet(termset.dimension, tuple(kept), termset.superposition_threshold)
 
 
@@ -299,19 +306,13 @@ def incremental_expand(
     """
     if not 0.0 < ranking_threshold < 1.0:
         raise ConfigError("ranking threshold must lie in (0, 1)")
-    if report.ranking is None:
-        raise ConfigError("report carries no ranking; compute attribute_ranking first")
+    pool = report.ranked_above(ranking_threshold)
     current = termset.superposition_threshold or termset.max_order
     if not current < expansion_order < termset.dimension:
         raise ConfigError(
             f"expansion order {expansion_order} must lie strictly between the current "
             f"threshold {current} and the dimension {termset.dimension}"
         )
-    pool = tuple(
-        i
-        for i in range(1, termset.dimension + 1)
-        if report.ranking[i - 1] > ranking_threshold
-    )
     if not pool:
         warnings.warn(
             "no variable exceeds the ranking threshold; term set unchanged",
@@ -439,6 +440,8 @@ def model_from_obj(obj: dict) -> Model:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model object: {exc}") from exc
+    if not np.all(np.isfinite(model.coefficients)):
+        raise DataError("malformed model object: non-finite coefficient")
     if len(model.coefficients) != model.index_union.size:
         raise DataError(
             f"model has {len(model.coefficients)} coefficients but the index "

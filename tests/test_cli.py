@@ -116,6 +116,11 @@ class TestFit:
                                    "--bandwidths", text, "--out", out_path)
             assert code == 2
             assert "--bandwidths has an empty item" in err
+        # a negative seed
+        code, _, err = run_cli(capsys, "fit", "--friedman", "1", "--ds", "1",
+                               "--bandwidths", "4", "--seed", "-1", "--out", out_path)
+        assert code == 2
+        assert "non-negative" in err
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("flags", [["--normalize"], ["--normalize-target"],
@@ -217,6 +222,30 @@ class TestRankRefineRoundTrip:
                                    "--gsi-threshold", text, "--out", str(out_path))
             assert code == 2
             assert "--gsi-threshold has an empty item" in err
+        assert not out_path.exists()
+
+    def test_surplus_thresholds_exit_2(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert run_cli(capsys, "fit", "--friedman", "1", "--ds", "2", "--bandwidths", "4,2",
+                       "--lambda", "3", "--out", str(model_path))[0] == 0
+        out_path = tmp_path / "terms.json"
+        code, out, err = run_cli(capsys, "refine", "--model", str(model_path),
+                                 "--gsi-threshold", "0.01,0.02,0.5,0.9",
+                                 "--out", str(out_path))
+        assert code == 2
+        assert "up to 2, got 4" in err
+        assert out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "1.5", "nan"])
+    def test_drop_below_out_of_range_exits_2(self, friedman2_model, tmp_path, capsys, value):
+        model_path, _ = friedman2_model
+        out_path = tmp_path / "terms.json"
+        code, out, err = run_cli(capsys, "refine", "--model", str(model_path),
+                                 "--drop-below", value, "--out", str(out_path))
+        assert code == 2
+        assert "[0, 1)" in err
+        assert out == ""
         assert not out_path.exists()
 
     def test_expand_needs_theta(self, friedman2_model, tmp_path, capsys):
@@ -412,6 +441,14 @@ class TestBench:
         assert set(result["reference_baselines"]) == {"svm", "lm", "mnet", "rForst"}
         assert "median MSE" in err
 
+    def test_bench_friedman_negative_seed_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "bench.json"
+        code, _, err = run_cli(capsys, "bench-friedman", "2", "--seed", "-3",
+                               "--out", str(out_path))
+        assert code == 2
+        assert "non-negative" in err
+        assert not out_path.exists()
+
     def test_bench_real_on_synthetic_table(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         rows = ["a,b,c,y"]
@@ -501,7 +538,8 @@ class TestErrorBoundary:
         assert code == 2
         assert "M_train:M_test" in err and "'20.5:10'" in err
 
-    @pytest.mark.parametrize("key, value", [("basis", "wavelet"), ("bandwidths", {"1": 3})])
+    @pytest.mark.parametrize("key, value", [("basis", "wavelet"), ("bandwidths", {"1": 3}),
+                                            ("coefficients", [float("nan")] * 19)])
     def test_bad_model_settings_exit_3(self, friedman2_model, tmp_path, capsys, key, value):
         model_path, _ = friedman2_model
         obj = read_json(model_path)
@@ -512,6 +550,20 @@ class TestErrorBoundary:
         assert code == 3
         assert out == ""
         assert "malformed model object" in err
+
+    def test_non_finite_coefficient_predict_exits_3(self, friedman2_model, tmp_path, capsys):
+        model_path, _ = friedman2_model
+        obj = read_json(model_path)
+        obj["coefficients"][3] = float("inf")
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(obj))
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("a,b,c,d\n0.1,0.2,0.3,0.4\n")
+        code, out, err = run_cli(capsys, "predict", "--model", str(bad_path),
+                                 "--csv", str(csv_path))
+        assert code == 3
+        assert out == ""
+        assert "non-finite coefficient" in err
 
     def test_model_file_not_json_exits_3(self, tmp_path, capsys):
         bad_path = tmp_path / "model.json"

@@ -13,14 +13,21 @@ from anovafit import (
     ConfigError,
     DataError,
     DesignOperator,
+    FriedmanSpec,
+    SensitivityReport,
     SolverConfig,
     TermSet,
     build_index_union,
     direct_solve,
+    fit,
+    friedman_sample,
     lsqr_solve,
     mse,
+    rng_stream,
     superposition_terms,
+    threshold_active_set,
 )
+from anovafit.model import model_from_obj, model_to_obj
 
 
 def _operator():
@@ -28,6 +35,20 @@ def _operator():
         superposition_terms(3, 2), BandwidthProfile.from_list([4, 2]), BasisKind.COSINE
     )
     return DesignOperator(np.full((8, 3), 0.5), union)
+
+
+def _report():
+    indices = tuple((u, 1.0 / 6) for u in superposition_terms(3, 2).nonempty_terms)
+    return SensitivityReport(3, 1.0, indices, ranking=np.full(3, 1.0 / 3))
+
+
+def _nan_model_obj():
+    rng = np.random.default_rng(0)
+    model = fit(rng.random((20, 2)), rng.random(20), superposition_terms(2, 1),
+                BandwidthProfile.from_list([4]), BasisKind.COSINE)
+    obj = model_to_obj(model)
+    obj["coefficients"][1] = float("nan")
+    return obj
 
 
 CASES = {
@@ -43,6 +64,15 @@ CASES = {
     ),
     "duplicate term": (ConfigError, lambda: TermSet(3, ((1,), (1,)))),
     "mse lengths": (DataError, lambda: mse([1.0, 2.0], [1.0])),
+    "too many thresholds": (
+        ConfigError,
+        lambda: threshold_active_set(_report(), superposition_terms(3, 2), (0.1, 0.1, 0.1)),
+    ),
+    "ranked_above range": (ConfigError, lambda: _report().ranked_above(1.0)),
+    "negative seed": (ConfigError, lambda: rng_stream(-1)),
+    "negative repetition index": (ConfigError, lambda: rng_stream(0, -1)),
+    "negative sample seed": (ConfigError, lambda: friedman_sample(FriedmanSpec(1), 5, -1)),
+    "non-finite coefficient": (DataError, lambda: model_from_obj(_nan_model_obj())),
 }
 
 

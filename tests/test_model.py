@@ -502,6 +502,55 @@ class TestRefinement:
             threshold_active_set(self.REPORT, self.TERMS, (0.1,))
         with pytest.raises(ConfigError):
             threshold_active_set(self.REPORT, self.TERMS, (0.1, 1.5))
+        with pytest.raises(ConfigError):
+            threshold_active_set(self.REPORT, self.TERMS, (0.1, 0.1, 0.1))
+
+    def test_single_threshold_applies_to_every_order(self):
+        kept = threshold_active_set(self.REPORT, self.TERMS, 0.25)
+        assert kept.terms == ((), (1,), (2,))
+        assert threshold_active_set(self.REPORT, self.TERMS, 0.3).terms == ((), (1,))
+        only_empty = TermSet(2, ())
+        assert threshold_active_set(self.REPORT, only_empty, 0.5) == only_empty
+        for bad in (0.0, 1.5, float("nan")):
+            with pytest.raises(ConfigError, match="gsi thresholds"):
+                threshold_active_set(self.REPORT, only_empty, bad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(termset=term_sets(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.filterwarnings("ignore:.*oversampling:UserWarning")
+    def test_single_threshold_and_ranked_above_match_explicit_forms(
+        self, termset, data, seed
+    ):
+        assume(len(termset) > 1)
+        rng = np.random.default_rng(seed)
+        model = fit(
+            rng.random((40, termset.dimension)), rng.standard_normal(40), termset,
+            BandwidthProfile.from_list([4, 2, 2]), BasisKind.COSINE,
+            SolverConfig(regularization=1.0),
+        )
+        assume(variance(model) > 0.0)
+        report = analyze(model)
+        # thresholds drawn from the report's own values test the strict ">"
+        rho = [value for _, value in report.indices if 0.0 < value < 1.0]
+        eps = data.draw(st.sampled_from(rho + [0.01, 0.5]))
+        kept = threshold_active_set(report, termset, eps)
+        assert kept == threshold_active_set(report, termset, (eps,) * termset.max_order)
+        assert kept.nonempty_terms == tuple(u for u, value in report.indices if value > eps)
+        scores = [float(r) for r in report.ranking if r < 1.0]
+        theta = data.draw(st.sampled_from(scores + [0.0, 0.05]))
+        assert report.ranked_above(theta) == tuple(
+            i for i in range(1, termset.dimension + 1) if report.ranking[i - 1] > theta
+        )
+
+    def test_ranked_above_validation(self):
+        report = SensitivityReport(4, 1.0, (), ranking=np.array([0.4, 0.3, 0.3, 0.0]))
+        assert report.ranked_above(0.0) == (1, 2, 3)
+        assert report.ranked_above(0.3) == (1,)
+        for theta in (-0.1, 1.0, float("nan")):
+            with pytest.raises(ConfigError, match="ranking threshold"):
+                report.ranked_above(theta)
+        with pytest.raises(ConfigError, match="no ranking"):
+            SensitivityReport(4, 1.0, ()).ranked_above(0.1)
 
     def test_drop_variables_counts(self):
         u2 = superposition_terms(10, 2)
