@@ -13,7 +13,11 @@ array, a ``float.hex`` of a scalar, or an exact count.  The script covers
 * refinement of that fit's term set from its report: the terms kept by
   ``threshold_active_set`` at ``(t, t)`` for t = 1e-3, 1e-2, the variables
   ranked above theta = 0.02, 0.05 with the size of ``drop_variables`` on
-  each, and the terms of ``incremental_expand(..., 0.05, 3)``.
+  each, and the terms of ``incremental_expand(..., 0.05, 3)``;
+* ``run_real_benchmark`` (10 repetitions, seed 0) on a seeded 400-row
+  Friedman-1 table: median, quartiles and median active-term count for the
+  ``enc`` and ``ch`` presets, ``asn`` restricted by ``keep=(1, ..., 5)``,
+  and ``enc`` at superposition threshold 3 with bandwidths (4, 2, 2).
 
 The script imports ``anovafit`` from the ``src/`` directory of its own
 checkout.  To check a change, run it in the parent's checkout and in the
@@ -30,6 +34,7 @@ A run takes a few seconds on two cores.
 import hashlib
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,18 +45,20 @@ from anovafit import (  # noqa: E402
     BandwidthProfile,
     BasisKind,
     DesignOperator,
+    FriedmanSpec,
     SolverConfig,
     TermSet,
     analyze,
     build_index_union,
     drop_variables,
     fit,
+    friedman_sample,
     incremental_expand,
     predict,
     superposition_terms,
     threshold_active_set,
 )
-from anovafit.bench import bench_friedman  # noqa: E402
+from anovafit.bench import REAL_PRESETS, bench_friedman, run_real_benchmark  # noqa: E402
 
 INSTANCES_PER_BASIS = 46
 MAX_COLUMNS = 400
@@ -177,8 +184,26 @@ def wide_fit_lines() -> list[str]:
     ] + refine_lines(report, termset)
 
 
+def real_lines() -> list[str]:
+    table = friedman_sample(FriedmanSpec(1), 400, 11)
+    configs = {
+        "enc": REAL_PRESETS["enc"],
+        "ch": REAL_PRESETS["ch"],
+        "asn_keep5": replace(REAL_PRESETS["asn"], keep=(1, 2, 3, 4, 5)),
+        "enc_ds3": replace(REAL_PRESETS["enc"], superposition_threshold=3, bandwidths=(4, 2, 2)),
+    }
+    lines = []
+    for name, cfg in configs.items():
+        result = run_real_benchmark(table, cfg, repetitions=10, seed=0)
+        lines += [
+            f"real.{name}.{key} {float(result[key]).hex()}"
+            for key in ("median", "q1", "q3", "median_active_terms")
+        ]
+    return lines
+
+
 def main() -> int:
-    for line in operator_lines() + friedman_lines() + wide_fit_lines():
+    for line in operator_lines() + friedman_lines() + wide_fit_lines() + real_lines():
         print(line, flush=True)
     return 0
 

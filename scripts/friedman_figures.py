@@ -4,6 +4,8 @@
 Writes four SVG figures into the output directory: the initial attribute
 ranking of function 1, the sensitivity indices of its reduced refit, the
 sensitivity indices of function 2, and the initial ranking of function 3.
+Each chart is the report of a selecting stage of
+``anovafit.bench.FRIEDMAN_RECIPES``, with that stage's threshold drawn in.
 
 Usage:
     python3 scripts/friedman_figures.py --out-dir figures --seed 0
@@ -12,20 +14,7 @@ Usage:
 import argparse
 from pathlib import Path
 
-from anovafit import (
-    BandwidthProfile,
-    BasisKind,
-    SolverConfig,
-    analyze,
-    drop_variables,
-    fit,
-)
-from anovafit.bench import (
-    friedman1_ranking_stage,
-    friedman2_gsi_stage,
-    friedman3_ranking_stage,
-    friedman_rep_data,
-)
+from anovafit.bench import FRIEDMAN_RECIPES, friedman_rep_data, run_recipe
 from anovafit.plots import svg_bar_chart, write_svg
 
 
@@ -52,40 +41,27 @@ def main() -> None:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    train1, _ = friedman_rep_data(1, 0, args.seed)
-    termset1, report1 = friedman1_ranking_stage(train1)
+    f1, f2, f3 = (FRIEDMAN_RECIPES[k] for k in (1, 2, 3))
+    _, (rank1, gsi1) = run_recipe(f1[:2], friedman_rep_data(1, 0, args.seed)[0])
     write_svg(
         out / "friedman1_ranking.svg",
-        ranking_chart(report1, "friedman 1: attribute ranking (N=4,2, lambda=3)", 0.02),
-    )
-
-    keep = [i for i in range(1, 11) if report1.ranking[i - 1] > 0.02]
-    reduced = drop_variables(termset1, keep)
-    refit = fit(
-        train1.nodes,
-        train1.targets,
-        reduced,
-        BandwidthProfile.from_list([6, 4]),
-        BasisKind.COSINE,
-        SolverConfig(regularization=1.0),
+        ranking_chart(rank1, "friedman 1: attribute ranking (N=4,2, lambda=3)", f1[0].rank),
     )
     write_svg(
         out / "friedman1_gsi.svg",
-        gsi_chart(analyze(refit), "friedman 1: sensitivity indices after variable removal", 0.02),
+        gsi_chart(gsi1, "friedman 1: sensitivity indices after variable removal", f1[1].gsi),
     )
 
-    train2, _ = friedman_rep_data(2, 0, args.seed)
-    _, report2 = friedman2_gsi_stage(train2)
+    _, (report2,) = run_recipe(f2[:1], friedman_rep_data(2, 0, args.seed)[0])
     write_svg(
         out / "friedman2_gsi.svg",
-        gsi_chart(report2, "friedman 2: sensitivity indices (N=4,2, lambda=0)", 0.02),
+        gsi_chart(report2, "friedman 2: sensitivity indices (N=4,2, lambda=0)", f2[0].gsi),
     )
 
-    train3, _ = friedman_rep_data(3, 0, args.seed)
-    _, report3 = friedman3_ranking_stage(train3)
+    _, (report3,) = run_recipe(f3[:1], friedman_rep_data(3, 0, args.seed)[0])
     write_svg(
         out / "friedman3_ranking.svg",
-        ranking_chart(report3, "friedman 3: attribute ranking (N=10,2,2, lambda=2)", 0.03),
+        ranking_chart(report3, "friedman 3: attribute ranking (N=10,2,2, lambda=2)", f3[0].rank),
     )
     print(f"wrote 4 figures to {out}/")
 

@@ -1,70 +1,64 @@
 #!/usr/bin/env python3
 """Bandwidth sweep tables for the synthetic benchmark functions.
 
-Re-runs the final-stage fit of each benchmark over a grid of order-1/order-2
-bandwidths and prints the median test MSE and the number of failed
-repetitions per configuration, mirroring the layout of the published sweep
-tables.
+Re-runs the final stage of each benchmark's recipe over a grid of
+order-1/order-2 bandwidths and prints the median test MSE and the number of
+failed repetitions per configuration, mirroring the layout of the published
+sweep tables.
 
 Usage:
     python3 scripts/friedman_tables.py --function 1 --reps 10 --seed 0
 """
 
 import argparse
+from dataclasses import replace
 
 from anovafit import (
     BandwidthProfile,
-    BasisKind,
     FriedmanSpec,
-    SolverConfig,
     SplitPlan,
     TermSet,
     drop_variables,
     expected_index_count,
-    fit,
     median_evaluate,
     mse,
     predict,
     superposition_terms,
 )
-from anovafit.bench import TEST_SIZE, TRAIN_SIZE
+from anovafit.bench import FRIEDMAN_RECIPES, TEST_SIZE, TRAIN_SIZE, run_recipe
 
+# the active set of each benchmark's final fit, and its bandwidth grid
 SWEEPS = {
-    1: {
-        "active": TermSet(10, ((1,), (2,), (3,), (4,), (5,), (1, 2)), 2),
-        "lambda": 1.0,
-        "grid": [(4, 2), (6, 2), (8, 2), (4, 4), (6, 4), (8, 4)],
-    },
-    2: {
-        "active": TermSet(4, ((2,), (3,), (2, 3)), 2),
-        "lambda": 0.0,
-        "grid": [(2, 2), (4, 2), (6, 2), (8, 2), (4, 4), (6, 4), (8, 4)],
-    },
-    3: {
-        "active": drop_variables(superposition_terms(4, 2), (1, 2, 3)),
-        "lambda": 2.0,
-        "grid": [(10, 2), (12, 2), (14, 2), (10, 4), (12, 4), (14, 4)],
-    },
+    1: (
+        TermSet(10, ((1,), (2,), (3,), (4,), (5,), (1, 2)), 2),
+        [(4, 2), (6, 2), (8, 2), (4, 4), (6, 4), (8, 4)],
+    ),
+    2: (
+        TermSet(4, ((2,), (3,), (2, 3)), 2),
+        [(2, 2), (4, 2), (6, 2), (8, 2), (4, 4), (6, 4), (8, 4)],
+    ),
+    3: (
+        drop_variables(superposition_terms(4, 2), (1, 2, 3)),
+        [(10, 2), (12, 2), (14, 2), (10, 4), (12, 4), (14, 4)],
+    ),
 }
 
 
 def sweep(which: int, reps: int, seed: int) -> None:
-    setting = SWEEPS[which]
-    active = setting["active"]
-    config = SolverConfig(regularization=setting["lambda"])
+    active, grid = SWEEPS[which]
+    final = FRIEDMAN_RECIPES[which][-1]
     plan = SplitPlan(train_size=TRAIN_SIZE, test_size=TEST_SIZE, repetitions=reps, seed=seed)
-    print(f"friedman {which}  (lambda = {setting['lambda']}, reps = {reps})")
+    print(f"friedman {which}  (lambda = {final.lam}, reps = {reps})")
     print(f"{'N1':>4} {'N2':>4} {'|I(U)|':>7} {'median MSE':>14} {'failed':>6}")
-    for n1, n2 in setting["grid"]:
-        profile = BandwidthProfile.from_list([n1, n2])
+    for n1, n2 in grid:
+        stage = replace(final, bandwidths=(n1, n2))
 
         def recipe(train, test):
-            model = fit(train.nodes, train.targets, active, profile,
-                        BasisKind.COSINE, config)
+            model, _ = run_recipe((stage,), train, active)
             return mse(test.targets, predict(model, test.nodes))
 
         summary = median_evaluate(recipe, FriedmanSpec(which), plan)
-        size = expected_index_count(active, profile)
+        size = expected_index_count(active, BandwidthProfile.from_list([n1, n2]))
         print(f"{n1:>4} {n2:>4} {size:>7} {summary.median:>14.6g} {summary.failures:>6}")
 
 

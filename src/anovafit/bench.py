@@ -1,21 +1,22 @@
-"""The one repetition loop, ``median_evaluate``, and the benchmark pipelines.
+"""The one repetition loop, ``median_evaluate``, and the staged recipes.
 
-``bench_friedman`` reruns, per seeded repetition, the staged recipe that
-produces the published reference results on the three synthetic benchmark
-functions: an initial fit on the order-truncated term set, an attribute
-ranking or sensitivity thresholding step that shrinks the active set, and a
-final fit whose test error is recorded.  Test targets carry observation
-noise exactly like the training targets; the noise-free error against the
+A recipe is a tuple of :class:`Stage` data that :func:`run_recipe` runs on
+a training set: each stage fits the running term set and may shrink it, by
+attribute ranking or sensitivity thresholding, for the next stage's refit.
+``bench_friedman`` runs ``FRIEDMAN_RECIPES[k]`` per seeded repetition and
+records the final fit's test error.  Test targets carry observation noise
+exactly like the training targets; the noise-free error against the
 underlying function is reported alongside as a diagnostic.
 
 ``run_real_benchmark`` implements the generic protocol for real tables:
-repeated random splits, min-max normalization by training extrema,
-sensitivity thresholding at a cutoff, re-fit, and the median test metric.
+repeated random splits, min-max normalization by training extrema, a
+two-stage recipe (sensitivity thresholding at a cutoff, then a refit), and
+the median test metric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -156,64 +157,61 @@ def median_evaluate(
     )
 
 
-def _fit_cosine(train: Dataset, termset: TermSet, bandwidths, lam: float) -> Model:
-    return fit(
-        train.nodes,
-        train.targets,
-        termset,
-        BandwidthProfile.from_list(bandwidths),
-        BasisKind.COSINE,
-        SolverConfig(regularization=lam),
-    )
+@dataclass(frozen=True)
+class Stage:
+    """One fit of a recipe, on the running term set's terms of order <= ``order``.
+
+    ``rank=theta`` then keeps the variables ranked above ``theta``, or every
+    variable when none is; ``gsi=eps`` keeps the terms whose sensitivity
+    index exceeds ``eps``.  A stage with neither is a final fit.
+    """
+
+    order: int
+    bandwidths: tuple[int, ...]
+    lam: float
+    rank: float | None = None
+    gsi: float | None = None
+
+    def __post_init__(self):
+        if self.rank is not None and self.gsi is not None:
+            raise ConfigError("a stage selects by rank or by gsi, not both")
 
 
-def friedman1_ranking_stage(train: Dataset) -> tuple[TermSet, SensitivityReport]:
-    """Initial order-2 fit of benchmark function 1 and its attribute ranking."""
-    termset = superposition_terms(10, 2)
-    report = analyze(_fit_cosine(train, termset, (4, 2), 3.0))
-    return termset, report
+def run_recipe(
+    stages, train: Dataset, termset: TermSet | None = None
+) -> tuple[Model, tuple[SensitivityReport, ...]]:
+    """Last model and selecting stages' reports of ``stages`` run on ``train``.
+
+    ``termset`` defaults to all terms of order <= the first stage's order.
+    """
+    if not stages:
+        raise ConfigError("a recipe needs at least one stage")
+    if termset is None:
+        termset = superposition_terms(train.dimension, stages[0].order)
+    reports = []
+    for stage in stages:
+        if termset.max_order > stage.order:
+            lower = tuple(u for u in termset if len(u) <= stage.order)
+            termset = TermSet(termset.dimension, lower, stage.order)
+        profile = BandwidthProfile.from_list(stage.bandwidths)
+        config = SolverConfig(regularization=stage.lam)
+        model = fit(train.nodes, train.targets, termset, profile, BasisKind.COSINE, config)
+        if stage.rank is not None:
+            reports.append(analyze(model))
+            keep = reports[-1].ranked_above(stage.rank)
+            termset = drop_variables(termset, keep) if keep else termset
+        elif stage.gsi is not None:
+            reports.append(gsi(model))
+            termset = threshold_active_set(reports[-1], termset, stage.gsi)
+    return model, tuple(reports)
 
 
-def friedman2_gsi_stage(train: Dataset) -> tuple[TermSet, SensitivityReport]:
-    """Initial order-2 fit of benchmark function 2 and its sensitivity indices."""
-    termset = superposition_terms(4, 2)
-    report = gsi(_fit_cosine(train, termset, (4, 2), 0.0))
-    return termset, report
-
-
-def friedman3_ranking_stage(train: Dataset) -> tuple[TermSet, SensitivityReport]:
-    """Initial order-3 fit of benchmark function 3 and its attribute ranking."""
-    termset = superposition_terms(4, 3)
-    report = analyze(_fit_cosine(train, termset, (10, 2, 2), 2.0))
-    return termset, report
-
-
-def _ranked_keep(report: SensitivityReport, threshold: float) -> tuple[int, ...]:
-    # degenerate ranking: fall back to keeping everything
-    return report.ranked_above(threshold) or tuple(range(1, report.dimension + 1))
-
-
-def _friedman1_final(train: Dataset) -> Model:
-    termset, report = friedman1_ranking_stage(train)
-    reduced = drop_variables(termset, _ranked_keep(report, 0.02))
-    refit = _fit_cosine(train, reduced, (6, 4), 1.0)
-    active = threshold_active_set(gsi(refit), reduced, 0.02)
-    return _fit_cosine(train, active, (6, 4), 1.0)
-
-
-def _friedman2_final(train: Dataset) -> Model:
-    termset, report = friedman2_gsi_stage(train)
-    active = threshold_active_set(report, termset, 0.02)
-    return _fit_cosine(train, active, (4, 2), 0.0)
-
-
-def _friedman3_final(train: Dataset) -> Model:
-    _, report = friedman3_ranking_stage(train)
-    reduced = drop_variables(superposition_terms(4, 2), _ranked_keep(report, 0.03))
-    return _fit_cosine(train, reduced, (12, 2), 2.0)
-
-
-_FINAL_FITS = {1: _friedman1_final, 2: _friedman2_final, 3: _friedman3_final}
+FRIEDMAN_RECIPES = {
+    1: (Stage(2, (4, 2), 3.0, rank=0.02), Stage(2, (6, 4), 1.0, gsi=0.02),
+        Stage(2, (6, 4), 1.0)),
+    2: (Stage(2, (4, 2), 0.0, gsi=0.02), Stage(2, (4, 2), 0.0)),
+    3: (Stage(3, (10, 2, 2), 2.0, rank=0.03), Stage(2, (12, 2), 2.0)),
+}
 
 
 def friedman_rep_data(
@@ -232,11 +230,10 @@ def _friedman_plan(repetitions: int, seed: int) -> SplitPlan:
 def bench_friedman(which: int, repetitions: int = 100, seed: int = 0) -> dict:
     """Median test MSE of the staged pipeline over seeded repetitions."""
     spec = FriedmanSpec(which)
-    final_fit = _FINAL_FITS[spec.which]
     errors_truth = []
 
     def recipe(train: Dataset, test: Dataset) -> float:
-        predictions = predict(final_fit(train), test.nodes)
+        predictions = predict(run_recipe(FRIEDMAN_RECIPES[spec.which], train)[0], test.nodes)
         error = mse(test.targets, predictions)
         # appended last, so it holds exactly the repetitions that succeeded
         errors_truth.append(mse(friedman_eval(spec, test.nodes), predictions))
@@ -304,17 +301,17 @@ def run_real_benchmark(
     termset = superposition_terms(ds.dimension, cfg.superposition_threshold)
     if cfg.keep:
         termset = drop_variables(termset, cfg.keep)
+    final = Stage(cfg.superposition_threshold, cfg.bandwidths, cfg.regularization)
+    stages = (replace(final, gsi=cfg.gsi_cutoff), final)
     sizes = []
 
     def recipe(train_raw: Dataset, test_raw: Dataset) -> float:
         train = normalize(train_raw, include_target=cfg.normalize_targets)
         test = normalize(test_raw, reference=train, include_target=cfg.normalize_targets)
-        initial = _fit_cosine(train, termset, cfg.bandwidths, cfg.regularization)
-        active = threshold_active_set(gsi(initial), termset, cfg.gsi_cutoff)
-        final = _fit_cosine(train, active, cfg.bandwidths, cfg.regularization)
-        value = METRICS[cfg.metric](test.targets, predict(final, test.nodes))
+        model, _ = run_recipe(stages, train, termset)
+        value = METRICS[cfg.metric](test.targets, predict(model, test.nodes))
         # appended last, so it holds exactly the repetitions that succeeded
-        sizes.append(len(active))
+        sizes.append(len(model.terms))
         return value
 
     plan = SplitPlan(

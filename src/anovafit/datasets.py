@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from typing import Union
@@ -27,9 +28,15 @@ _PURPOSE_CODES = {"train": 0, "test": 1, "split": 2}
 
 
 def _seed(value) -> int:
-    if int(value) < 0:
+    try:
+        seed = operator.index(value)
+    except TypeError:
+        raise ConfigError(
+            f"seeds and repetition indices must be integers, got {value!r}"
+        ) from None
+    if seed < 0:
         raise ConfigError(f"seeds and repetition indices must be non-negative, got {value}")
-    return int(value)
+    return seed
 
 
 def rng_stream(seed: int, rep_index: int = 0, purpose: str = "train") -> np.random.Generator:
@@ -178,7 +185,7 @@ def friedman_sample(
     """Uniform i.i.d. nodes on [0,1]^d with (optionally noisy) evaluations."""
     if size < 1:
         raise ConfigError("sample size must be >= 1")
-    gen = np.random.default_rng(_seed(rng)) if isinstance(rng, int) else rng
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(_seed(rng))
     nodes = gen.uniform(0.0, 1.0, size=(size, spec.dimension))
     targets = friedman_eval(spec, nodes)
     if noisy and spec.noise_scale > 0.0:

@@ -7,6 +7,7 @@ noise, and the median test MSE over 100 seeded repetitions.  Reference
 medians and acceptance bands are fixed here, not tuned at run time.
 """
 
+import csv
 import os
 import time
 from pathlib import Path
@@ -32,13 +33,13 @@ from anovafit import (
     threshold_active_set,
 )
 from anovafit.bench import (
+    FRIEDMAN_RECIPES,
     REAL_PRESETS,
     TEST_SIZE,
     TRAIN_SIZE,
-    friedman1_ranking_stage,
-    friedman2_gsi_stage,
     friedman_rep_data,
     run_real_benchmark,
+    run_recipe,
 )
 from anovafit import FriedmanSpec, SplitPlan, load_csv, median_evaluate
 
@@ -112,7 +113,7 @@ def test_criterion_4_attribute_ranking_discrimination():
     hits = 0
     for rep in range(REPS):
         train, _ = friedman_rep_data(1, rep, SEED)
-        _, report = friedman1_ranking_stage(train)
+        _, (report,) = run_recipe(FRIEDMAN_RECIPES[1][:1], train)
         ranking = report.ranking
         if min(ranking[:5]) > max(ranking[5:]):
             hits += 1
@@ -130,8 +131,8 @@ def test_criterion_5_gsi_active_set_recovery():
     hits = 0
     for rep in range(REPS):
         train, _ = friedman_rep_data(2, rep, SEED)
-        termset, report = friedman2_gsi_stage(train)
-        active = threshold_active_set(report, termset, (0.02, 0.02))
+        model, (report,) = run_recipe(FRIEDMAN_RECIPES[2][:1], train)
+        active = threshold_active_set(report, model.terms, (0.02, 0.02))
         if active.terms == expected:
             hits += 1
     ok = hits >= 95
@@ -275,8 +276,8 @@ def test_criterion_10_real_data_optional(name, bound, bound_kind):
         pytest.skip(
             f"optional criterion: supply {name}.csv under ANOVA_DATA_DIR to enable"
         )
-    with open(path, encoding="utf-8") as fh:
-        target = fh.readline().strip().split(",")[-1].strip()
+    with open(path, encoding="utf-8", newline="") as fh:
+        target = next(csv.reader(fh))[-1].strip()
     ds = load_csv(path, target)
     result = run_real_benchmark(ds, REAL_PRESETS[name], repetitions=100, seed=SEED)
     ok = result["median"] <= bound

@@ -108,6 +108,12 @@ class TestFriedmanSample:
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.targets, b.targets)
 
+    def test_numpy_integer_seed(self):
+        a = friedman_sample(FriedmanSpec(1), 5, np.int64(3))
+        b = friedman_sample(FriedmanSpec(1), 5, 3)
+        assert np.array_equal(a.nodes, b.nodes)
+        assert np.array_equal(a.targets, b.targets)
+
     def test_nodes_inside_unit_cube(self):
         ds = friedman_sample(FriedmanSpec(1), 100, 5)
         assert ds.dimension == 10

@@ -27,6 +27,7 @@ from anovafit import (
     superposition_terms,
     threshold_active_set,
 )
+from anovafit.bench import Stage, run_recipe
 from anovafit.model import model_from_obj, model_to_obj
 
 
@@ -70,9 +71,15 @@ CASES = {
     ),
     "ranked_above range": (ConfigError, lambda: _report().ranked_above(1.0)),
     "negative seed": (ConfigError, lambda: rng_stream(-1)),
+    "fractional seed": (ConfigError, lambda: rng_stream(1.5)),
+    "string seed": (ConfigError, lambda: rng_stream("3")),
     "negative repetition index": (ConfigError, lambda: rng_stream(0, -1)),
     "negative sample seed": (ConfigError, lambda: friedman_sample(FriedmanSpec(1), 5, -1)),
     "non-finite coefficient": (DataError, lambda: model_from_obj(_nan_model_obj())),
+    "stage with two selections": (ConfigError, lambda: Stage(2, (4, 2), 1.0, rank=0.1, gsi=0.1)),
+    "empty recipe": (
+        ConfigError, lambda: run_recipe((), friedman_sample(FriedmanSpec(1), 5, 0))
+    ),
 }
 
 

@@ -391,20 +391,20 @@ class TestRanking:
     def test_friedman1_informative_variables_clear_the_bands(self):
         # the five informative variables rank above 0.07, the five inert
         # ones below 0.02, for the order-2 fit with N=(4,2) and lambda=3
-        from anovafit.bench import friedman1_ranking_stage, friedman_rep_data
+        from anovafit.bench import FRIEDMAN_RECIPES, friedman_rep_data, run_recipe
 
         train, _ = friedman_rep_data(1, 0, 0)
-        _, report = friedman1_ranking_stage(train)
+        _, (report,) = run_recipe(FRIEDMAN_RECIPES[1][:1], train)
         assert min(report.ranking[:5]) > 0.07
         assert max(report.ranking[5:]) < 0.02
 
     def test_friedman2_dominant_terms(self):
         # terms {2}, {3}, {2,3} dominate the sensitivity mass
-        from anovafit.bench import friedman2_gsi_stage, friedman_rep_data
+        from anovafit.bench import FRIEDMAN_RECIPES, friedman_rep_data, run_recipe
 
         for rep in range(3):
             train, _ = friedman_rep_data(2, rep, 0)
-            _, report = friedman2_gsi_stage(train)
+            _, (report,) = run_recipe(FRIEDMAN_RECIPES[2][:1], train)
             dominant = {(2,), (3,), (2, 3)}
             for term, rho in report.indices:
                 if term in dominant:
