@@ -9,7 +9,8 @@ array, a ``float.hex`` of a scalar, or an exact count.  The script covers
   apart for instances of highest order <= 2 and of order 3;
 * the ``bench_friedman(k, 100, 0)`` medians for k = 1, 2, 3;
 * a d=30 cosine fit (4066 columns, 4000 rows, lam=1) on the LSQR path,
-  with its ``predict`` and ``analyze`` output;
+  with its ``predict`` (2000 rows, and 3 * 4096 + 5 rows, which ``predict``
+  evaluates in several row blocks) and ``analyze`` output;
 * refinement of that fit's term set from its report: the terms kept by
   ``threshold_active_set`` at ``(t, t)`` for t = 1e-3, 1e-2, the variables
   ranked above theta = 0.02, 0.05 with the size of ``drop_variables`` on
@@ -181,6 +182,7 @@ def wide_fit_lines() -> list[str]:
         f"fit.d30.relative_residual {model.relative_residual.hex()}",
         f"fit.d30.predict {sha(predict(model, rng.random((2000, d))))}",
         f"fit.d30.analyze {sha(np.array([report.variance]), rho, report.ranking)}",
+        f"fit.d30.predict_blocks {sha(predict(model, rng.random((3 * 4096 + 5, d))))}",
     ] + refine_lines(report, termset)
 
 

@@ -183,6 +183,10 @@ def friedman_sample(
     noisy: bool = True,
 ) -> Dataset:
     """Uniform i.i.d. nodes on [0,1]^d with (optionally noisy) evaluations."""
+    try:
+        size = operator.index(size)
+    except TypeError:
+        raise ConfigError(f"sample size must be an integer, got {size!r}") from None
     if size < 1:
         raise ConfigError("sample size must be >= 1")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(_seed(rng))

@@ -50,6 +50,8 @@ from .terms import (
 
 # rows * cols**2 up to which a fit may be solved directly (scripts/solver_crossover.py)
 DIRECT_SOLVE_MAX_WORK = 10_000_000
+# node rows per DesignOperator in predict; bounds the tables held at once
+_PREDICT_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,21 +173,35 @@ def _solve(op: DesignOperator, values, cfg: SolverConfig) -> LsqrResult:
     small = op.rows * op.cols**2 <= DIRECT_SOLVE_MAX_WORK
     if lam > 0.0 and cfg.max_iterations is None and small:
         F = op.dense()
-        if (np.vdot(F, F).real + lam) / lam * np.finfo(np.float64).eps <= cfg.tolerance:
+        # dense() fills F^T, so F.T is contiguous and vdot reads it without a copy
+        if (np.vdot(F.T, F.T).real + lam) / lam * np.finfo(np.float64).eps <= cfg.tolerance:
             return direct_solve(F, values, lam)
     return lsqr_solve(op, values, cfg)
 
 
-def _finalize(model: Model, values: np.ndarray) -> np.ndarray:
-    if model.real_output and np.iscomplexobj(values):
-        return values.real.copy()
-    return values
+def _evaluate(model: Model, coefficients: np.ndarray, nodes) -> np.ndarray:
+    """``DesignOperator(nodes, ...).matvec(coefficients)``, one row block at a time."""
+    X = np.asarray(nodes, dtype=np.float64)
+    rows = len(X) if X.ndim == 2 else 0
+    out = np.empty(rows, dtype=np.float64 if model.real_output else model.kind.dtype)
+    # a zero-row or malformed input still builds one operator, which raises
+    for start in range(0, max(rows, 1), _PREDICT_BLOCK):
+        block = X[start:start + _PREDICT_BLOCK] if rows else X
+        values = DesignOperator(block, model.index_union).matvec(coefficients)
+        out[start:start + len(values)] = values.real if model.real_output else values
+    return out
 
 
 def predict(model: Model, nodes) -> np.ndarray:
-    """Evaluate the fitted expansion at new nodes."""
-    op = DesignOperator(nodes, model.index_union)
-    return _finalize(model, op.matvec(model.coefficients))
+    """Evaluate the fitted expansion at new nodes.
+
+    The nodes are evaluated in blocks of ``_PREDICT_BLOCK`` (4096) rows, each
+    by its own :class:`~anovafit.operators.DesignOperator`, so the tables held
+    at once are those of 4096 rows, whatever the row count (d=30, N=(6,4):
+    a 12 MiB peak).  The output equals one operator's ``matvec`` over all rows
+    up to BLAS rounding, which may differ with a row's position in a product.
+    """
+    return _evaluate(model, model.coefficients, nodes)
 
 
 def predict_term(model: Model, term, nodes) -> np.ndarray:
@@ -193,8 +209,7 @@ def predict_term(model: Model, term, nodes) -> np.ndarray:
     sl = model.index_union.slice_for(term)
     coefficients = np.zeros_like(model.coefficients)
     coefficients[sl] = model.coefficients[sl]
-    op = DesignOperator(nodes, model.index_union)
-    return _finalize(model, op.matvec(coefficients))
+    return _evaluate(model, coefficients, nodes)
 
 
 def variance(model: Model) -> float:

@@ -15,14 +15,17 @@ that block and the ``(T_l, l)`` array of the terms' variables from
 :meth:`~anovafit.terms.FrequencyIndexUnion.order_block` and checks nothing
 about them.  The empty term is index 0 and contributes the constant column.
 
-**Tables.**  For each order ``l`` the operator stores one read-only stacked
-table ``T_l`` of shape ``(M, n_l * v_l)``, where ``v_l`` counts the
-variables that appear in some order-``l`` term: variable number ``p`` (in
-ascending order) owns the column block ``[p * n_l, (p + 1) * n_l)``,
-holding its 1-d basis functions over ``g_l`` at all ``M`` nodes.  That is
-``M * n_l * v_l`` entries per order, independent of the number of terms.
+**Tables.**  The operator calls :func:`~anovafit.basis.eval_1d_table` once,
+on the ``v`` variables of all terms and the longest grid ``g``: each
+``cos``/``cheb`` grid is a prefix ``1 .. N_l - 1`` of ``g`` and each ``per``
+grid a contiguous run of it.  Order ``l`` keeps a read-only table ``T_l`` of
+shape ``(M, n_l * v_l)`` over its ``v_l`` variables: variable number ``p``
+(ascending) owns columns ``[p * n_l, (p + 1) * n_l)``, its 1-d basis
+functions over ``g_l`` at all ``M`` nodes.  ``T_l`` is that one table when
+order ``l`` uses every variable and all of ``g``, else one gather of it: at
+most ``M * (v |g| + sum_l n_l v_l)`` entries, whatever the number of terms.
 ``pos[t, k]`` is the position ``p`` of term ``t``'s ``k``-th variable, so
-the table viewed as ``(M, v_l, n_l)`` gives every factor of every term.
+``T_l`` viewed as ``(M, v_l, n_l)`` gives every factor of every term.
 
 **Apply.**  Orders 1 and 2 take one BLAS call each:
 
@@ -62,21 +65,14 @@ DENSE_ORACLE_MAX_ENTRIES = 2_000_000
 class _OrderStack:
     """Stacked 1-d table of one term order and that order's coefficient block."""
 
-    def __init__(self, order, grid, block, factors, kind, X):
-        variables, pos = np.unique(factors, return_inverse=True)
-        n = len(grid)
-        # rows of the (M * v, n) table run over (node, variable) pairs, so the
-        # reshape puts variable p's basis functions in columns p*n .. p*n+n-1
-        x = X[:, variables - 1].ravel()
-        table = eval_1d_table(kind, grid, x).reshape(X.shape[0], n * len(variables))
-        table.setflags(write=False)
+    def __init__(self, order, block, pos, v, table, conj):
         self.order = order
-        self.n = n
-        self.v = len(variables)
-        self.table = table
-        self.conj = kind.is_complex
         self.block = block
-        self.pos = pos.reshape(factors.shape)
+        self.pos = pos
+        self.v, self.n = v, table.shape[1] // v
+        self.table = table
+        self.table.setflags(write=False)
+        self.conj = conj
 
     def transposed(self):
         """The table as ``(v, n, M)``: ``[p, j]`` is variable ``p``'s ``j``-th basis row."""
@@ -147,10 +143,23 @@ class DesignOperator:
         self.rows = X.shape[0]
         self.cols = index_union.size
         self.shape = (self.rows, self.cols)
-        self._stacks = [
-            _OrderStack(order, grid, *index_union.order_block(order), kind, X)
-            for order, grid in index_union.grids.items()
-        ]
+        # one table over every order's variables and frequencies (see Tables)
+        blocks = {order: index_union.order_block(order) for order in index_union.grids}
+        # masks over 0..d of the variables that appear in each order's terms
+        used = [np.bincount(f.ravel(), minlength=X.shape[1] + 1) > 0 for _, f in blocks.values()]
+        variables = np.flatnonzero(np.any(used, axis=0))
+        grid = max(index_union.grids.values(), key=len, default=np.empty(0, np.int64))
+        table = eval_1d_table(kind, grid, X[:, variables - 1].ravel())
+        # rows of the (M * v, |g|) table run over (node, variable) pairs
+        table = table.reshape(self.rows, len(variables) * len(grid))
+        self._stacks = []
+        for mask, (order, (block, factors)) in zip(used, blocks.items()):
+            g, own = index_union.grids[order], np.flatnonzero(mask[variables])
+            start = int(np.searchsorted(grid, g[0]))
+            cols = (own[:, None] * len(grid) + np.arange(start, start + len(g))).ravel()
+            sub = table if len(cols) == table.shape[1] else np.take(table, cols, axis=1)
+            pos = (np.cumsum(mask) - 1)[factors]
+            self._stacks.append(_OrderStack(order, block, pos, len(own), sub, kind.is_complex))
 
     @property
     def oversampling(self) -> float:
@@ -158,6 +167,8 @@ class DesignOperator:
         return self.rows / self.cols
 
     def _coerce(self, vec, length: int, what: str) -> np.ndarray:
+        if isinstance(vec, np.ndarray) and vec.dtype == self.kind.dtype and vec.shape == (length,):
+            return vec
         v = np.asarray(vec)
         if v.shape != (length,):
             raise DataError(f"{what} must have shape ({length},), got {v.shape}")

@@ -75,6 +75,8 @@ CASES = {
     "string seed": (ConfigError, lambda: rng_stream("3")),
     "negative repetition index": (ConfigError, lambda: rng_stream(0, -1)),
     "negative sample seed": (ConfigError, lambda: friedman_sample(FriedmanSpec(1), 5, -1)),
+    "fractional sample size": (ConfigError, lambda: friedman_sample(FriedmanSpec(1), 5.5, 0)),
+    "string sample size": (ConfigError, lambda: friedman_sample(FriedmanSpec(1), "5", 0)),
     "non-finite coefficient": (DataError, lambda: model_from_obj(_nan_model_obj())),
     "stage with two selections": (ConfigError, lambda: Stage(2, (4, 2), 1.0, rank=0.1, gsi=0.1)),
     "empty recipe": (

@@ -1,5 +1,7 @@
 """Tests for fitting, prediction, interpretation, and refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -254,6 +256,82 @@ class TestPredict:
         values = predict(model, np.empty((0, 3)))
         assert values.shape == (0,)
         assert values.dtype == (np.float64 if model.real_output else np.complex128)
+
+    @staticmethod
+    def _blocked_instance(kind, order, rows):
+        """Planted d=5 model up to ``order`` and ``rows`` nodes.
+
+        Its orders differ in grid length and in the variables they use.
+        """
+        terms = ((1,), (2,), (3,), (4,), (5,), (1, 2), (2, 4), (3, 4), (1, 2, 4), (2, 3, 4))
+        terms = tuple(u for u in terms if len(u) <= order)
+        bandwidths = [6, 4, 4][:order]
+        rng = np.random.default_rng(12)
+        profile = BandwidthProfile.from_list(bandwidths)
+        size = build_index_union(TermSet(5, terms), profile, kind).size
+        coeffs = rng.standard_normal(size)
+        if kind.is_complex:
+            coeffs = coeffs + 1j * rng.standard_normal(size)
+        lo, hi = kind.domain
+        nodes = rng.uniform(lo, hi, size=(rows, 5))
+        return planted_model(5, terms, bandwidths, coeffs, kind), nodes
+
+    @pytest.mark.parametrize(
+        "kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV]
+    )
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.filterwarnings("error")
+    def test_row_blocks_equal_one_operator(self, kind, order):
+        block = model_module._PREDICT_BLOCK
+        model, nodes = self._blocked_instance(kind, order, 2 * block + 17)
+        term = model.terms.terms[-1]
+        sl = model.index_union.slice_for(term)
+        only_term = np.zeros_like(model.coefficients)
+        only_term[sl] = model.coefficients[sl]
+        finish = np.real if model.real_output else np.asarray
+        for got, coeffs in (
+            (predict(model, nodes), model.coefficients),
+            (predict_term(model, term, nodes), only_term),
+        ):
+            # bitwise: each block is one operator's matvec on its own rows
+            for start in range(0, len(nodes), block):
+                op = DesignOperator(nodes[start:start + block], model.index_union)
+                np.testing.assert_array_equal(
+                    got[start:start + block], finish(op.matvec(coeffs))
+                )
+            # to rounding only: BLAS may round a row differently at another
+            # position of a longer product
+            whole = DesignOperator(nodes, model.index_union).matvec(coeffs)
+            np.testing.assert_allclose(got, finish(whole), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV]
+    )
+    def test_row_blocks_keep_the_node_errors(self, kind):
+        model, nodes = self._blocked_instance(kind, 2, 2 * model_module._PREDICT_BLOCK + 17)
+        with pytest.raises(DataError, match="coordinates"):
+            predict(model, np.empty((0, 4)))
+        with pytest.raises(DataError, match="coordinates"):
+            predict_term(model, (1,), np.empty((0, 6)))
+        nodes[-1, 2] = np.nan if kind.is_complex else 1.5
+        with pytest.raises(DomainError):
+            predict(model, nodes)
+        with pytest.raises(DomainError):
+            predict_term(model, (1,), nodes)
+
+    def test_row_blocks_bound_prediction_memory(self):
+        block = model_module._PREDICT_BLOCK
+        model, nodes = self._blocked_instance(BasisKind.COSINE, 3, 3 * block + 5)
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                predict(model, nodes[:rows])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3 * block + 5) <= 1.5 * peak(block)
 
     def test_term_decomposition_sums_to_prediction(self):
         rng = np.random.default_rng(8)

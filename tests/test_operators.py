@@ -15,6 +15,7 @@ from anovafit import (
     dense_design_matrix,
     superposition_terms,
 )
+from anovafit.basis import eval_1d_table
 
 from conftest import random_instance, term_sets
 
@@ -130,6 +131,43 @@ def test_zero_row_operator(kind, order):
     np.testing.assert_array_equal(op.adjoint_matvec(np.empty(0)), np.zeros(op.cols))
     F = op.dense()
     assert F.shape == (0, op.cols) and F.dtype == kind.dtype
+
+
+@pytest.mark.parametrize("kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV])
+def test_order_tables_equal_their_own_evaluation(kind):
+    """Each order's table, taken from the operator's one table, is bitwise the
+    table of that order's own grid and variables."""
+    rng = np.random.default_rng(13)
+    whole_table = set()
+    for _ in range(20):
+        op = random_instance(rng, kind)
+        union = op.index_union
+        longest = max(map(len, union.grids.values()), default=0)
+        every = np.unique(np.concatenate([union.order_block(o)[1].ravel() for o in union.grids]))
+        for stack in op._stacks:
+            grid = union.grids[stack.order]
+            variables = np.unique(union.order_block(stack.order)[1])
+            want = eval_1d_table(kind, grid, op.nodes[:, variables - 1].ravel())
+            np.testing.assert_array_equal(stack.table, want.reshape(op.rows, -1))
+            whole_table.add(len(grid) == longest and len(variables) == len(every))
+    assert whole_table == {True, False}
+
+
+def test_coerce_passes_matching_arrays_through():
+    rng = np.random.default_rng(14)
+    op, _, union = _cosine_instance(rng)
+    c = rng.standard_normal(union.size)
+    assert op._coerce(c, op.cols, "coefficient vector") is c
+    np.testing.assert_array_equal(op.matvec(c.tolist()), op.matvec(c))
+    np.testing.assert_array_equal(
+        op.matvec(np.arange(union.size)), op.matvec(np.arange(union.size, dtype=float))
+    )
+    with pytest.raises(ValueError, match="shape"):
+        op.matvec(c[:, None])
+    with pytest.raises(ValueError, match="complex"):
+        op.matvec(c + 0j)
+    with pytest.raises(ValueError, match="complex"):
+        op.adjoint_matvec(np.zeros(op.rows, dtype=complex))
 
 
 def test_adjoint_of_zero_and_single_row():
