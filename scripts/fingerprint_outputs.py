@@ -18,7 +18,14 @@ array, a ``float.hex`` of a scalar, or an exact count.  The script covers
 * ``run_real_benchmark`` (10 repetitions, seed 0) on a seeded 400-row
   Friedman-1 table: median, quartiles and median active-term count for the
   ``enc`` and ``ch`` presets, ``asn`` restricted by ``keep=(1, ..., 5)``,
-  and ``enc`` at superposition threshold 3 with bandwidths (4, 2, 2).
+  and ``enc`` at superposition threshold 3 with bandwidths (4, 2, 2);
+* the command line, run in-process in a temporary directory: the stdout,
+  stderr and both SVG charts of ``anovafit rank`` on a Friedman-1 model,
+  and the JSON of ``anovafit bench-real custom`` with every protocol flag
+  set, on a generated CSV with ``--reps 2``.
+
+The first line records the BLAS thread variables (or ``unset``) and
+``os.cpu_count()``.
 
 The script imports ``anovafit`` from the ``src/`` directory of its own
 checkout.  To check a change, run it in the parent's checkout and in the
@@ -32,8 +39,12 @@ thread count (for example ``OPENBLAS_NUM_THREADS=1`` on both sides).
 A run takes a few seconds on two cores.
 """
 
+import contextlib
 import hashlib
+import io
+import os
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -60,6 +71,7 @@ from anovafit import (  # noqa: E402
     threshold_active_set,
 )
 from anovafit.bench import REAL_PRESETS, bench_friedman, run_real_benchmark  # noqa: E402
+from anovafit.cli import main as cli_main  # noqa: E402
 
 INSTANCES_PER_BASIS = 46
 MAX_COLUMNS = 400
@@ -204,8 +216,61 @@ def real_lines() -> list[str]:
     return lines
 
 
+def machine_line() -> str:
+    threads = " ".join(
+        f"{name}={os.environ.get(name, 'unset')}"
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    )
+    return f"machine {threads} cpu_count={os.cpu_count()}"
+
+
+def sha_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cli(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_lines() -> list[str]:
+    """``rank`` and ``bench-real`` output, with only flags that older checkouts have."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model, ranking, gsi = (str(Path(tmp, name)) for name in ("m.json", "r.svg", "g.svg"))
+        run_cli("fit", "--friedman", "1", "--ds", "2", "--bandwidths", "4,2",
+                "--lambda", "1", "--seed", "3", "--out", model)
+        code, out, err = run_cli("rank", "--model", model,
+                                 "--plot-ranking", ranking, "--plot-gsi", gsi)
+        lines = [
+            f"cli.rank.exit {code}",
+            f"cli.rank.stdout {sha_bytes(out.encode())}",
+            f"cli.rank.stderr {sha_bytes(err.encode())}",
+            f"cli.rank.plot_ranking {sha_bytes(Path(ranking).read_bytes())}",
+            f"cli.rank.plot_gsi {sha_bytes(Path(gsi).read_bytes())}",
+        ]
+        table = friedman_sample(FriedmanSpec(1), 300, 21)
+        csv_path, real = Path(tmp, "table.csv"), Path(tmp, "real.json")
+        rows = [",".join(table.columns + ("y",))] + [
+            ",".join(map(repr, [*x, y]))
+            for x, y in zip(table.nodes.tolist(), table.targets.tolist())
+        ]
+        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, _, _ = run_cli(
+            "bench-real", "custom", "--csv", str(csv_path), "--target", "y",
+            "--split", "0.6", "--ds", "2", "--bandwidths", "4,2", "--lambda", "0.5",
+            "--gsi-threshold", "0.005", "--metric", "mse", "--normalize-target",
+            "--keep", "1,2,3,4,5,6", "--reps", "2", "--seed", "1", "--out", str(real),
+        )
+        lines.append(f"cli.bench_real.custom {code} {sha_bytes(real.read_bytes())}")
+    return lines
+
+
 def main() -> int:
-    for line in operator_lines() + friedman_lines() + wide_fit_lines() + real_lines():
+    print(machine_line(), flush=True)
+    lines = operator_lines() + friedman_lines() + wide_fit_lines() + real_lines()
+    for line in lines + cli_lines():
         print(line, flush=True)
     return 0
 

@@ -194,31 +194,17 @@ def cmd_rank(args) -> int:
     report = analyze(model)
     _dump_json(report.to_json_obj(), args.out)
 
-    lines = ["variable  ranking"]
-    for i in range(report.dimension):
-        lines.append(f"x{i + 1:<7d} {report.ranking[i]:>10.6f}")
-    lines.append("")
-    lines.append("term            gsi")
-    for term, rho in report.sorted_indices():
-        label = "{" + ",".join(str(i) for i in term) + "}"
-        lines.append(f"{label:<15s} {rho:>10.6f}")
-    _note("\n".join(lines))
-
-    if args.plot_ranking:
-        labels = [f"x{i + 1}" for i in range(report.dimension)]
-        values = [float(v) for v in report.ranking]
-        write_svg(
-            args.plot_ranking,
-            svg_bar_chart(labels, values, title="attribute ranking"),
-        )
-    if args.plot_gsi:
-        pairs = report.sorted_indices()
-        labels = ["{" + ",".join(str(i) for i in u) + "}" for u, _ in pairs]
-        values = [float(v) for _, v in pairs]
-        write_svg(
-            args.plot_gsi,
-            svg_bar_chart(labels, values, title="global sensitivity indices"),
-        )
+    ranking = [(f"x{i + 1}", float(score)) for i, score in enumerate(report.ranking)]
+    indices = [("{" + ",".join(map(str, u)) + "}", rho) for u, rho in report.sorted_indices()]
+    _note("\n".join(
+        ["variable  ranking", *(f"{label:<8s} {v:>10.6f}" for label, v in ranking),
+         "", "term            gsi", *(f"{label:<15s} {v:>10.6f}" for label, v in indices)]
+    ))
+    for path, rows, title in ((args.plot_ranking, ranking, "attribute ranking"),
+                              (args.plot_gsi, indices, "global sensitivity indices")):
+        if path:
+            labels, values = (list(column) for column in zip(*rows))
+            write_svg(path, svg_bar_chart(labels, values, title=title))
     return 0
 
 
@@ -277,30 +263,17 @@ def cmd_bench_friedman(args) -> int:
 def cmd_bench_real(args) -> int:
     preset = bench.REAL_PRESETS.get(args.name)
     if preset is None:
-        if args.split is None:
+        if args.train_fraction is None:
             raise ConfigError(
                 f"unknown dataset {args.name!r}: give --split (and other protocol "
                 f"flags) or use one of {sorted(bench.REAL_PRESETS)}"
             )
-        preset = bench.RealBenchConfig(train_fraction=args.split)
-    overrides = {}
-    if args.split is not None:
-        overrides["train_fraction"] = args.split
-    if args.superposition is not None:
-        overrides["superposition_threshold"] = args.superposition
-    if args.bandwidths is not None:
-        overrides["bandwidths"] = tuple(_parse_list(args.bandwidths, "--bandwidths", int))
-    if args.lam is not None:
-        overrides["regularization"] = args.lam
-    if args.gsi_threshold is not None:
-        overrides["gsi_cutoff"] = float(args.gsi_threshold)
-    if args.metric is not None:
-        overrides["metric"] = args.metric
-    if args.normalize_target:
-        overrides["normalize_targets"] = True
-    if args.keep is not None:
-        overrides["keep"] = tuple(_parse_list(args.keep, "--keep", int))
-    config = dataclasses.replace(preset, **overrides)
+        preset = bench.RealBenchConfig(train_fraction=args.train_fraction)
+    values = {field.name: getattr(args, field.name) for field in dataclasses.fields(preset)}
+    for name in ("bandwidths", "keep"):
+        if values[name] is not None:
+            values[name] = tuple(_parse_list(values[name], f"--{name}", int))
+    config = dataclasses.replace(preset, **{k: v for k, v in values.items() if v is not None})
 
     csv_path = args.csv
     if csv_path is None:
@@ -410,13 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.add_argument("--target", help="target column (default: last column)")
     p_br.add_argument("--reps", type=int, default=100)
     p_br.add_argument("--seed", type=int, default=0)
-    p_br.add_argument("--split", type=float, help="train fraction override")
-    p_br.add_argument("--ds", dest="superposition", type=int)
+    # each protocol flag's dest is the RealBenchConfig field it overrides
+    p_br.add_argument("--split", dest="train_fraction", metavar="SPLIT", type=float,
+                      help="train fraction override")
+    p_br.add_argument("--ds", dest="superposition_threshold", metavar="SUPERPOSITION", type=int)
     p_br.add_argument("--bandwidths")
-    p_br.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_br.add_argument("--gsi-threshold", type=float)
+    p_br.add_argument("--lambda", dest="regularization", metavar="LAM", type=float)
+    p_br.add_argument("--gsi-threshold", dest="gsi_cutoff", metavar="GSI_THRESHOLD", type=float)
     p_br.add_argument("--metric", choices=sorted(bench.METRICS))
-    p_br.add_argument("--normalize-target", action="store_true")
+    p_br.add_argument("--normalize-target", dest="normalize_targets", action="store_true",
+                      default=None)
     p_br.add_argument("--keep", help="comma-separated variable preselection")
     p_br.add_argument("--out", help="summary JSON path (default stdout)")
     p_br.set_defaults(func=cmd_bench_real)

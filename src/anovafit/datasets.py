@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, as_integer
 
 _PURPOSE_CODES = {"train": 0, "test": 1, "split": 2}
 
@@ -176,24 +176,18 @@ def friedman_eval(spec: FriedmanSpec, x) -> Union[float, np.ndarray]:
 
 
 def friedman_sample(
-    spec: FriedmanSpec,
-    size: int,
-    rng: Union[int, np.random.Generator],
-    *,
-    noisy: bool = True,
+    spec: FriedmanSpec, size: int, rng: Union[int, np.random.Generator]
 ) -> Dataset:
-    """Uniform i.i.d. nodes on [0,1]^d with (optionally noisy) evaluations."""
-    try:
-        size = operator.index(size)
-    except TypeError:
-        raise ConfigError(f"sample size must be an integer, got {size!r}") from None
+    """Uniform i.i.d. nodes on [0,1]^d with noisy evaluations.
+
+    The noise is drawn from the same generator after the nodes.
+    """
+    size = as_integer(size, "sample size")
     if size < 1:
         raise ConfigError("sample size must be >= 1")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(_seed(rng))
     nodes = gen.uniform(0.0, 1.0, size=(size, spec.dimension))
-    targets = friedman_eval(spec, nodes)
-    if noisy and spec.noise_scale > 0.0:
-        targets = targets + spec.noise_scale * gen.standard_normal(size)
+    targets = friedman_eval(spec, nodes) + spec.noise_scale * gen.standard_normal(size)
     columns = tuple(f"x{i}" for i in range(1, spec.dimension + 1))
     return Dataset(nodes, targets, columns)
 

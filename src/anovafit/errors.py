@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check that raises one.
 
 The library raises these where it finds the fault; the CLI maps them onto
 process exit codes: ConfigError -> 2, DataError -> 3, NumericalError -> 4.
@@ -6,6 +6,8 @@ ConfigError and DataError are also ValueErrors, so ``except ValueError``
 still catches bad settings and bad arrays.  Any other exception that
 reaches the CLI's ``main`` is a bug and shows its traceback.
 """
+
+import operator
 
 
 class AnovaFitError(Exception):
@@ -30,3 +32,11 @@ class NumericalError(AnovaFitError):
 
 class DegenerateModelError(NumericalError):
     """Model variance is zero; sensitivity indices are undefined."""
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as an ``int`` through ``operator.index``: a float is rejected, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None

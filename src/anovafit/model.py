@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -235,19 +236,15 @@ def gsi(model: Model) -> SensitivityReport:
     return SensitivityReport(model.terms.dimension, sigma2, indices)
 
 
-def attribute_ranking(report: SensitivityReport, termset: TermSet) -> np.ndarray:
+def attribute_ranking(report: SensitivityReport) -> np.ndarray:
     """Per-variable importance scores normalized to sum to 1.
 
     Each term's sensitivity index is credited to each of its variables with
-    weight ``1 / #{same-order terms containing that variable}``; the scores
-    are then normalized.  Variables absent from every term score 0.
+    weight ``1 / #{same-order terms of the report containing that variable}``;
+    the scores are then normalized.  Variables absent from every term score 0.
     """
-    counts: dict[tuple[int, int], int] = {}
-    for u in termset.nonempty_terms:
-        for i in u:
-            key = (len(u), i)
-            counts[key] = counts.get(key, 0) + 1
-    scores = np.zeros(termset.dimension)
+    counts = Counter((len(u), i) for u, _ in report.indices for i in u)
+    scores = np.zeros(report.dimension)
     for u, rho in report.indices:
         for i in u:
             scores[i - 1] += rho / counts[(len(u), i)]
@@ -260,7 +257,7 @@ def attribute_ranking(report: SensitivityReport, termset: TermSet) -> np.ndarray
 def analyze(model: Model) -> SensitivityReport:
     """Sensitivity report with the attribute ranking filled in."""
     report = gsi(model)
-    return replace(report, ranking=attribute_ranking(report, model.terms))
+    return replace(report, ranking=attribute_ranking(report))
 
 
 def threshold_active_set(
@@ -437,7 +434,7 @@ def model_from_obj(obj: dict) -> Model:
         termset = TermSet.from_json_obj(obj)
         bandwidths = BandwidthProfile.from_json_obj(obj["bandwidths"])
         coefficients = _coeffs_from_obj(obj["coefficients"], kind)
-        diagnostics = obj.get("diagnostics", {})
+        diagnostics = obj["diagnostics"]
         stats = _normalization_from_obj(obj.get("normalization"), termset.dimension)
         model = Model(
             kind=kind,
@@ -446,14 +443,14 @@ def model_from_obj(obj: dict) -> Model:
             index_union=build_index_union(termset, bandwidths, kind),
             coefficients=coefficients,
             regularization=float(obj["lambda"]),
-            iterations=int(diagnostics.get("iterations", 0)),
-            relative_residual=float(diagnostics.get("relative_residual", 0.0)),
-            stop_reason=str(diagnostics.get("stop_reason", "unknown")),
-            oversampling=float(diagnostics.get("oversampling", 0.0)),
-            real_output=bool(obj.get("real_output", True)),
+            iterations=int(diagnostics["iterations"]),
+            relative_residual=float(diagnostics["relative_residual"]),
+            stop_reason=str(diagnostics["stop_reason"]),
+            oversampling=float(diagnostics["oversampling"]),
+            real_output=bool(obj["real_output"]),
             normalization=stats,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model object: {exc}") from exc
     if not np.all(np.isfinite(model.coefficients)):
         raise DataError("malformed model object: non-finite coefficient")

@@ -203,21 +203,20 @@ class DesignOperator:
         return out
 
 
-def dense_design_matrix(
-    nodes, index_union: FrequencyIndexUnion, *, max_entries: int = DENSE_ORACLE_MAX_ENTRIES
-) -> np.ndarray:
+def dense_design_matrix(nodes, index_union: FrequencyIndexUnion) -> np.ndarray:
     """Entry-by-entry dense design matrix, as an independent test oracle.
 
     Built directly from :func:`eval_tensor` per (node, frequency) pair, so it
-    shares no code path with the grouped operator.  Restricted to small
-    instances; production code must use :class:`DesignOperator`.
+    shares no code path with the grouped operator.  Restricted to
+    ``DENSE_ORACLE_MAX_ENTRIES`` entries; production code must use
+    :class:`DesignOperator`.
     """
     kind = index_union.kind
     X = check_domain(kind, np.asarray(nodes, dtype=np.float64))
     full = index_union.frequencies_full()
-    if X.shape[0] * len(full) > max_entries:
+    if X.shape[0] * len(full) > DENSE_ORACLE_MAX_ENTRIES:
         raise ConfigError(
-            f"dense oracle limited to {max_entries} entries, "
+            f"dense oracle limited to {DENSE_ORACLE_MAX_ENTRIES} entries, "
             f"requested {X.shape[0] * len(full)}"
         )
     out = np.empty((X.shape[0], len(full)), dtype=kind.dtype)

@@ -28,14 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisKind
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, as_integer
 
 Term = tuple[int, ...]
 
 
 def normalize_term(u) -> Term:
     """Sort and validate a single variable subset (1-based indices)."""
-    t = tuple(sorted(int(i) for i in u))
+    t = tuple(sorted(as_integer(i, "a term's variable index") for i in u))
     if len(set(t)) != len(t):
         raise ConfigError(f"term {t} repeats a variable")
     if t and t[0] < 1:
@@ -56,6 +56,7 @@ class TermSet:
     superposition_threshold: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", as_integer(self.dimension, "dimension"))
         if self.dimension < 1:
             raise ConfigError("dimension must be positive")
         normalized = [normalize_term(u) for u in self.terms]
@@ -68,9 +69,12 @@ class TermSet:
             if u and u[-1] > self.dimension:
                 raise ConfigError(f"term {u} exceeds dimension {self.dimension}")
         ds = self.superposition_threshold
-        if ds is not None and not 1 <= ds <= self.dimension:
-            raise ConfigError(f"superposition threshold {ds} out of range")
+        if ds is not None:
+            ds = as_integer(ds, "superposition threshold")
+            if not 1 <= ds <= self.dimension:
+                raise ConfigError(f"superposition threshold {ds} out of range")
         object.__setattr__(self, "terms", tuple(normalized))
+        object.__setattr__(self, "superposition_threshold", ds)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -95,10 +99,7 @@ class TermSet:
 
     def variables(self) -> tuple[int, ...]:
         """Variables appearing in at least one term, ascending."""
-        used: set[int] = set()
-        for u in self.terms:
-            used.update(u)
-        return tuple(sorted(used))
+        return tuple(sorted({i for u in self.terms for i in u}))
 
     def to_json_obj(self) -> dict:
         """Wire format, also embedded in model files; terms are 1-based index arrays."""
@@ -111,11 +112,13 @@ class TermSet:
     @classmethod
     def from_json_obj(cls, obj) -> "TermSet":
         terms = tuple(tuple(u) for u in obj["terms"])
-        return cls(int(obj["dimension"]), terms, obj.get("superposition_threshold"))
+        return cls(obj["dimension"], terms, obj["superposition_threshold"])
 
 
 def superposition_terms(dimension: int, threshold: int) -> TermSet:
     """All variable subsets of order at most ``threshold``."""
+    dimension = as_integer(dimension, "dimension")
+    threshold = as_integer(threshold, "superposition threshold")
     if not 1 <= threshold <= dimension:
         raise ConfigError(
             f"superposition threshold {threshold} out of range [1, {dimension}]"
@@ -163,7 +166,7 @@ class BandwidthProfile:
     def __post_init__(self):
         clean = {}
         for order, n in sorted(self.by_order.items()):
-            order, n = int(order), int(n)
+            order, n = as_integer(order, "bandwidth order"), as_integer(n, "bandwidth")
             if order < 1:
                 raise ConfigError(f"bandwidth given for invalid order {order}")
             if n < 2 or n % 2 != 0:
@@ -189,12 +192,12 @@ class BandwidthProfile:
 
     @classmethod
     def from_json_obj(cls, obj) -> "BandwidthProfile":
-        return cls({int(order): int(n) for order, n in obj.items()})
+        return cls({int(order): n for order, n in obj.items()})  # JSON keys are strings
 
 
 def full_grid_1d(kind: BasisKind, bandwidth: int) -> np.ndarray:
     """The 1-d frequency grid for one coordinate of a term; zero is excluded."""
-    n = int(bandwidth)
+    n = as_integer(bandwidth, "bandwidth")
     if n < 2 or n % 2 != 0:
         raise ConfigError(f"bandwidth must be even and >= 2, got {n}")
     if kind.is_complex:

@@ -1,5 +1,7 @@
 """The staged recipes: what the Friedman recipes select, and the selection edges."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,15 @@ from anovafit import (
     rng_stream,
     superposition_terms,
 )
-from anovafit.bench import FRIEDMAN_RECIPES, Stage, friedman_rep_data, run_recipe
+from anovafit import bench
+from anovafit.bench import (
+    FRIEDMAN_RECIPES,
+    REAL_PRESETS,
+    Stage,
+    friedman_rep_data,
+    run_real_benchmark,
+    run_recipe,
+)
 
 # the active sets that acceptance criteria 1-3 fit
 CRITERION_ACTIVE_SETS = {
@@ -56,3 +66,20 @@ def test_higher_order_terms_are_dropped_before_a_lower_order_stage():
     model, _ = run_recipe((Stage(3, (4, 2, 2), 1.0), Stage(2, (4, 2), 1.0)), train)
     assert model.terms == superposition_terms(4, 2)
 
+
+def test_real_protocol_fits_only_the_kept_variables(monkeypatch):
+    fitted = []
+
+    def recording_recipe(stages, train, termset=None):
+        fitted.append(termset)
+        return run_recipe(stages, train, termset)
+
+    monkeypatch.setattr(bench, "run_recipe", recording_recipe)
+    table = friedman_sample(FriedmanSpec(1), 200, 5)
+    config = dataclasses.replace(REAL_PRESETS["enc"], keep=(1, 2, 4))
+    result = run_real_benchmark(table, config, repetitions=3, seed=0)
+    assert result["repetitions"] == 3 and result["failures"] == 0
+    assert len(fitted) == 3
+    assert all(termset == drop_variables(superposition_terms(10, 2), (1, 2, 4))
+               for termset in fitted)
+    assert result["median_active_terms"] <= 7

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line surface (in-process)."""
 
+import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from anovafit import load_model, load_termset, save_model
+from anovafit import analyze, load_model, load_termset, save_model
+from anovafit.bench import REAL_PRESETS, RealBenchConfig
 from anovafit.cli import main
 
 
@@ -122,6 +125,22 @@ class TestFit:
         assert code == 2
         assert "non-negative" in err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("source, split, message", [
+        ("friedman", "0.7", "fraction splits need a concrete dataset"),
+        ("csv", "20:10", "size-based splits only apply to synthetic generators"),
+    ])
+    def test_split_mode_must_match_the_source(self, capsys, tmp_path, source, split, message):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("a,y\n0.1,1.0\n0.3,2.0\n0.5,3.0\n")
+        data = ["--friedman", "1"] if source == "friedman" else ["--csv", str(csv_path),
+                                                                 "--target", "y"]
+        out_path = tmp_path / "m.json"
+        code, _, err = run_cli(capsys, "fit", *data, "--ds", "1", "--bandwidths", "4",
+                               "--split", split, "--out", str(out_path))
+        assert code == 2
+        assert message in err
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("flags", [["--normalize"], ["--normalize-target"],
                                        ["--normalize", "--normalize-target"]])
@@ -257,6 +276,20 @@ class TestRankRefineRoundTrip:
         assert code == 2
         assert "--theta" in err
 
+    def test_expand_adds_interactions_of_ranked_variables(self, friedman2_model, tmp_path,
+                                                           capsys):
+        model_path, _ = friedman2_model
+        pool = analyze(load_model(model_path)).ranked_above(0.006)
+        assert len(pool) >= 3
+        terms_path = tmp_path / "terms.json"
+        code, out, _ = run_cli(capsys, "refine", "--model", str(model_path),
+                               "--expand", "3", "--theta", "0.006", "--out", str(terms_path))
+        assert code == 0
+        diff = json.loads(out)
+        assert diff["added"] == [list(u) for u in itertools.combinations(pool, 3)]
+        assert diff["removed"] == []
+        assert load_termset(terms_path).superposition_threshold == 3
+
     def test_drop_below_keeps_friedman1_informative_variables(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         run_cli(
@@ -284,6 +317,8 @@ class TestRankRefineRoundTrip:
             "lambda": 0.0,
             "coefficients": [5.0, 0.0, 0.0],
             "real_output": True,
+            "diagnostics": {"iterations": 0, "relative_residual": 0.0,
+                            "stop_reason": "direct", "oversampling": 1.0},
         }
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model_obj))
@@ -503,6 +538,35 @@ class TestBench:
                                "--split", "0.7", flag, text)
         assert code == 2
         assert f"{flag} has an empty item" in err
+
+    @pytest.mark.parametrize("name, flags, expected", [
+        ("enc", [], REAL_PRESETS["enc"]),
+        ("custom", ["--split", "0.6", "--ds", "3", "--bandwidths", "4,2,2", "--lambda", "0.5",
+                    "--gsi-threshold", "0.01", "--metric", "mse", "--normalize-target",
+                    "--keep", "1,3"],
+         RealBenchConfig(0.6, 3, (4, 2, 2), 0.5, 0.01, "mse", True, (1, 3))),
+        ("ch", ["--ds", "1", "--keep", "2"], dataclasses.replace(
+            REAL_PRESETS["ch"], superposition_threshold=1, keep=(2,))),
+    ])
+    def test_bench_real_flags_set_their_config_fields(self, tmp_path, capsys, monkeypatch,
+                                                      name, flags, expected):
+        seen = []
+
+        def record(ds, config, repetitions, seed):
+            seen.append((config, repetitions, seed))
+            return {"median": 0.0, "failures": 0}
+
+        monkeypatch.setattr("anovafit.bench.run_real_benchmark", record)
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("a,b,c,y\n0.1,0.2,0.3,0.4\n")
+        code, _, err = run_cli(capsys, "bench-real", name, "--csv", str(csv_path),
+                               "--reps", "7", "--seed", "4", *flags)
+        assert code == 0, err
+        assert seen == [(expected, 7, 4)]
+        if name == "custom":  # every field is set by its flag, none left at its default
+            default = RealBenchConfig(0.7)
+            assert all(getattr(expected, f.name) != getattr(default, f.name)
+                       for f in dataclasses.fields(RealBenchConfig))
 
     def test_bench_real_without_data_dir_exits_3(self, capsys, monkeypatch):
         monkeypatch.delenv("ANOVA_DATA_DIR", raising=False)

@@ -90,10 +90,15 @@ class TestFriedmanEval:
 
 
 class TestFriedmanSample:
-    def test_noise_free_matches_eval(self):
+    def test_targets_replay_eval_plus_noise(self):
+        # nodes first, then the noise, from the one generator of the seed
         spec = FriedmanSpec(3)
-        ds = friedman_sample(spec, 50, 7, noisy=False)
-        np.testing.assert_array_equal(ds.targets, friedman_eval(spec, ds.nodes))
+        ds = friedman_sample(spec, 50, 7)
+        gen = np.random.default_rng(7)
+        nodes = gen.uniform(0.0, 1.0, size=(50, spec.dimension))
+        noise = spec.noise_scale * gen.standard_normal(50)
+        np.testing.assert_array_equal(ds.nodes, nodes)
+        np.testing.assert_array_equal(ds.targets, friedman_eval(spec, nodes) + noise)
 
     def test_noise_statistics(self):
         spec = FriedmanSpec(1)

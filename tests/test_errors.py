@@ -21,13 +21,15 @@ from anovafit import (
     direct_solve,
     fit,
     friedman_sample,
+    full_grid_1d,
+    load_termset,
     lsqr_solve,
     mse,
     rng_stream,
     superposition_terms,
     threshold_active_set,
 )
-from anovafit.bench import Stage, run_recipe
+from anovafit.bench import RealBenchConfig, Stage, run_recipe
 from anovafit.model import model_from_obj, model_to_obj
 
 
@@ -43,11 +45,15 @@ def _report():
     return SensitivityReport(3, 1.0, indices, ranking=np.full(3, 1.0 / 3))
 
 
-def _nan_model_obj():
+def _model_obj(**changes):
     rng = np.random.default_rng(0)
     model = fit(rng.random((20, 2)), rng.random(20), superposition_terms(2, 1),
                 BandwidthProfile.from_list([4]), BasisKind.COSINE)
-    obj = model_to_obj(model)
+    return {**model_to_obj(model), **changes}
+
+
+def _nan_model_obj():
+    obj = _model_obj()
     obj["coefficients"][1] = float("nan")
     return obj
 
@@ -78,6 +84,30 @@ CASES = {
     "fractional sample size": (ConfigError, lambda: friedman_sample(FriedmanSpec(1), 5.5, 0)),
     "string sample size": (ConfigError, lambda: friedman_sample(FriedmanSpec(1), "5", 0)),
     "non-finite coefficient": (DataError, lambda: model_from_obj(_nan_model_obj())),
+    "fractional term index": (ConfigError, lambda: TermSet(3, ((1.5,),))),
+    "string term index": (ConfigError, lambda: TermSet(3, (("1",),))),
+    "fractional dimension": (ConfigError, lambda: TermSet(2.5, ((1,),))),
+    "fractional superposition threshold": (ConfigError, lambda: TermSet(3, (), 1.5)),
+    "fractional superposition dimension": (ConfigError, lambda: superposition_terms(2.5, 1)),
+    "fractional superposition order": (ConfigError, lambda: superposition_terms(3, 1.5)),
+    "fractional bandwidth": (ConfigError, lambda: BandwidthProfile({1: 6.5})),
+    "fractional bandwidth order": (ConfigError, lambda: BandwidthProfile({1.5: 6})),
+    "fractional bandwidth in a list": (ConfigError, lambda: BandwidthProfile.from_list([6.9])),
+    "fractional grid bandwidth": (ConfigError, lambda: full_grid_1d(BasisKind.COSINE, 4.5)),
+    "fractional model-file dimension": (
+        DataError, lambda: model_from_obj(_model_obj(dimension=2.9))
+    ),
+    "fractional model-file bandwidth": (
+        DataError, lambda: model_from_obj(_model_obj(bandwidths={"1": 4.5}))
+    ),
+    "model-file bandwidths as a list": (
+        DataError, lambda: model_from_obj(_model_obj(bandwidths=[]))
+    ),
+    "model-file diagnostics as a list": (
+        DataError, lambda: model_from_obj(_model_obj(diagnostics=[]))
+    ),
+    "unknown real-data metric": (ConfigError, lambda: RealBenchConfig(0.7, metric="mae")),
+    "real-data gsi cutoff of 1": (ConfigError, lambda: RealBenchConfig(0.7, gsi_cutoff=1.0)),
     "stage with two selections": (ConfigError, lambda: Stage(2, (4, 2), 1.0, rank=0.1, gsi=0.1)),
     "empty recipe": (
         ConfigError, lambda: run_recipe((), friedman_sample(FriedmanSpec(1), 5, 0))
@@ -91,3 +121,18 @@ def test_boundary_raises_typed_error(case):
     with pytest.raises(expected) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("key", ["diagnostics", "real_output", "superposition_threshold"])
+def test_model_file_without_a_required_key_is_a_data_error(key):
+    obj = _model_obj()
+    del obj[key]
+    with pytest.raises(DataError, match=key):
+        model_from_obj(obj)
+
+
+def test_term_file_with_fractional_dimension_is_a_data_error(tmp_path):
+    path = tmp_path / "terms.json"
+    path.write_text('{"dimension": 2.9, "superposition_threshold": 1, "terms": [[1], [2]]}')
+    with pytest.raises(DataError, match="dimension must be an integer"):
+        load_termset(path)

@@ -445,14 +445,14 @@ class TestRanking:
             variance=1.0,
             indices=(((1,), 0.5), ((2,), 0.3), ((1, 2), 0.2)),
         )
-        ranking = attribute_ranking(report, superposition_terms(2, 2))
+        ranking = attribute_ranking(report)
         np.testing.assert_allclose(ranking, [0.7 / 1.2, 0.5 / 1.2], rtol=1e-12)
 
     def test_single_variable_takes_all(self):
         report = SensitivityReport(
             dimension=3, variance=1.0, indices=(((2,), 1.0),)
         )
-        ranking = attribute_ranking(report, TermSet(3, ((2,),)))
+        ranking = attribute_ranking(report)
         np.testing.assert_array_equal(ranking, [0.0, 1.0, 0.0])
 
     def test_count_weights_divide_shared_orders(self):
@@ -463,7 +463,7 @@ class TestRanking:
             variance=1.0,
             indices=tuple((u, 1.0 / 6.0) for u in termset.nonempty_terms),
         )
-        ranking = attribute_ranking(report, termset)
+        ranking = attribute_ranking(report)
         np.testing.assert_allclose(ranking, [1 / 3, 1 / 3, 1 / 3], rtol=1e-12)
 
     def test_friedman1_informative_variables_clear_the_bands(self):

@@ -16,6 +16,7 @@ from anovafit import (
     superposition_terms,
 )
 from anovafit.basis import eval_1d_table
+from anovafit.operators import DENSE_ORACLE_MAX_ENTRIES
 
 from conftest import random_instance, term_sets
 
@@ -313,6 +314,7 @@ def test_dense_oracle_size_guard():
     union = build_index_union(
         superposition_terms(6, 2), BandwidthProfile.from_list([8, 6]), BasisKind.COSINE
     )
-    nodes = np.random.default_rng(0).uniform(size=(50, 6))
+    rows = DENSE_ORACLE_MAX_ENTRIES // union.size + 1
+    nodes = np.random.default_rng(0).uniform(size=(rows, 6))
     with pytest.raises(ValueError, match="dense oracle"):
-        dense_design_matrix(nodes, union, max_entries=100)
+        dense_design_matrix(nodes, union)
