@@ -4,11 +4,15 @@
 Each output line is ``name value``: a sha256 of the raw bytes of an output
 array, a ``float.hex`` of a scalar, or an exact count.  The script covers
 
+* ``eval_1d_table`` of each basis on more than ``_TABLE_BLOCK`` points (the
+  domain endpoints included), with negative frequencies for ``per``;
 * ``matvec``, ``adjoint_matvec`` and ``dense()`` of seeded random design
   operators (term orders 1-3, orders skipped, all three bases), hashed
   apart for instances of highest order <= 2 and of order 3;
 * the ``bench_friedman(k, 100, 0)`` medians for k = 1, 2, 3;
-* a d=30 cosine fit (4066 columns, 4000 rows, lam=1) on the LSQR path,
+* the distinct table bytes that a d=30 cosine operator (4066 columns, 4000
+  rows) holds: the bytes of the arrays that own its order tables' memory;
+* a fit with that operator's nodes and terms (lam=1) on the LSQR path,
   with its ``predict`` (2000 rows, and 3 * 4096 + 5 rows, which ``predict``
   evaluates in several row blocks) and ``analyze`` output;
 * refinement of that fit's term set from its report: the terms kept by
@@ -70,6 +74,7 @@ from anovafit import (  # noqa: E402
     superposition_terms,
     threshold_active_set,
 )
+from anovafit.basis import _TABLE_BLOCK, eval_1d_table  # noqa: E402
 from anovafit.bench import REAL_PRESETS, bench_friedman, run_real_benchmark  # noqa: E402
 from anovafit.cli import main as cli_main  # noqa: E402
 
@@ -82,6 +87,26 @@ def sha(*arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def table_lines() -> list[str]:
+    rng = np.random.default_rng(8)
+    lines = []
+    for kind in (BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV):
+        lo, hi = kind.domain
+        x = np.concatenate([[lo, hi], rng.uniform(lo, hi, 2 * _TABLE_BLOCK + 77)])
+        freqs = np.arange(-11, 12) if kind.is_complex else np.arange(11, -1, -1)
+        lines.append(f"basis.{kind.value}.table {sha(eval_1d_table(kind, freqs, x))}")
+    return lines
+
+
+def held_table_bytes(op: DesignOperator) -> int:
+    """Bytes of the distinct arrays that own the memory of the operator's order tables."""
+    owners = {}
+    for stack in op._stacks:
+        owner = stack.table if stack.table.base is None else stack.table.base
+        owners[id(owner)] = owner.nbytes
+    return sum(owners.values())
 
 
 def random_operator(rng: np.random.Generator, kind: BasisKind) -> DesignOperator:
@@ -178,6 +203,8 @@ def wide_fit_lines() -> list[str]:
         + rng.standard_normal(rows)
     )
     termset = superposition_terms(d, 2)
+    union = build_index_union(termset, BandwidthProfile.from_list([6, 4]), BasisKind.COSINE)
+    table_bytes = held_table_bytes(DesignOperator(x, union))
     with warnings.catch_warnings():
         # 4000 rows for 4066 columns: the regularization makes up for it
         warnings.simplefilter("ignore", UserWarning)
@@ -188,6 +215,7 @@ def wide_fit_lines() -> list[str]:
     report = analyze(model)
     rho = np.array([value for _, value in report.indices])
     return [
+        f"operator.d30.table_bytes {table_bytes}",
         f"fit.d30.columns {model.coefficients.size}",
         f"fit.d30.stop {model.stop_reason}:{model.iterations}",
         f"fit.d30.coefficients {sha(model.coefficients)}",
@@ -269,7 +297,7 @@ def cli_lines() -> list[str]:
 
 def main() -> int:
     print(machine_line(), flush=True)
-    lines = operator_lines() + friedman_lines() + wide_fit_lines() + real_lines()
+    lines = table_lines() + operator_lines() + friedman_lines() + wide_fit_lines() + real_lines()
     for line in lines + cli_lines():
         print(line, flush=True)
     return 0

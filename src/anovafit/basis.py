@@ -152,7 +152,7 @@ def eval_1d_table(kind: BasisKind, freqs, x) -> np.ndarray:
 
     Returns an array of shape ``(len(x), len(freqs))`` with column ``j``
     holding ``eta_{freqs[j]}`` at all points.  Used by the design operator
-    to build its stacked per-order tables, from nodes that already passed
+    to build its one table of every order, from nodes that already passed
     :func:`check_domain`: ``x`` must lie in the basis domain.
 
     Each point costs one transcendental: ``c = cos(pi x)`` (cosine), none
@@ -163,16 +163,17 @@ def eval_1d_table(kind: BasisKind, freqs, x) -> np.ndarray:
     with ``conj(z^|k|)`` for negative ``k``; the real kinds scale every
     ``k != 0`` by ``sqrt(2)``.  The recurrence runs over blocks of
     ``_TABLE_BLOCK`` points, so its scratch stays in cache and the only
-    large allocation is the returned table.  Its error grows like
-    ``k^2 eps`` (about ``3e-14`` at ``|k| = 11``) against direct evaluation,
-    which :func:`eval_1d` keeps as the reference.
+    large allocation is the returned table, written frequency-major (its
+    ``.T`` is C-contiguous, one contiguous run per frequency and block).
+    Its error grows like ``k^2 eps`` (about ``3e-14`` at ``|k| = 11``)
+    against direct evaluation, which :func:`eval_1d` keeps as the reference.
     """
     freqs = np.asarray(freqs, dtype=np.int64)
     if not kind.is_complex and np.any(freqs < 0):
         raise ConfigError(f"negative frequency is invalid for basis {kind.token!r}")
     x = np.asarray(x, dtype=np.float64).ravel()
     top = int(np.abs(freqs).max(initial=0))
-    table = np.empty((x.size, freqs.size), dtype=kind.dtype)
+    table = np.empty((freqs.size, x.size), dtype=kind.dtype)
     # powers[k] holds degree k at the points of the current block
     powers = np.empty((top + 1, min(x.size, _TABLE_BLOCK)), dtype=kind.dtype)
     powers[0] = 1.0
@@ -193,12 +194,12 @@ def eval_1d_table(kind: BasisKind, freqs, x) -> np.ndarray:
                 for k in range(2, top + 1):
                     np.multiply(twice, p[k - 1], out=p[k])
                     np.subtract(p[k], p[k - 2], out=p[k])
-        block = table[start:start + xb.size]
+        block = table[:, start:start + xb.size]
         for j, k in enumerate(freqs.tolist()):
             if k < 0:
-                np.conjugate(p[-k], out=block[:, j])
+                np.conjugate(p[-k], out=block[j])
             elif k and not kind.is_complex:
-                np.multiply(p[k], SQRT2, out=block[:, j])
+                np.multiply(p[k], SQRT2, out=block[j])
             else:
-                block[:, j] = p[k]
-    return table
+                block[j] = p[k]
+    return table.T

@@ -36,7 +36,7 @@ import numpy as np
 
 from .basis import BasisKind
 from .datasets import Normalization
-from .errors import ConfigError, DataError, DegenerateModelError
+from .errors import ConfigError, DataError, DegenerateModelError, as_integer
 from .operators import DesignOperator
 from .solver import LsqrResult, SolverConfig, direct_solve, lsqr_solve
 from .terms import (
@@ -293,7 +293,7 @@ def drop_variables(termset: TermSet, keep) -> TermSet:
     The dimension is unchanged, so the result still applies to the original
     dataset; pair with a column projection when re-indexing is wanted.
     """
-    keep = sorted(set(int(i) for i in keep))
+    keep = sorted({as_integer(i, "kept variable") for i in keep})
     if not keep:
         raise ConfigError("keep set must be nonempty")
     if keep[0] < 1 or keep[-1] > termset.dimension:

@@ -16,32 +16,34 @@ that block and the ``(T_l, l)`` array of the terms' variables from
 about them.  The empty term is index 0 and contributes the constant column.
 
 **Tables.**  The operator calls :func:`~anovafit.basis.eval_1d_table` once,
-on the ``v`` variables of all terms and the longest grid ``g``: each
-``cos``/``cheb`` grid is a prefix ``1 .. N_l - 1`` of ``g`` and each ``per``
-grid a contiguous run of it.  Order ``l`` keeps a read-only table ``T_l`` of
-shape ``(M, n_l * v_l)`` over its ``v_l`` variables: variable number ``p``
-(ascending) owns columns ``[p * n_l, (p + 1) * n_l)``, its 1-d basis
-functions over ``g_l`` at all ``M`` nodes.  ``T_l`` is that one table when
-order ``l`` uses every variable and all of ``g``, else one gather of it: at
-most ``M * (v |g| + sum_l n_l v_l)`` entries, whatever the number of terms.
+on the ``v`` variables of all terms (points in (variable, node) order) and
+the longest grid ``g``: each ``cos``/``cheb`` grid is a prefix
+``1 .. N_l - 1`` of ``g`` and each ``per`` grid a contiguous run of it.  The
+result's transpose is the operator's one table, C-contiguous and read-only,
+of shape ``(|g|, v, M)``: ``[j, p]`` is frequency ``g[j]`` of variable
+number ``p`` (ascending) at all ``M`` nodes.  Order ``l`` reads its
+``(n_l, v_l, M)`` table ``T_l`` from it as the row range of ``g_l``, a view,
+when it uses all ``v`` variables, else as one gather of that range: at most
+``M * (v |g| + sum_l n_l v_l)`` entries, whatever the number of terms.
 ``pos[t, k]`` is the position ``p`` of term ``t``'s ``k``-th variable, so
-``T_l`` viewed as ``(M, v_l, n_l)`` gives every factor of every term.
+``T_l[:, pos[t, k]]`` is that factor of term ``t``; row ``j v_l + p`` of
+``T_l`` viewed as ``(n_l v_l, M)`` is frequency ``j`` of variable ``p``.
 
-**Apply.**  Orders 1 and 2 take one BLAS call each:
+**Apply.**  Orders 1 and 2 take one BLAS call each, on ``T_l`` as ``(n_l v_l, M)``:
 
-* order 1: the order-1 terms are the sorted variables, so the block is
-  already ordered like the table columns: one GEMV ``T_1 @ c_1``; the
-  adjoint writes ``T_1^H r`` into the block;
-* order 2: one quadratic form, ``rowsum((T_2 @ B) * T_2)`` (the row sum
-  by one :func:`numpy.einsum`, with no product temporary), where ``B``
-  viewed as ``(v, n, v, n)`` holds term ``t``'s ``n x n`` coefficients at
-  ``[pos[t, 0], :, pos[t, 1], :]`` and zeros elsewhere; the adjoint
-  ``G = T_2^H (conj(T_2) * r)`` holds every term's block at the same
-  index.  Both cost ``O(M * (n_2 v_2)^2)`` in one GEMM;
+* order 1: the order-1 terms are the sorted variables, so the block viewed
+  as ``(v, n)`` and transposed is ordered like the table rows: one GEMV
+  ``c_1 @ T_1``; the adjoint writes ``T_1 r``, transposed back, into the block;
+* order 2: one quadratic form, ``colsum((B^T T_2) * T_2)`` (the column
+  sum by one :func:`numpy.einsum`, with no product temporary), where ``B``
+  viewed as ``(n, v, n, v)`` holds term ``t``'s ``n x n`` coefficients at
+  ``[:, pos[t, 0], :, pos[t, 1]]`` and zeros elsewhere; the adjoint
+  ``G = (T_2 * r) T_2^T`` holds every term's block at the same index.
+  Both cost ``O(M * (n_2 v_2)^2)`` in one GEMM;
 * order 3 and up: one term at a time, its ``n_l^l`` rows of ``F^T`` from
   the tensor-product kernel that :meth:`DesignOperator.dense` runs on all
   terms at once, then ``c_t @ rows`` (adjoint: ``rows @ r``); the scratch is
-  ``M * n_l^l`` entries plus the table transposed to ``(v_l, n_l, M)``.
+  ``M * n_l^l`` entries and one ``(n_l, M)`` gather per factor.
 
 **Determinism.**  An apply runs a fixed sequence of numpy operations on
 fixed shapes, writes only to freshly allocated scratch arrays, and never
@@ -63,61 +65,56 @@ DENSE_ORACLE_MAX_ENTRIES = 2_000_000
 
 
 class _OrderStack:
-    """Stacked 1-d table of one term order and that order's coefficient block."""
+    """One term order's ``(n, v, M)`` table and that order's coefficient block."""
 
-    def __init__(self, order, block, pos, v, table, conj):
+    def __init__(self, order, block, pos, table, conj):
         self.order = order
         self.block = block
         self.pos = pos
-        self.v, self.n = v, table.shape[1] // v
+        self.n, self.v, M = table.shape
+        table.setflags(write=False)
         self.table = table
-        self.table.setflags(write=False)
+        self.flat = table.reshape(self.n * self.v, M)
         self.conj = conj
 
-    def transposed(self):
-        """The table as ``(v, n, M)``: ``[p, j]`` is variable ``p``'s ``j``-th basis row."""
-        return np.ascontiguousarray(self.table.T).reshape(self.v, self.n, self.table.shape[0])
-
-    def term_rows(self, Tt, pos):
-        """Rows of ``F^T`` of the terms at ``pos``, as ``(len(pos), n**order, M)``.
-
-        ``Tt`` is :meth:`transposed`, so every product runs over contiguous node rows.
-        """
-        n, M = self.n, Tt.shape[2]
-        rows = Tt[pos[:, 0]]
+    def term_rows(self, pos):
+        """Rows of ``F^T`` of the terms at ``pos``, as ``(len(pos), n**order, M)``."""
+        n, M = self.n, self.table.shape[2]
+        rows = self.table[:, pos[:, 0]].swapaxes(0, 1)
         for k in range(1, self.order):
-            rows = (rows[:, :, None] * Tt[pos[:, k], None]).reshape(len(pos), n ** (k + 1), M)
+            factor = self.table[:, pos[:, k]].swapaxes(0, 1)
+            rows = (rows[:, :, None] * factor[:, None]).reshape(len(pos), n ** (k + 1), M)
         return rows
 
     def matvec(self, c):
-        T, n, pos = self.table, self.n, self.pos
+        T, n, v, pos = self.flat, self.n, self.v, self.pos
+        C = c[self.block]
         if self.order == 1:
-            return T @ c[self.block]
+            return C.reshape(v, n).T.ravel() @ T
         if self.order == 2:
-            B = np.zeros((self.v, n, self.v, n), dtype=T.dtype)
-            B[pos[:, 0], :, pos[:, 1], :] = c[self.block].reshape(-1, n, n)
-            return np.einsum("ij,ij->i", T @ B.reshape(T.shape[1], -1), T)
+            B = np.zeros((n, v, n, v), dtype=T.dtype)
+            B[:, pos[:, 0], :, pos[:, 1]] = C.reshape(len(pos), n, n)
+            return np.einsum("ij,ij->j", B.reshape(n * v, n * v).T @ T, T)
         # one term at a time: pos[:, None] yields (1, order) position arrays
-        Tt, C = self.transposed(), c[self.block].reshape(len(pos), -1)
-        return sum(c_t @ self.term_rows(Tt, p)[0] for p, c_t in zip(pos[:, None], C))
+        C = C.reshape(len(pos), n**self.order)
+        return sum(c_t @ self.term_rows(p)[0] for p, c_t in zip(pos[:, None], C))
 
     def dense_transposed(self, out):
         """Write this order's rows of ``F^T`` into ``out``."""
-        rows = self.term_rows(self.transposed(), self.pos)
-        out[self.block] = rows.reshape(len(self.pos) * self.n**self.order, self.table.shape[0])
+        rows = self.term_rows(self.pos)
+        out[self.block] = rows.reshape(len(self.pos) * self.n**self.order, self.table.shape[2])
 
     def adjoint_matvec(self, r, out):
         """Write ``F_l^H r`` into this order's coefficient block of ``out``."""
-        T, n, pos = self.table, self.n, self.pos
+        T, n, v, pos = self.flat, self.n, self.v, self.pos
         # conj(T)^H r == conj(T^T conj(r)): conjugate the vector, not the table
         rc = r.conj() if self.conj else r
-        if self.order <= 2:
-            G = T.T @ (rc if self.order == 1 else T * rc[:, None])
-            if self.order == 2:
-                G = G.reshape(self.v, n, self.v, n)[pos[:, 0], :, pos[:, 1], :]
+        if self.order == 1:
+            G = (T @ rc).reshape(n, v).T
+        elif self.order == 2:
+            G = ((T * rc) @ T.T).reshape(n, v, n, v)[:, pos[:, 0], :, pos[:, 1]]
         else:
-            Tt = self.transposed()
-            G = np.array([self.term_rows(Tt, p)[0] @ rc for p in pos[:, None]])
+            G = np.array([self.term_rows(p)[0] @ rc for p in pos[:, None]])
         out[self.block] = (G.conj() if self.conj else G).ravel()
 
 
@@ -149,17 +146,18 @@ class DesignOperator:
         used = [np.bincount(f.ravel(), minlength=X.shape[1] + 1) > 0 for _, f in blocks.values()]
         variables = np.flatnonzero(np.any(used, axis=0))
         grid = max(index_union.grids.values(), key=len, default=np.empty(0, np.int64))
-        table = eval_1d_table(kind, grid, X[:, variables - 1].ravel())
-        # rows of the (M * v, |g|) table run over (node, variable) pairs
-        table = table.reshape(self.rows, len(variables) * len(grid))
+        # points over (variable, node) pairs: the transposed table is (|g|, v, M)
+        table = eval_1d_table(kind, grid, X.T[variables - 1].ravel()).T
+        table = table.reshape(len(grid), len(variables), self.rows)
         self._stacks = []
         for mask, (order, (block, factors)) in zip(used, blocks.items()):
             g, own = index_union.grids[order], np.flatnonzero(mask[variables])
             start = int(np.searchsorted(grid, g[0]))
-            cols = (own[:, None] * len(grid) + np.arange(start, start + len(g))).ravel()
-            sub = table if len(cols) == table.shape[1] else np.take(table, cols, axis=1)
+            sub = table[start:start + len(g)]
+            if len(own) < len(variables):
+                sub = np.take(sub, own, axis=1)
             pos = (np.cumsum(mask) - 1)[factors]
-            self._stacks.append(_OrderStack(order, block, pos, len(own), sub, kind.is_complex))
+            self._stacks.append(_OrderStack(order, block, pos, sub, kind.is_complex))
 
     @property
     def oversampling(self) -> float:

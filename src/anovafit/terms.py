@@ -165,8 +165,9 @@ class BandwidthProfile:
 
     def __post_init__(self):
         clean = {}
-        for order, n in sorted(self.by_order.items()):
-            order, n = as_integer(order, "bandwidth order"), as_integer(n, "bandwidth")
+        orders = {as_integer(order, "bandwidth order"): n for order, n in self.by_order.items()}
+        for order, n in sorted(orders.items()):
+            n = as_integer(n, "bandwidth")
             if order < 1:
                 raise ConfigError(f"bandwidth given for invalid order {order}")
             if n < 2 or n % 2 != 0:

@@ -19,6 +19,7 @@ from anovafit import (
     TermSet,
     build_index_union,
     direct_solve,
+    drop_variables,
     fit,
     friedman_sample,
     full_grid_1d,
@@ -29,7 +30,7 @@ from anovafit import (
     superposition_terms,
     threshold_active_set,
 )
-from anovafit.bench import RealBenchConfig, Stage, run_recipe
+from anovafit.bench import RealBenchConfig, Stage, run_real_benchmark, run_recipe
 from anovafit.model import model_from_obj, model_to_obj
 
 
@@ -93,6 +94,16 @@ CASES = {
     "fractional bandwidth": (ConfigError, lambda: BandwidthProfile({1: 6.5})),
     "fractional bandwidth order": (ConfigError, lambda: BandwidthProfile({1.5: 6})),
     "fractional bandwidth in a list": (ConfigError, lambda: BandwidthProfile.from_list([6.9])),
+    "string bandwidth order": (ConfigError, lambda: BandwidthProfile({"1": 4, 2: 2})),
+    "fractional kept variable": (
+        ConfigError, lambda: drop_variables(superposition_terms(3, 2), [1.7, 2])
+    ),
+    "fractional real-data kept variable": (
+        ConfigError,
+        lambda: run_real_benchmark(
+            friedman_sample(FriedmanSpec(1), 20, 0), RealBenchConfig(0.7, keep=(1.5,)), 1
+        ),
+    ),
     "fractional grid bandwidth": (ConfigError, lambda: full_grid_1d(BasisKind.COSINE, 4.5)),
     "fractional model-file dimension": (
         DataError, lambda: model_from_obj(_model_obj(dimension=2.9))

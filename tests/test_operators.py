@@ -136,8 +136,9 @@ def test_zero_row_operator(kind, order):
 
 @pytest.mark.parametrize("kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV])
 def test_order_tables_equal_their_own_evaluation(kind):
-    """Each order's table, taken from the operator's one table, is bitwise the
-    table of that order's own grid and variables."""
+    """Each order's table is bitwise the table of that order's own grid and
+    variables, is C-contiguous, and is a row range of the operator's one table
+    exactly when the order uses every variable (else one gather of it)."""
     rng = np.random.default_rng(13)
     whole_table = set()
     for _ in range(20):
@@ -148,9 +149,21 @@ def test_order_tables_equal_their_own_evaluation(kind):
         for stack in op._stacks:
             grid = union.grids[stack.order]
             variables = np.unique(union.order_block(stack.order)[1])
-            want = eval_1d_table(kind, grid, op.nodes[:, variables - 1].ravel())
-            np.testing.assert_array_equal(stack.table, want.reshape(op.rows, -1))
-            whole_table.add(len(grid) == longest and len(variables) == len(every))
+            want = eval_1d_table(kind, grid, op.nodes.T[variables - 1].ravel())
+            np.testing.assert_array_equal(
+                stack.table, want.T.reshape(len(grid), len(variables), op.rows)
+            )
+            assert stack.table.flags.c_contiguous
+            # the one table is the array that owns a view's memory
+            one = stack.table.base
+            view = (
+                one is not None
+                and one.shape == (longest, len(every) * op.rows)
+                and np.shares_memory(stack.table, one)
+            )
+            whole = len(variables) == len(every)
+            assert view == whole
+            whole_table.add(whole)
     assert whole_table == {True, False}
 
 
