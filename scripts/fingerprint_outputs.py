@@ -9,6 +9,9 @@ array, a ``float.hex`` of a scalar, or an exact count.  The script covers
 * ``matvec``, ``adjoint_matvec`` and ``dense()`` of seeded random design
   operators (term orders 1-3, orders skipped, all three bases), hashed
   apart for instances of highest order <= 2 and of order 3;
+* ``matvec`` and ``adjoint_matvec`` of three seeded operators per basis, of
+  highest order 1, 2 and 3, on 2 * 4096 + 5 nodes, which an apply takes in
+  several node blocks;
 * the ``bench_friedman(k, 100, 0)`` medians for k = 1, 2, 3;
 * the distinct table bytes that a d=30 cosine operator (4066 columns, 4000
   rows) holds: the bytes of the arrays that own its order tables' memory;
@@ -40,9 +43,20 @@ change's, on the same machine, and diff the two outputs:
 
 BLAS results depend on the thread count, so both runs need the same
 thread count (for example ``OPENBLAS_NUM_THREADS=1`` on both sides).
-A run takes a few seconds on two cores.
+A run takes about ten seconds on two cores.
+
+A hash shows that an array changed, not by how much.  ``--save DIR``
+writes each hashed array to ``DIR/<name>.npy`` (the arrays of one line
+raveled and joined); ``--against DIR`` prints to stderr, for each hashed
+array, ``name max|a - ref| / max|ref|`` (a ``float.hex``) against the
+arrays saved there.  To size a change, run ``--save`` in the parent's
+checkout and ``--against`` in the change's:
+
+    python3 scripts/fingerprint_outputs.py --save ref > before.txt
+    python3 scripts/fingerprint_outputs.py --against ref > after.txt 2> sizes.txt
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -82,11 +96,23 @@ INSTANCES_PER_BASIS = 46
 MAX_COLUMNS = 400
 
 
+# name -> the raveled arrays of that line, for --save and --against
+HASHED: dict[str, np.ndarray] = {}
+# node count of the ``blocks`` operators: two blocks of 4096 nodes and a few more
+BLOCK_ROWS = 2 * 4096 + 5
+
+
 def sha(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def hashed(name: str, *arrays) -> str:
+    """The line ``name sha``; also keeps the arrays under ``name``."""
+    HASHED[name] = np.concatenate([np.ravel(a) for a in arrays])
+    return f"{name} {sha(*arrays)}"
 
 
 def table_lines() -> list[str]:
@@ -96,7 +122,7 @@ def table_lines() -> list[str]:
         lo, hi = kind.domain
         x = np.concatenate([[lo, hi], rng.uniform(lo, hi, 2 * _TABLE_BLOCK + 77)])
         freqs = np.arange(-11, 12) if kind.is_complex else np.arange(11, -1, -1)
-        lines.append(f"basis.{kind.value}.table {sha(eval_1d_table(kind, freqs, x))}")
+        lines.append(hashed(f"basis.{kind.value}.table", eval_1d_table(kind, freqs, x)))
     return lines
 
 
@@ -153,9 +179,33 @@ def operator_lines() -> list[str]:
             denses.append(op.dense())
         for group, (matvecs, adjoints, denses) in outputs.items():
             name = f"operator.{kind.value}.{group}"
-            lines.append(f"{name}.matvec {sha(*matvecs)}")
-            lines.append(f"{name}.adjoint {sha(*adjoints)}")
-            lines.append(f"{name}.dense {sha(*denses)}")
+            lines.append(hashed(f"{name}.matvec", *matvecs))
+            lines.append(hashed(f"{name}.adjoint", *adjoints))
+            lines.append(hashed(f"{name}.dense", *denses))
+    return lines
+
+
+def block_lines() -> list[str]:
+    """Applies on ``BLOCK_ROWS`` nodes, of highest order 1, 2 and 3, per basis."""
+    lines = []
+    for kind in (BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV):
+        rng = np.random.default_rng(4096)
+        lo, hi = kind.domain
+        matvecs, adjoints = [], []
+        for order in (1, 2, 3):
+            union = build_index_union(
+                superposition_terms(5, order), BandwidthProfile.from_list([6, 4, 4][:order]), kind
+            )
+            op = DesignOperator(rng.uniform(lo, hi, size=(BLOCK_ROWS, 5)), union)
+            c = rng.standard_normal(op.cols)
+            r = rng.standard_normal(op.rows)
+            if kind.is_complex:
+                c = c + 1j * rng.standard_normal(op.cols)
+                r = r + 1j * rng.standard_normal(op.rows)
+            matvecs.append(op.matvec(c))
+            adjoints.append(op.adjoint_matvec(r))
+        lines.append(hashed(f"operator.{kind.value}.blocks.matvec", *matvecs))
+        lines.append(hashed(f"operator.{kind.value}.blocks.adjoint", *adjoints))
     return lines
 
 
@@ -218,11 +268,11 @@ def wide_fit_lines() -> list[str]:
         f"operator.d30.table_bytes {table_bytes}",
         f"fit.d30.columns {model.coefficients.size}",
         f"fit.d30.stop {model.stop_reason}:{model.iterations}",
-        f"fit.d30.coefficients {sha(model.coefficients)}",
+        hashed("fit.d30.coefficients", model.coefficients),
         f"fit.d30.relative_residual {model.relative_residual.hex()}",
-        f"fit.d30.predict {sha(predict(model, rng.random((2000, d))))}",
-        f"fit.d30.analyze {sha(np.array([report.variance]), rho, report.ranking)}",
-        f"fit.d30.predict_blocks {sha(predict(model, rng.random((3 * 4096 + 5, d))))}",
+        hashed("fit.d30.predict", predict(model, rng.random((2000, d)))),
+        hashed("fit.d30.analyze", np.array([report.variance]), rho, report.ranking),
+        hashed("fit.d30.predict_blocks", predict(model, rng.random((3 * 4096 + 5, d)))),
     ] + refine_lines(report, termset)
 
 
@@ -295,11 +345,40 @@ def cli_lines() -> list[str]:
     return lines
 
 
+def compare(directory: Path) -> None:
+    """Print each kept array's largest difference to its saved reference, to stderr."""
+    for name, a in HASHED.items():
+        path = directory / f"{name}.npy"
+        if not path.exists():
+            print(f"{name} no reference", file=sys.stderr)
+            continue
+        ref = np.load(path)
+        if ref.shape != a.shape:
+            print(f"{name} shape {a.shape} against {ref.shape}", file=sys.stderr)
+            continue
+        scale = np.max(np.abs(ref), initial=0.0)
+        gap = np.max(np.abs(a - ref), initial=0.0)
+        print(f"{name} {float(gap / scale if scale else gap).hex()}", file=sys.stderr)
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", type=Path, metavar="DIR", help="write each hashed array to DIR/<name>.npy")
+    parser.add_argument("--against", type=Path, metavar="DIR", help="compare each hashed array to DIR")
+    args = parser.parse_args()
     print(machine_line(), flush=True)
-    lines = table_lines() + operator_lines() + friedman_lines() + wide_fit_lines() + real_lines()
+    lines = (
+        table_lines() + operator_lines() + block_lines() + friedman_lines()
+        + wide_fit_lines() + real_lines()
+    )
     for line in lines + cli_lines():
         print(line, flush=True)
+    if args.save is not None:
+        args.save.mkdir(parents=True, exist_ok=True)
+        for name, a in HASHED.items():
+            np.save(args.save / f"{name}.npy", a)
+    if args.against is not None:
+        compare(args.against)
     return 0
 
 

@@ -32,7 +32,7 @@ from .datasets import (
     rng_stream,
     split,
 )
-from .errors import AnovaFitError, ConfigError, NumericalError
+from .errors import AnovaFitError, ConfigError, NumericalError, as_integer
 from .model import (
     Model,
     SensitivityReport,
@@ -277,6 +277,11 @@ class RealBenchConfig:
             raise ConfigError(f"unknown metric {self.metric!r}; use one of {sorted(METRICS)}")
         if not 0.0 < self.gsi_cutoff < 1.0:
             raise ConfigError("gsi cutoff must lie in (0, 1)")
+        if self.keep is not None:
+            # the upper bound, the dimension, is checked by drop_variables
+            keep = [as_integer(i, "kept variable") for i in self.keep]
+            if not keep or min(keep) < 1:
+                raise ConfigError(f"keep set must be nonempty and at least 1, got {self.keep}")
 
 
 REAL_PRESETS: dict[str, RealBenchConfig] = {
@@ -299,7 +304,7 @@ def run_real_benchmark(
 ) -> dict:
     """Median metric of the split/normalize/threshold/refit protocol."""
     termset = superposition_terms(ds.dimension, cfg.superposition_threshold)
-    if cfg.keep:
+    if cfg.keep is not None:
         termset = drop_variables(termset, cfg.keep)
     final = Stage(cfg.superposition_threshold, cfg.bandwidths, cfg.regularization)
     stages = (replace(final, gsi=cfg.gsi_cutoff), final)

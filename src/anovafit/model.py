@@ -37,7 +37,7 @@ import numpy as np
 from .basis import BasisKind
 from .datasets import Normalization
 from .errors import ConfigError, DataError, DegenerateModelError, as_integer
-from .operators import DesignOperator
+from .operators import NODE_BLOCK, DesignOperator
 from .solver import LsqrResult, SolverConfig, direct_solve, lsqr_solve
 from .terms import (
     BandwidthProfile,
@@ -51,8 +51,6 @@ from .terms import (
 
 # rows * cols**2 up to which a fit may be solved directly (scripts/solver_crossover.py)
 DIRECT_SOLVE_MAX_WORK = 10_000_000
-# node rows per DesignOperator in predict; bounds the tables held at once
-_PREDICT_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,8 +184,8 @@ def _evaluate(model: Model, coefficients: np.ndarray, nodes) -> np.ndarray:
     rows = len(X) if X.ndim == 2 else 0
     out = np.empty(rows, dtype=np.float64 if model.real_output else model.kind.dtype)
     # a zero-row or malformed input still builds one operator, which raises
-    for start in range(0, max(rows, 1), _PREDICT_BLOCK):
-        block = X[start:start + _PREDICT_BLOCK] if rows else X
+    for start in range(0, max(rows, 1), NODE_BLOCK):
+        block = X[start:start + NODE_BLOCK] if rows else X
         values = DesignOperator(block, model.index_union).matvec(coefficients)
         out[start:start + len(values)] = values.real if model.real_output else values
     return out
@@ -196,11 +194,13 @@ def _evaluate(model: Model, coefficients: np.ndarray, nodes) -> np.ndarray:
 def predict(model: Model, nodes) -> np.ndarray:
     """Evaluate the fitted expansion at new nodes.
 
-    The nodes are evaluated in blocks of ``_PREDICT_BLOCK`` (4096) rows, each
-    by its own :class:`~anovafit.operators.DesignOperator`, so the tables held
-    at once are those of 4096 rows, whatever the row count (d=30, N=(6,4):
-    a 12 MiB peak).  The output equals one operator's ``matvec`` over all rows
-    up to BLAS rounding, which may differ with a row's position in a product.
+    The nodes are evaluated in blocks of :data:`~anovafit.operators.NODE_BLOCK`
+    (4096) rows, each by its own :class:`~anovafit.operators.DesignOperator`,
+    so the tables held at once are those of 4096 rows, whatever the row count
+    (d=30, N=(6,4): a peak of about 8 MiB).  That is also the node block of
+    an operator's applies, so each block's ``matvec`` is one product.  The
+    output equals one operator's ``matvec`` over all rows up to BLAS rounding,
+    which may differ with a row's position in a product.
     """
     return _evaluate(model, model.coefficients, nodes)
 

@@ -15,7 +15,11 @@ that block and the ``(T_l, l)`` array of the terms' variables from
 :meth:`~anovafit.terms.FrequencyIndexUnion.order_block` and checks nothing
 about them.  The empty term is index 0 and contributes the constant column.
 
-**Tables.**  The operator calls :func:`~anovafit.basis.eval_1d_table` once,
+**Tables.**  ``nodes`` is a read-only view of the checked nodes (a copy
+only where :func:`~anovafit.basis.check_domain` makes one: a conversion to
+float64, or the wrapping of ``per`` nodes), and the tables below are fixed
+at construction, so a later change to the caller's array changes no apply.
+The operator calls :func:`~anovafit.basis.eval_1d_table` once,
 on the ``v`` variables of all terms (points in (variable, node) order) and
 the longest grid ``g``: each ``cos``/``cheb`` grid is a prefix
 ``1 .. N_l - 1`` of ``g`` and each ``per`` grid a contiguous run of it.  The
@@ -29,30 +33,45 @@ when it uses all ``v`` variables, else as one gather of that range: at most
 ``T_l[:, pos[t, k]]`` is that factor of term ``t``; row ``j v_l + p`` of
 ``T_l`` viewed as ``(n_l v_l, M)`` is frequency ``j`` of variable ``p``.
 
-**Apply.**  Orders 1 and 2 take one BLAS call each, on ``T_l`` as ``(n_l v_l, M)``:
+**Apply.**  Each order works on ``T_l`` viewed as ``(n_l v_l, M)``.  Order 1
+takes one BLAS call each way; orders 2 and up run over node blocks, the
+column ranges ``s:s + NODE_BLOCK`` of ``T_l`` (strided views that BLAS
+reads without a copy), so no apply holds scratch of more than one block:
 
 * order 1: the order-1 terms are the sorted variables, so the block viewed
   as ``(v, n)`` and transposed is ordered like the table rows: one GEMV
-  ``c_1 @ T_1``; the adjoint writes ``T_1 r``, transposed back, into the block;
-* order 2: one quadratic form, ``colsum((B^T T_2) * T_2)`` (the column
-  sum by one :func:`numpy.einsum`, with no product temporary), where ``B``
-  viewed as ``(n, v, n, v)`` holds term ``t``'s ``n x n`` coefficients at
-  ``[:, pos[t, 0], :, pos[t, 1]]`` and zeros elsewhere; the adjoint
-  ``G = (T_2 * r) T_2^T`` holds every term's block at the same index.
-  Both cost ``O(M * (n_2 v_2)^2)`` in one GEMM;
-* order 3 and up: one term at a time, its ``n_l^l`` rows of ``F^T`` from
-  the tensor-product kernel that :meth:`DesignOperator.dense` runs on all
-  terms at once, then ``c_t @ rows`` (adjoint: ``rows @ r``); the scratch is
-  ``M * n_l^l`` entries and one ``(n_l, M)`` gather per factor.
+  ``c_1 @ T_1``; the adjoint writes ``T_1 r``, transposed back, into the
+  block.  Neither holds node-sized scratch beyond the output;
+* order 2: per node block ``b``, the quadratic form
+  ``colsum((B^T T_2[:, b]) * T_2[:, b])`` (the column sum by one
+  :func:`numpy.einsum` into the output, with no product temporary), where
+  ``B`` viewed as ``(n, v, n, v)`` holds term ``t``'s ``n x n`` coefficients
+  at ``[:, pos[t, 0], :, pos[t, 1]]`` and zeros elsewhere; the adjoint sums
+  ``(T_2[:, b] * r_b) T_2[:, b]^T`` over the blocks into ``G``, which holds
+  every term's block at the same index.  Both cost ``O(M * (n_2 v_2)^2)``,
+  with ``NODE_BLOCK * n_2 v_2`` entries of scratch;
+* order 3 and up: one term and one node block at a time, the term's
+  ``n_l^l`` rows of ``F^T`` on the block from the tensor-product kernel that
+  :meth:`DesignOperator.dense` runs on all terms and nodes at once, then
+  ``c_t @ rows`` (adjoint: ``rows @ r_b``, summed over the blocks); the
+  scratch is ``NODE_BLOCK * n_l^l`` entries and one ``(n_l, NODE_BLOCK)``
+  gather per factor.
 
 **Determinism.**  An apply runs a fixed sequence of numpy operations on
 fixed shapes, writes only to freshly allocated scratch arrays, and never
 modifies a table (they are read-only, so a stray in-place update raises
-instead of corrupting the cache).  For a fixed BLAS thread count, repeated
-applications of the same operator are therefore bitwise-identical.
+instead of corrupting the cache).  The node blocks are summed in a fixed
+order, the first one taken as is.  For a fixed BLAS thread count, repeated
+applications of the same operator are therefore bitwise-identical.  An
+operator of at most ``NODE_BLOCK`` nodes applies in exactly one product per
+step, as if there were no blocks; one of more nodes differs from that
+single product only in the last bits.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -62,6 +81,8 @@ from .terms import FrequencyIndexUnion
 
 # matrix entries allowed for the dense test oracle
 DENSE_ORACLE_MAX_ENTRIES = 2_000_000
+# nodes per block of an order >= 2 apply, and per operator in model.predict
+NODE_BLOCK = 4096
 
 
 class _OrderStack:
@@ -75,14 +96,20 @@ class _OrderStack:
         table.setflags(write=False)
         self.table = table
         self.flat = table.reshape(self.n * self.v, M)
+        # the node blocks as (slice, view of flat); one empty block for no nodes
+        self.parts = [
+            (slice(s, s + NODE_BLOCK), self.flat[:, s:s + NODE_BLOCK])
+            for s in range(0, max(M, 1), NODE_BLOCK)
+        ]
         self.conj = conj
 
-    def term_rows(self, pos):
-        """Rows of ``F^T`` of the terms at ``pos``, as ``(len(pos), n**order, M)``."""
-        n, M = self.n, self.table.shape[2]
-        rows = self.table[:, pos[:, 0]].swapaxes(0, 1)
+    def term_rows(self, pos, nodes=slice(None)):
+        """Rows of ``F^T`` of the terms at ``pos`` on ``nodes``, as ``(len(pos), n**order, m)``."""
+        n = self.n
+        rows = self.table[:, pos[:, 0], nodes].swapaxes(0, 1)
+        M = rows.shape[2]
         for k in range(1, self.order):
-            factor = self.table[:, pos[:, k]].swapaxes(0, 1)
+            factor = self.table[:, pos[:, k], nodes].swapaxes(0, 1)
             rows = (rows[:, :, None] * factor[:, None]).reshape(len(pos), n ** (k + 1), M)
         return rows
 
@@ -91,13 +118,19 @@ class _OrderStack:
         C = c[self.block]
         if self.order == 1:
             return C.reshape(v, n).T.ravel() @ T
+        out = np.empty(T.shape[1], dtype=T.dtype)
         if self.order == 2:
             B = np.zeros((n, v, n, v), dtype=T.dtype)
             B[:, pos[:, 0], :, pos[:, 1]] = C.reshape(len(pos), n, n)
-            return np.einsum("ij,ij->j", B.reshape(n * v, n * v).T @ T, T)
+            Bt = B.reshape(n * v, n * v).T
+            for b, Tb in self.parts:
+                np.einsum("ij,ij->j", Bt @ Tb, Tb, out=out[b])
+            return out
         # one term at a time: pos[:, None] yields (1, order) position arrays
         C = C.reshape(len(pos), n**self.order)
-        return sum(c_t @ self.term_rows(p)[0] for p, c_t in zip(pos[:, None], C))
+        for b, _ in self.parts:
+            out[b] = sum(c_t @ self.term_rows(p, b)[0] for p, c_t in zip(pos[:, None], C))
+        return out
 
     def dense_transposed(self, out):
         """Write this order's rows of ``F^T`` into ``out``."""
@@ -112,9 +145,14 @@ class _OrderStack:
         if self.order == 1:
             G = (T @ rc).reshape(n, v).T
         elif self.order == 2:
-            G = ((T * rc) @ T.T).reshape(n, v, n, v)[:, pos[:, 0], :, pos[:, 1]]
+            # the first block's product is the sum's start, in place of zeros
+            G = reduce(operator.iadd, ((Tb * rc[b]) @ Tb.T for b, Tb in self.parts))
+            G = G.reshape(n, v, n, v)[:, pos[:, 0], :, pos[:, 1]]
         else:
-            G = np.array([self.term_rows(p)[0] @ rc for p in pos[:, None]])
+            G = np.array([
+                reduce(operator.iadd, (self.term_rows(p, b)[0] @ rc[b] for b, _ in self.parts))
+                for p in pos[:, None]
+            ])
         out[self.block] = (G.conj() if self.conj else G).ravel()
 
 
@@ -131,7 +169,9 @@ class DesignOperator:
                 f"expects {index_union.dimension}"
             )
         kind = index_union.kind
-        X = np.array(check_domain(kind, X, what="node coordinate"), order="C")
+        # a read-only view: the caller's array stays writable, and the tables
+        # below are fixed here whatever happens to it later
+        X = check_domain(kind, X, what="node coordinate").view()
         X.setflags(write=False)
 
         self.kind = kind

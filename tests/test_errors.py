@@ -104,6 +104,8 @@ CASES = {
             friedman_sample(FriedmanSpec(1), 20, 0), RealBenchConfig(0.7, keep=(1.5,)), 1
         ),
     ),
+    "empty real-data keep set": (ConfigError, lambda: RealBenchConfig(0.7, keep=())),
+    "zero real-data kept variable": (ConfigError, lambda: RealBenchConfig(0.7, keep=(0,))),
     "fractional grid bandwidth": (ConfigError, lambda: full_grid_1d(BasisKind.COSINE, 4.5)),
     "fractional model-file dimension": (
         DataError, lambda: model_from_obj(_model_obj(dimension=2.9))

@@ -44,6 +44,7 @@ from anovafit import (
 )
 from anovafit import model as model_module
 from anovafit.datasets import FriedmanSpec, rng_stream
+from anovafit.operators import NODE_BLOCK
 
 from conftest import gauss_legendre, random_termset, term_sets
 
@@ -282,7 +283,7 @@ class TestPredict:
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.filterwarnings("error")
     def test_row_blocks_equal_one_operator(self, kind, order):
-        block = model_module._PREDICT_BLOCK
+        block = NODE_BLOCK
         model, nodes = self._blocked_instance(kind, order, 2 * block + 17)
         term = model.terms.terms[-1]
         sl = model.index_union.slice_for(term)
@@ -308,7 +309,7 @@ class TestPredict:
         "kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV]
     )
     def test_row_blocks_keep_the_node_errors(self, kind):
-        model, nodes = self._blocked_instance(kind, 2, 2 * model_module._PREDICT_BLOCK + 17)
+        model, nodes = self._blocked_instance(kind, 2, 2 * NODE_BLOCK + 17)
         with pytest.raises(DataError, match="coordinates"):
             predict(model, np.empty((0, 4)))
         with pytest.raises(DataError, match="coordinates"):
@@ -320,7 +321,7 @@ class TestPredict:
             predict_term(model, (1,), nodes)
 
     def test_row_blocks_bound_prediction_memory(self):
-        block = model_module._PREDICT_BLOCK
+        block = NODE_BLOCK
         model, nodes = self._blocked_instance(BasisKind.COSINE, 3, 3 * block + 5)
 
         def peak(rows):

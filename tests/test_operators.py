@@ -1,5 +1,7 @@
 """Tests for the matrix-free design operator against the dense oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,9 @@ from anovafit import (
     dense_design_matrix,
     superposition_terms,
 )
+from anovafit import operators
 from anovafit.basis import eval_1d_table
-from anovafit.operators import DENSE_ORACLE_MAX_ENTRIES
+from anovafit.operators import DENSE_ORACLE_MAX_ENTRIES, NODE_BLOCK
 
 from conftest import random_instance, term_sets
 
@@ -246,6 +249,73 @@ def test_repeated_application_is_bitwise_deterministic():
     assert np.array_equal(first, second)
     assert np.array_equal(adjoint, op.adjoint_matvec(r))
     assert np.array_equal(first, op.matvec(g))
+
+
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_node_blocks_equal_one_product(kind, order, monkeypatch):
+    rows = 2 * NODE_BLOCK + 17
+    union = build_index_union(
+        superposition_terms(4, order), BandwidthProfile.from_list([4, 4, 4][:order]), kind
+    )
+    rng = np.random.default_rng(31)
+    lo, hi = kind.domain
+    nodes = rng.uniform(lo, hi, size=(rows, 4))
+    op = DesignOperator(nodes, union)
+    coeffs = rng.standard_normal(op.cols)
+    values = rng.standard_normal(op.rows)
+    if kind.is_complex:
+        coeffs = coeffs + 1j * rng.standard_normal(op.cols)
+        values = values + 1j * rng.standard_normal(op.rows)
+    F = op.dense()
+    matvec, adjoint = op.matvec(coeffs), op.adjoint_matvec(values)
+    assert _relative_gap(matvec, F @ coeffs) <= 1e-13
+    assert _relative_gap(adjoint, F.conj().T @ values) <= 1e-13
+    # blocks sum in a fixed order, so a repeated apply is bitwise the same
+    assert np.array_equal(matvec, op.matvec(coeffs))
+    assert np.array_equal(adjoint, op.adjoint_matvec(values))
+    # the same operator in one block
+    monkeypatch.setattr(operators, "NODE_BLOCK", rows + 1)
+    one = DesignOperator(nodes, union)
+    assert _relative_gap(matvec, one.matvec(coeffs)) <= 1e-14
+    assert _relative_gap(adjoint, one.adjoint_matvec(values)) <= 1e-14
+
+
+def test_node_blocks_bound_apply_scratch():
+    # order 2 with n * v = 3 * 30 = 90 table rows
+    union = build_index_union(
+        superposition_terms(30, 2), BandwidthProfile.from_list([4, 4]), BasisKind.COSINE
+    )
+    rng = np.random.default_rng(5)
+    op = DesignOperator(rng.random((3 * NODE_BLOCK + 5, 30)), union)
+    coeffs, values = rng.standard_normal(op.cols), rng.standard_normal(op.rows)
+    scratch = 90 * op.rows * np.dtype(np.float64).itemsize
+
+    def peak(apply, vec):
+        tracemalloc.start()
+        try:
+            apply(vec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(op.matvec, coeffs) < scratch / 2
+    assert peak(op.adjoint_matvec, values) < scratch / 2
+
+
+def test_nodes_are_a_read_only_view():
+    union = build_index_union(
+        superposition_terms(3, 2), BandwidthProfile.from_list([4, 2]), BasisKind.COSINE
+    )
+    X = np.random.default_rng(6).random((25, 3))
+    op = DesignOperator(X, union)
+    assert np.shares_memory(op.nodes, X)
+    assert not op.nodes.flags.writeable
+    assert X.flags.writeable
 
 
 REFINED_SETS = {
