@@ -15,11 +15,12 @@ from dataclasses import replace
 
 from anovafit import (
     BandwidthProfile,
+    BasisKind,
     FriedmanSpec,
     SplitPlan,
     TermSet,
+    build_index_union,
     drop_variables,
-    expected_index_count,
     median_evaluate,
     mse,
     predict,
@@ -58,7 +59,8 @@ def sweep(which: int, reps: int, seed: int) -> None:
             return mse(test.targets, predict(model, test.nodes))
 
         summary = median_evaluate(recipe, FriedmanSpec(which), plan)
-        size = expected_index_count(active, BandwidthProfile.from_list([n1, n2]))
+        profile = BandwidthProfile.from_list([n1, n2])
+        size = build_index_union(active, profile, BasisKind.COSINE).size
         print(f"{n1:>4} {n2:>4} {size:>7} {summary.median:>14.6g} {summary.failures:>6}")
 
 

@@ -16,7 +16,6 @@ from .datasets import (
     friedman_sample,
     load_csv,
     normalize,
-    project_columns,
     rng_stream,
     split,
 )
@@ -54,8 +53,6 @@ from .terms import (
     FrequencyIndexUnion,
     TermSet,
     build_index_union,
-    closure,
-    expected_index_count,
     full_grid_1d,
     load_termset,
     save_termset,
@@ -88,13 +85,11 @@ __all__ = [
     "analyze",
     "attribute_ranking",
     "build_index_union",
-    "closure",
     "dense_design_matrix",
     "direct_solve",
     "drop_variables",
     "eval_1d",
     "eval_tensor",
-    "expected_index_count",
     "fit",
     "friedman_eval",
     "friedman_sample",
@@ -110,7 +105,6 @@ __all__ = [
     "normalize",
     "predict",
     "predict_term",
-    "project_columns",
     "relative_error",
     "rmse",
     "rng_stream",

@@ -32,7 +32,7 @@ import enum
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError, DataError, DomainError, as_integer
 
 SQRT2 = float(np.sqrt(2.0))
 # points per recurrence block of eval_1d_table; keeps its scratch in cache
@@ -100,7 +100,7 @@ def check_domain(kind: BasisKind, x, *, what: str = "coordinate") -> np.ndarray:
 
 
 def _validate_frequency(kind: BasisKind, k: int) -> int:
-    k = int(k)
+    k = as_integer(k, "frequency")
     if not kind.is_complex and k < 0:
         raise ConfigError(f"negative frequency {k} is invalid for basis {kind.token!r}")
     return k

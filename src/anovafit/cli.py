@@ -32,6 +32,7 @@ from .datasets import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .model import (
+    _coeffs_to_obj,
     analyze,
     drop_variables,
     fit,
@@ -181,7 +182,7 @@ def cmd_predict(args) -> int:
         ds = apply_normalization(ds, stats, include_target=include_target)
         target_normalized = include_target
     predictions = predict(model, ds.nodes)
-    out = {"predictions": [float(v) for v in predictions]}
+    out = {"predictions": _coeffs_to_obj(predictions)}
     if args.target is not None:
         out["metrics"] = _metrics(ds.targets, predictions)
         out["target_normalized"] = target_normalized

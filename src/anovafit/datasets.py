@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import warnings
 from dataclasses import dataclass, replace
 from typing import Union
@@ -28,12 +27,7 @@ _PURPOSE_CODES = {"train": 0, "test": 1, "split": 2}
 
 
 def _seed(value) -> int:
-    try:
-        seed = operator.index(value)
-    except TypeError:
-        raise ConfigError(
-            f"seeds and repetition indices must be integers, got {value!r}"
-        ) from None
+    seed = as_integer(value, "a seed or repetition index")
     if seed < 0:
         raise ConfigError(f"seeds and repetition indices must be non-negative, got {value}")
     return seed
@@ -296,7 +290,7 @@ def _diagnose_csv(path, header, problem: str) -> DataError:
     return DataError(f"{path}: {problem}")
 
 
-# --- normalization and projection ----------------------------------------
+# --- normalization -------------------------------------------------------
 
 
 def _affine_to_unit(values, lo, hi):
@@ -344,27 +338,6 @@ def normalize(
     return apply_normalization(ds, stats, include_target=include_target)
 
 
-def project_columns(ds: Dataset, keep) -> Dataset:
-    """Restrict to the 1-based variable indices in ``keep`` (ascending)."""
-    keep = sorted(set(int(i) for i in keep))
-    if not keep or keep[0] < 1 or keep[-1] > ds.dimension:
-        raise ConfigError(f"keep set {keep} outside 1..{ds.dimension}")
-    cols = [i - 1 for i in keep]
-    norm = ds.normalization
-    if norm is not None:
-        norm = replace(
-            norm,
-            feature_min=norm.feature_min[cols],
-            feature_max=norm.feature_max[cols],
-        )
-    return replace(
-        ds,
-        nodes=ds.nodes[:, cols],
-        columns=tuple(ds.columns[i] for i in cols),
-        normalization=norm,
-    )
-
-
 # --- splitting -----------------------------------------------------------
 
 
@@ -392,10 +365,10 @@ class SplitPlan:
             )
         if fraction_mode and not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie in (0, 1)")
-        if generated_mode and (
-            (self.train_size or 0) < 1 or (self.test_size or 0) < 1
-        ):
+        sizes = (self.train_size, self.test_size)
+        if generated_mode and any(n is None or as_integer(n, "split size") < 1 for n in sizes):
             raise ConfigError("train_size and test_size must both be >= 1")
+        object.__setattr__(self, "repetitions", as_integer(self.repetitions, "repetitions"))
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
 

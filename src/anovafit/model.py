@@ -4,14 +4,18 @@ A fitted :class:`Model` bundles the basis kind, the active term set, the
 bandwidths, the frequency enumeration, and one coefficient per frequency.
 Because every frequency's support equals exactly one term, the model
 decomposes exactly: the sum of the per-term evaluations reproduces the full
-prediction, the squared coefficient mass of a term is the variance of that
-term, and the share of each term in the total variance is its global
-sensitivity index.
+prediction, and each term's share of the squared coefficient mass off the
+constant is its global sensitivity index.  A term's mass is its variance
+only under the measure the basis is orthonormal for: uniform on [0, 1] for
+``cos``, the arcsine density ``1 / (pi sqrt(x (1 - x)))`` for ``cheb``,
+and for ``per`` only when the fitted function is real (a fit to real
+targets has an imaginary part, which ``predict`` drops for a real-output
+model).
 
 Interpretation outputs:
 
 * ``variance``  -- squared coefficient mass off the constant.
-* ``gsi``       -- per-term variance shares (sum to 1).
+* ``gsi``       -- per-term shares of that mass (sum to 1).
 * ``attribute_ranking`` -- per-variable scores that spread each term's
   share over its variables, down-weighted by how many same-order terms
   contain the variable, normalized to sum to 1.
@@ -82,7 +86,12 @@ class Model:
 
 @dataclass(frozen=True, eq=False)
 class SensitivityReport:
-    """Variance, per-term sensitivity indices, and (optionally) a ranking."""
+    """Variance, per-term sensitivity indices, and (optionally) a ranking.
+
+    ``variance`` is the squared coefficient mass off the constant and each
+    index a term's share of it: variance shares under the basis's own
+    measure (see the module docstring), not under the data's distribution.
+    """
 
     dimension: int
     variance: float
@@ -220,7 +229,12 @@ def variance(model: Model) -> float:
 
 
 def gsi(model: Model) -> SensitivityReport:
-    """Global sensitivity indices: each nonempty term's share of the variance."""
+    """Global sensitivity indices: each nonempty term's share of :func:`variance`.
+
+    These are shares of the model's variance for ``cos`` under the uniform
+    measure, for ``cheb`` under the arcsine density, and for ``per`` only
+    when the fitted function is real.
+    """
     sigma2 = variance(model)
     if sigma2 == 0.0:
         raise DegenerateModelError(
@@ -268,8 +282,7 @@ def threshold_active_set(
     ``thresholds`` is one value for every order, or exactly one per order up
     to the term set's highest order (entry 0 applies to order-1 terms), each
     in ``(0, 1)``.  The result is generally not downward closed; absent
-    subsets are understood as zero terms, and :func:`~anovafit.terms.closure`
-    materializes them when a closed set is structurally required.
+    subsets are understood as zero terms.
     """
     top = termset.max_order
     values = tuple(float(e) for e in np.atleast_1d(thresholds))
@@ -291,7 +304,7 @@ def drop_variables(termset: TermSet, keep) -> TermSet:
     """Restrict to terms whose variables all lie in ``keep``.
 
     The dimension is unchanged, so the result still applies to the original
-    dataset; pair with a column projection when re-indexing is wanted.
+    dataset.
     """
     keep = sorted({as_integer(i, "kept variable") for i in keep})
     if not keep:
@@ -318,6 +331,7 @@ def incremental_expand(
     """
     if not 0.0 < ranking_threshold < 1.0:
         raise ConfigError("ranking threshold must lie in (0, 1)")
+    expansion_order = as_integer(expansion_order, "expansion order")
     pool = report.ranked_above(ranking_threshold)
     current = termset.superposition_threshold or termset.max_order
     if not current < expansion_order < termset.dimension:
@@ -425,6 +439,9 @@ def _normalization_from_obj(block: dict | None, dimension: int) -> Normalization
     t_lo, t_hi = block.get("target_min"), block.get("target_max")
     if t_lo is not None or t_hi is not None:
         t_lo, t_hi = float(t_lo), float(t_hi)  # a lone bound raises TypeError
+    extrema = [(lo, hi)] if t_lo is None else [(lo, hi), (t_lo, t_hi)]
+    if not all(np.isfinite([a, b]).all() and np.all(a <= b) for a, b in extrema):
+        raise DataError("normalization extrema must be finite, each min at most its max")
     return Normalization(lo, hi, t_lo, t_hi)
 
 
@@ -443,7 +460,7 @@ def model_from_obj(obj: dict) -> Model:
             index_union=build_index_union(termset, bandwidths, kind),
             coefficients=coefficients,
             regularization=float(obj["lambda"]),
-            iterations=int(diagnostics["iterations"]),
+            iterations=as_integer(diagnostics["iterations"], "iterations"),
             relative_residual=float(diagnostics["relative_residual"]),
             stop_reason=str(diagnostics["stop_reason"]),
             oversampling=float(diagnostics["oversampling"]),

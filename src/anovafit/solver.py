@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, as_integer
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,11 @@ class SolverConfig:
             raise ConfigError("regularization must be >= 0")
         if not 0.0 < self.tolerance < 1.0:
             raise ConfigError("tolerance must lie in (0, 1)")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
+        if self.max_iterations is not None:
+            cap = as_integer(self.max_iterations, "max_iterations")
+            if cap < 1:
+                raise ConfigError("max_iterations must be >= 1")
+            object.__setattr__(self, "max_iterations", cap)
 
     def iteration_limit(self, n_columns: int) -> int:
         if self.max_iterations is not None:

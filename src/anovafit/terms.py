@@ -97,10 +97,6 @@ class TermSet:
         """Distinct nonzero term orders present, ascending."""
         return tuple(sorted({len(u) for u in self.terms if u}))
 
-    def variables(self) -> tuple[int, ...]:
-        """Variables appearing in at least one term, ascending."""
-        return tuple(sorted({i for u in self.terms for i in u}))
-
     def to_json_obj(self) -> dict:
         """Wire format, also embedded in model files; terms are 1-based index arrays."""
         return {
@@ -129,27 +125,6 @@ def superposition_terms(dimension: int, threshold: int) -> TermSet:
         for u in itertools.combinations(range(1, dimension + 1), order)
     ]
     return TermSet(dimension, tuple(terms), threshold)
-
-
-def closure(termset: TermSet) -> TermSet:
-    """Minimal downward-closed superset: add every subset of every member."""
-    closed: set[Term] = set()
-    for u in termset.terms:
-        for order in range(len(u) + 1):
-            closed.update(itertools.combinations(u, order))
-    return TermSet(
-        termset.dimension, tuple(closed), termset.superposition_threshold
-    )
-
-
-def is_downward_closed(termset: TermSet) -> bool:
-    present = set(termset.terms)
-    return all(
-        v in present
-        for u in termset.terms
-        if u
-        for v in itertools.combinations(u, len(u) - 1)
-    )
 
 
 @dataclass(frozen=True)
@@ -274,14 +249,6 @@ def build_index_union(
     offsets = tuple(itertools.accumulate(counts[:-1], initial=0))
     return FrequencyIndexUnion(
         termset.dimension, kind, termset.terms, grids, offsets, sum(counts)
-    )
-
-
-def expected_index_count(termset: TermSet, bandwidths: BandwidthProfile) -> int:
-    """Closed-form size of the index union: ``1 + sum (N_l - 1)^l``."""
-    return 1 + sum(
-        (bandwidths.for_order(len(u)) - 1) ** len(u)
-        for u in termset.nonempty_terms
     )
 
 

@@ -3,7 +3,9 @@
 ``perfbench/spans.py`` times library calls by replacing module attributes
 listed in its ``PATCHES`` table.  A renamed or removed name passes every
 other test and only breaks the traced benchmark run, so the first test
-checks the table against the package.
+checks the table against the package.  Likewise a name deleted from a
+module can stay in ``anovafit.__all__`` or in a script under ``scripts/``
+that no test runs, so two tests resolve ``__all__`` and import each script.
 
 The library raises ``ConfigError``/``DataError`` where it finds a fault,
 and the CLI's ``main`` maps only those onto exit codes.  A new bare
@@ -26,17 +28,41 @@ PACKAGE = ROOT / "src" / "anovafit"
 ALLOWED_VALUE_ERRORS = {("datasets", "_csv_cell")}
 
 
-def _patches():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.PATCHES
+    return module
+
+
+def _patches():
+    return _load(SPANS, "perfbench_spans").PATCHES
 
 
 @pytest.mark.parametrize("module_name, attr, span", _patches())
 def test_patched_name_resolves(module_name, attr, span):
     module = importlib.import_module(module_name)
     assert hasattr(module, attr), f"{module_name}.{attr} (span {span}) is missing"
+
+
+def test_all_resolves_and_lists_every_imported_name():
+    package = importlib.import_module("anovafit")
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert missing == [], f"anovafit.__all__ names {missing}, which do not resolve"
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unlisted = sorted(name for name in imported - set(package.__all__) if not name.startswith("_"))
+    assert unlisted == [], f"anovafit/__init__.py imports {unlisted} but __all__ omits them"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_script_imports(path):
+    # each script runs main() only under __main__, so loading it only imports
+    assert callable(_load(path, f"script_{path.stem}").main)
 
 
 def _is_value_error(node) -> bool:

@@ -3,11 +3,23 @@
 import dataclasses
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from anovafit import analyze, load_model, load_termset, save_model
+from anovafit import (
+    BandwidthProfile,
+    BasisKind,
+    analyze,
+    fit,
+    load_csv,
+    load_model,
+    load_termset,
+    predict,
+    save_model,
+    superposition_terms,
+)
 from anovafit.bench import REAL_PRESETS, RealBenchConfig
 from anovafit.cli import main
 
@@ -304,7 +316,7 @@ class TestRankRefineRoundTrip:
         )
         assert code == 0
         reduced = load_termset(terms_path)
-        assert reduced.variables() == (1, 2, 3, 4, 5)
+        assert tuple(sorted({i for u in reduced for i in u})) == (1, 2, 3, 4, 5)
         assert len(reduced) == 16
 
     def test_zero_variance_model_exits_4(self, tmp_path, capsys):
@@ -419,6 +431,26 @@ class TestPredict:
         assert len(payload["predictions"]) == 1
         assert "metrics" not in payload
 
+    def test_complex_output_model_writes_re_im_pairs(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        nodes = rng.uniform(-0.5, 0.5, size=(40, 2))
+        values = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        model = fit(nodes, values, superposition_terms(2, 1),
+                    BandwidthProfile.from_list([4]), BasisKind.EXPONENTIAL)
+        assert not model.real_output
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("a,b\n" + "".join(f"{x:.6f},{z:.6f}\n" for x, z in nodes[:5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a dropped imaginary part warns
+            code, out, _ = run_cli(
+                capsys, "predict", "--model", str(model_path), "--csv", str(csv_path)
+            )
+        assert code == 0
+        expected = predict(load_model(model_path), load_csv(csv_path, None).nodes)
+        assert np.all(np.abs(expected.imag) > 0.0)
+        assert json.loads(out)["predictions"] == [[v.real, v.imag] for v in expected]
 
     def test_feature_count_mismatch_exits_3(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
@@ -628,6 +660,24 @@ class TestErrorBoundary:
         assert code == 3
         assert out == ""
         assert "non-finite coefficient" in err
+
+    @pytest.mark.parametrize("lo, hi", [([1, 1, 1, 1], [0, 0, 0, 0]),
+                                        ([float("nan"), 0, 0, 0], [1, 1, 1, 1])])
+    def test_malformed_normalization_extrema_predict_exits_3(self, friedman2_model,
+                                                             tmp_path, capsys, lo, hi):
+        model_path, _ = friedman2_model
+        obj = read_json(model_path)
+        obj["normalization"] = {"feature_min": lo, "feature_max": hi,
+                                "target_min": None, "target_max": None}
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(obj))  # json writes and reads NaN
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("a,b,c,d\n0.1,0.2,0.3,0.4\n")
+        code, out, err = run_cli(capsys, "predict", "--model", str(bad_path),
+                                 "--csv", str(csv_path))
+        assert code == 3
+        assert out == ""
+        assert "normalization extrema" in err
 
     def test_model_file_not_json_exits_3(self, tmp_path, capsys):
         bad_path = tmp_path / "model.json"

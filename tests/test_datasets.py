@@ -18,7 +18,6 @@ from anovafit import (
     load_csv,
     median_evaluate,
     normalize,
-    project_columns,
     rng_stream,
     split,
 )
@@ -286,21 +285,6 @@ class TestNormalize:
         out = apply_normalization(other, fitted.normalization, include_target=True)
         np.testing.assert_allclose(out.nodes[:, 0], [0.5])
         np.testing.assert_allclose(out.targets, [0.5])
-
-
-class TestProjectColumns:
-    def test_projection(self):
-        ds = Dataset(np.arange(12.0).reshape(3, 4), np.zeros(3), ("a", "b", "c", "d"))
-        out = project_columns(ds, (1, 3))
-        assert out.columns == ("a", "c")
-        np.testing.assert_array_equal(out.nodes, ds.nodes[:, [0, 2]])
-
-    def test_validation(self):
-        ds = Dataset(np.zeros((2, 2)), np.zeros(2), ("a", "b"))
-        with pytest.raises(ConfigError):
-            project_columns(ds, (0,))
-        with pytest.raises(ConfigError):
-            project_columns(ds, ())
 
 
 def _toy_dataset(size=10, dim=2, seed=0):

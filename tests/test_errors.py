@@ -16,13 +16,16 @@ from anovafit import (
     FriedmanSpec,
     SensitivityReport,
     SolverConfig,
+    SplitPlan,
     TermSet,
     build_index_union,
     direct_solve,
     drop_variables,
+    eval_1d,
     fit,
     friedman_sample,
     full_grid_1d,
+    incremental_expand,
     load_termset,
     lsqr_solve,
     mse,
@@ -51,6 +54,15 @@ def _model_obj(**changes):
     model = fit(rng.random((20, 2)), rng.random(20), superposition_terms(2, 1),
                 BandwidthProfile.from_list([4]), BasisKind.COSINE)
     return {**model_to_obj(model), **changes}
+
+
+def _diagnostics(**changes):
+    return _model_obj(diagnostics={**_model_obj()["diagnostics"], **changes})
+
+
+def _extrema(lo, hi, t_lo=None, t_hi=None):
+    block = {"feature_min": lo, "feature_max": hi, "target_min": t_lo, "target_max": t_hi}
+    return _model_obj(normalization=block)
 
 
 def _nan_model_obj():
@@ -122,6 +134,40 @@ CASES = {
     "unknown real-data metric": (ConfigError, lambda: RealBenchConfig(0.7, metric="mae")),
     "real-data gsi cutoff of 1": (ConfigError, lambda: RealBenchConfig(0.7, gsi_cutoff=1.0)),
     "stage with two selections": (ConfigError, lambda: Stage(2, (4, 2), 1.0, rank=0.1, gsi=0.1)),
+    "fractional repetitions": (
+        ConfigError, lambda: SplitPlan(train_size=10, test_size=10, repetitions=2.5)
+    ),
+    "string repetitions": (
+        ConfigError, lambda: SplitPlan(train_size=10, test_size=10, repetitions="3")
+    ),
+    "fractional split size": (ConfigError, lambda: SplitPlan(train_size=2.5, test_size=10)),
+    "string split size": (ConfigError, lambda: SplitPlan(train_size=10, test_size="10")),
+    "fractional iteration cap": (ConfigError, lambda: SolverConfig(max_iterations=2.5)),
+    "string iteration cap": (ConfigError, lambda: SolverConfig(max_iterations="5")),
+    "fractional expansion order": (
+        ConfigError,
+        lambda: incremental_expand(_report(), superposition_terms(3, 1), 0.1, 2.5),
+    ),
+    "integral-float expansion order": (
+        ConfigError,
+        lambda: incremental_expand(_report(), superposition_terms(3, 1), 0.1, 2.0),
+    ),
+    "fractional frequency": (ConfigError, lambda: eval_1d(BasisKind.COSINE, 1.5, 0.3)),
+    "fractional model-file iteration count": (
+        DataError, lambda: model_from_obj(_diagnostics(iterations=2.9))
+    ),
+    "inverted model-file feature extrema": (
+        DataError, lambda: model_from_obj(_extrema([1, 1], [0, 0]))
+    ),
+    "NaN model-file feature extremum": (
+        DataError, lambda: model_from_obj(_extrema([float("nan"), 0], [1, 1]))
+    ),
+    "infinite model-file feature extremum": (
+        DataError, lambda: model_from_obj(_extrema([0, 0], [1, float("inf")]))
+    ),
+    "inverted model-file target extrema": (
+        DataError, lambda: model_from_obj(_extrema([0, 0], [1, 1], 2.0, 1.0))
+    ),
     "empty recipe": (
         ConfigError, lambda: run_recipe((), friedman_sample(FriedmanSpec(1), 5, 0))
     ),
@@ -134,6 +180,11 @@ def test_boundary_raises_typed_error(case):
     with pytest.raises(expected) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+def test_model_file_with_a_constant_column_loads():
+    stats = model_from_obj(_extrema([0.5, 0.0], [0.5, 1.0], 3.0, 3.0)).normalization
+    assert stats.feature_min[0] == stats.feature_max[0] and stats.target_max == 3.0
 
 
 @pytest.mark.parametrize("key", ["diagnostics", "real_output", "superposition_threshold"])

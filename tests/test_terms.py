@@ -1,7 +1,5 @@
 """Tests for term sets, bandwidth profiles, and frequency index unions."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,14 +11,11 @@ from anovafit import (
     ConfigError,
     TermSet,
     build_index_union,
-    closure,
-    expected_index_count,
     full_grid_1d,
     load_termset,
     save_termset,
     superposition_terms,
 )
-from anovafit.terms import is_downward_closed
 
 from conftest import term_sets
 
@@ -63,7 +58,6 @@ class TestTermSet:
         ts = TermSet(5, ((1,), (2, 4)))
         assert (4, 2) in ts
         assert (3,) not in ts
-        assert ts.variables() == (1, 2, 4)
 
     def test_json_round_trip(self, tmp_path):
         ts = superposition_terms(4, 2)
@@ -71,37 +65,6 @@ class TestTermSet:
         save_termset(ts, path)
         loaded = load_termset(path)
         assert loaded == ts
-
-
-class TestClosure:
-    def test_pair_closure(self):
-        ts = TermSet(2, ((1, 2),))
-        assert closure(ts).terms == ((), (1,), (2,), (1, 2))
-
-    def test_idempotent_on_closed_set(self):
-        ts = superposition_terms(4, 2)
-        assert closure(ts) == ts
-
-    def test_triple_adds_all_pairs(self):
-        ts = TermSet(3, ((1,), (2,), (3,), (1, 2, 3)))
-        closed = closure(ts)
-        assert set(closed.terms) == set(superposition_terms(3, 3).terms)
-
-    @settings(max_examples=50, deadline=None)
-    @given(data=st.data())
-    def test_closure_is_idempotent_superset(self, data):
-        d = data.draw(st.integers(min_value=1, max_value=6))
-        pool = [
-            tuple(sorted(u))
-            for order in range(1, d + 1)
-            for u in itertools.combinations(range(1, d + 1), order)
-        ]
-        chosen = data.draw(st.lists(st.sampled_from(pool), max_size=6, unique=True)) if pool else []
-        ts = TermSet(d, tuple(chosen))
-        closed = closure(ts)
-        assert set(ts.terms) <= set(closed.terms)
-        assert closure(closed) == closed
-        assert is_downward_closed(closed)
 
 
 class TestFullGrid:
@@ -231,7 +194,10 @@ class TestIndexUnion:
         )
         ts = superposition_terms(d, ds)
         union = build_index_union(ts, bw, kind)
-        assert union.size == expected_index_count(ts, bw)
+        # closed form: 1 + sum over nonempty terms u of (N_|u| - 1)^|u|
+        assert union.size == 1 + sum(
+            (bw.for_order(len(u)) - 1) ** len(u) for u in ts.nonempty_terms
+        )
         full = union.frequencies_full()
         assert len({tuple(k) for k in full}) == union.size
 
