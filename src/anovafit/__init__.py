@@ -12,6 +12,7 @@ from .datasets import (
     FriedmanSpec,
     Normalization,
     SplitPlan,
+    apply_normalization,
     friedman_eval,
     friedman_sample,
     load_csv,
@@ -83,6 +84,7 @@ __all__ = [
     "SplitPlan",
     "TermSet",
     "analyze",
+    "apply_normalization",
     "attribute_ranking",
     "build_index_union",
     "dense_design_matrix",

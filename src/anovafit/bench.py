@@ -26,13 +26,14 @@ from .datasets import (
     Dataset,
     FriedmanSpec,
     SplitPlan,
+    apply_normalization,
     friedman_eval,
     friedman_sample,
     normalize,
     rng_stream,
     split,
 )
-from .errors import AnovaFitError, ConfigError, NumericalError, as_integer
+from .errors import ConfigError, DataError, NumericalError, as_integer, as_real
 from .model import (
     Model,
     SensitivityReport,
@@ -71,9 +72,9 @@ REFERENCE_RESULTS = {
 
 METRICS: dict[str, Callable] = {"mse": mse, "rmse": rmse, "relative": relative_error}
 
-# Errors that count a repetition as failed; anything else is a bug and
-# propagates out of the loop.
-COUNTED_ERRORS = (AnovaFitError, FloatingPointError, np.linalg.LinAlgError)
+# Errors that count a repetition as failed; a bad setting (ConfigError) or
+# anything else propagates out of the loop.
+COUNTED_ERRORS = (DataError, NumericalError, FloatingPointError, np.linalg.LinAlgError)
 
 
 def rep_data(
@@ -86,7 +87,7 @@ def rep_data(
     """
     if isinstance(source, FriedmanSpec):
         if not plan.generated:
-            raise ConfigError("synthetic sources need a generated split plan")
+            raise ConfigError("fraction splits need a concrete dataset; use M_train:M_test")
         train = friedman_sample(source, plan.train_size, rng_stream(plan.seed, rep, "train"))
         test = friedman_sample(source, plan.test_size, rng_stream(plan.seed, rep, "test"))
         return train, test
@@ -97,7 +98,6 @@ def rep_data(
 class EvaluationSummary:
     """Median and quartiles of a metric over repetitions, and the failures."""
 
-    metric: str
     median: float
     q1: float
     q3: float
@@ -111,7 +111,6 @@ class EvaluationSummary:
 
     def to_json_obj(self) -> dict:
         return {
-            "metric": self.metric,
             "median": self.median,
             "q1": self.q1,
             "q3": self.q3,
@@ -125,8 +124,6 @@ def median_evaluate(
     recipe: Callable[[Dataset, Dataset], float],
     source: Dataset | FriedmanSpec,
     plan: SplitPlan,
-    *,
-    metric_name: str = "mse",
 ) -> EvaluationSummary:
     """Median and quartiles of a fit metric over the repetitions of ``plan``.
 
@@ -147,7 +144,6 @@ def median_evaluate(
     if not values:
         raise NumericalError(f"all {plan.repetitions} repetitions failed: {failed[0]['message']}")
     return EvaluationSummary(
-        metric=metric_name,
         median=float(np.median(values)),
         q1=float(np.percentile(values, 25)),
         q3=float(np.percentile(values, 75)),
@@ -275,7 +271,7 @@ class RealBenchConfig:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}; use one of {sorted(METRICS)}")
-        if not 0.0 < self.gsi_cutoff < 1.0:
+        if not 0.0 < as_real(self.gsi_cutoff, "gsi cutoff") < 1.0:
             raise ConfigError("gsi cutoff must lie in (0, 1)")
         if self.keep is not None:
             # the upper bound, the dimension, is checked by drop_variables
@@ -312,7 +308,9 @@ def run_real_benchmark(
 
     def recipe(train_raw: Dataset, test_raw: Dataset) -> float:
         train = normalize(train_raw, include_target=cfg.normalize_targets)
-        test = normalize(test_raw, reference=train, include_target=cfg.normalize_targets)
+        test = apply_normalization(
+            test_raw, train.normalization, include_target=cfg.normalize_targets
+        )
         model, _ = run_recipe(stages, train, termset)
         value = METRICS[cfg.metric](test.targets, predict(model, test.nodes))
         # appended last, so it holds exactly the repetitions that succeeded
@@ -322,9 +320,10 @@ def run_real_benchmark(
     plan = SplitPlan(
         train_fraction=cfg.train_fraction, repetitions=repetitions, seed=seed
     )
-    summary = median_evaluate(recipe, ds, plan, metric_name=cfg.metric)
+    summary = median_evaluate(recipe, ds, plan)
     return {
         **summary.to_json_obj(),
+        "metric": cfg.metric,
         "seed": seed,
         "median_active_terms": float(np.median(sizes)),
     }

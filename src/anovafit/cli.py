@@ -88,21 +88,15 @@ def _split_plan(text: str | None, *, synthetic: bool, seed: int) -> SplitPlan:
             train_size, test_size = (int(part) for part in text.split(":"))
         except ValueError:
             raise ConfigError(f"--split sizes must be M_train:M_test, got {text!r}") from None
-        if not synthetic:
-            raise ConfigError("size-based splits only apply to synthetic generators")
         return SplitPlan(train_size=train_size, test_size=test_size, seed=seed)
     try:
         fraction = float(text)
     except ValueError:
         raise ConfigError(f"--split expects a fraction or M_train:M_test, got {text!r}") from None
-    if synthetic:
-        raise ConfigError("fraction splits need a concrete dataset; use M_train:M_test")
     return SplitPlan(train_fraction=fraction, seed=seed)
 
 
 def _load_train_test(args) -> tuple[Dataset, Dataset]:
-    if (args.friedman is None) == (args.csv is None):
-        raise ConfigError("select exactly one data source: --friedman or --csv")
     if args.friedman is not None:
         if args.normalize or args.normalize_target:
             raise ConfigError("--normalize and --normalize-target need --csv data")
@@ -115,7 +109,9 @@ def _load_train_test(args) -> tuple[Dataset, Dataset]:
     train, test = bench.rep_data(ds, plan, 0)
     if args.normalize or args.normalize_target:
         train = normalize(train, include_target=args.normalize_target)
-        test = normalize(test, reference=train, include_target=args.normalize_target)
+        test = apply_normalization(
+            test, train.normalization, include_target=args.normalize_target
+        )
     return train, test
 
 
@@ -135,19 +131,15 @@ def cmd_fit(args) -> int:
         regularization=args.lam, max_iterations=args.max_iter, tolerance=args.tol
     )
     train, test = _load_train_test(args)
-    if args.terms:
+    if args.terms is not None:
         termset = load_termset(args.terms)
         if termset.dimension != train.dimension:
             raise ConfigError(
                 f"term set is over {termset.dimension} variables but the data "
                 f"has {train.dimension}"
             )
-    elif args.superposition is not None:
-        termset = superposition_terms(train.dimension, args.superposition)
     else:
-        raise ConfigError("give either --ds or --terms")
-    if args.bandwidths is None:
-        raise ConfigError("--bandwidths is required")
+        termset = superposition_terms(train.dimension, args.superposition)
     bandwidths = BandwidthProfile.from_list(_parse_list(args.bandwidths, "--bandwidths", int))
     model = fit(train.nodes, train.targets, termset, bandwidths, kind, config)
     model = dataclasses.replace(model, normalization=train.normalization)
@@ -285,8 +277,6 @@ def cmd_bench_real(args) -> int:
                 "user-supplied"
             )
         csv_path = str(Path(data_dir) / f"{args.name}.csv")
-    if not Path(csv_path).exists():
-        raise DataError(f"dataset file not found: {csv_path}")
     ds = load_csv(csv_path, args.target)
     if args.target is None:  # the last column is the target
         ds = Dataset(ds.nodes[:, :-1], ds.nodes[:, -1], ds.columns[:-1], ds.columns[-1])
@@ -324,15 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_fit = sub.add_parser("fit", help="fit a model and report test metrics")
-    p_fit.add_argument("--csv", help="CSV data file (with --target)")
+    source = p_fit.add_mutually_exclusive_group(required=True)
+    source.add_argument("--csv", help="CSV data file (with --target)")
+    source.add_argument("--friedman", type=int, choices=(1, 2, 3),
+                        help="use a synthetic benchmark generator")
     p_fit.add_argument("--target", help="target column name")
-    p_fit.add_argument("--friedman", type=int, choices=(1, 2, 3),
-                       help="use a synthetic benchmark generator")
-    p_fit.add_argument("--terms", help="term set JSON file (from refine)")
-    p_fit.add_argument("--ds", dest="superposition", type=int,
+    terms = p_fit.add_mutually_exclusive_group(required=True)
+    terms.add_argument("--terms", help="term set JSON file (from refine)")
+    terms.add_argument("--ds", dest="superposition", type=int,
                        help="superposition threshold for the initial term set")
     p_fit.add_argument("--basis", default="cos", choices=("per", "cos", "cheb"))
-    p_fit.add_argument("--bandwidths", help="comma-separated N per order, e.g. 6,4")
+    p_fit.add_argument("--bandwidths", required=True,
+                       help="comma-separated N per order, e.g. 6,4")
     p_fit.add_argument("--split", help="train fraction (csv) or M_train:M_test (friedman)")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--normalize", action="store_true",

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError, as_integer
+from .errors import ConfigError, DataError, as_integer, as_real
 
 _PURPOSE_CODES = {"train": 0, "test": 1, "split": 2}
 
@@ -51,16 +51,6 @@ class Normalization:
     feature_max: np.ndarray
     target_min: float | None = None
     target_max: float | None = None
-
-    def matches(self, other: "Normalization | None") -> bool:
-        if other is None:
-            return False
-        return (
-            np.array_equal(self.feature_min, other.feature_min)
-            and np.array_equal(self.feature_max, other.feature_max)
-            and self.target_min == other.target_min
-            and self.target_max == other.target_max
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,9 +292,12 @@ def _affine_to_unit(values, lo, hi):
 def apply_normalization(
     ds: Dataset, stats: Normalization, *, include_target: bool = False
 ) -> Dataset:
-    """Map a dataset through previously recorded min-max extrema."""
-    if stats.matches(ds.normalization):
-        return ds
+    """Map a raw dataset through recorded min-max extrema, such as its training set's.
+
+    Values outside the extrema clamp to [0, 1]; constant columns map to 0.5.
+    """
+    if ds.normalization is not None:
+        raise ConfigError("dataset is already normalized")
     if include_target and stats.target_min is None:
         raise ConfigError("normalization statistics carry no target extrema")
     nodes = _affine_to_unit(ds.nodes, stats.feature_min, stats.feature_max)
@@ -314,27 +307,19 @@ def apply_normalization(
     return replace(ds, nodes=nodes, targets=targets, normalization=stats)
 
 
-def normalize(
-    ds: Dataset, reference: Dataset | None = None, *, include_target: bool = False
-) -> Dataset:
-    """Min-max normalize features (and optionally the target) into [0, 1].
+def normalize(ds: Dataset, *, include_target: bool = False) -> Dataset:
+    """Min-max normalize features (and optionally the target) into [0, 1] by ``ds``'s extrema.
 
-    Extrema come from ``reference`` (the training set) when given, else from
-    ``ds`` itself; a normalized reference contributes the extrema it
-    recorded.  Values outside the reference range clamp to [0, 1] and
-    constant columns map to 0.5.  Normalizing an already-normalized dataset
-    with the same extrema is a no-op.
+    An already-normalized dataset comes back as it is.
     """
-    ref = reference if reference is not None else ds
-    if ref.normalization is not None:
-        stats = ref.normalization
-    else:
-        stats = Normalization(
-            feature_min=ref.nodes.min(axis=0),
-            feature_max=ref.nodes.max(axis=0),
-            target_min=float(ref.targets.min()) if include_target else None,
-            target_max=float(ref.targets.max()) if include_target else None,
-        )
+    if ds.normalization is not None:
+        return ds
+    stats = Normalization(
+        feature_min=ds.nodes.min(axis=0),
+        feature_max=ds.nodes.max(axis=0),
+        target_min=float(ds.targets.min()) if include_target else None,
+        target_max=float(ds.targets.max()) if include_target else None,
+    )
     return apply_normalization(ds, stats, include_target=include_target)
 
 
@@ -363,7 +348,7 @@ class SplitPlan:
             raise ConfigError(
                 "set either train_fraction or train_size/test_size, not both"
             )
-        if fraction_mode and not 0.0 < self.train_fraction < 1.0:
+        if fraction_mode and not 0.0 < as_real(self.train_fraction, "train_fraction") < 1.0:
             raise ConfigError("train_fraction must lie in (0, 1)")
         sizes = (self.train_size, self.test_size)
         if generated_mode and any(n is None or as_integer(n, "split size") < 1 for n in sizes):
@@ -380,7 +365,7 @@ class SplitPlan:
 def split(ds: Dataset, plan: SplitPlan, rep_index: int) -> tuple[Dataset, Dataset]:
     """Disjoint random train/test partition, deterministic in (seed, rep_index)."""
     if plan.generated:
-        raise ConfigError("generated plans sample fresh data; use rep_data")
+        raise ConfigError("size-based splits only apply to synthetic generators")
     if not 0 <= rep_index < plan.repetitions:
         raise ConfigError(f"rep_index {rep_index} outside 0..{plan.repetitions - 1}")
     n_train = int(round(plan.train_fraction * ds.size))

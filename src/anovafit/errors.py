@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check that raises one.
+"""Exception types shared across the package, and the typed setting readers that raise one.
 
 The library raises these where it finds the fault; the CLI maps them onto
 process exit codes: ConfigError -> 2, DataError -> 3, NumericalError -> 4.
@@ -7,6 +7,7 @@ still catches bad settings and bad arrays.  Any other exception that
 reaches the CLI's ``main`` is a bug and shows its traceback.
 """
 
+import numbers
 import operator
 
 
@@ -40,3 +41,10 @@ def as_integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def as_real(value, what: str) -> float:
+    """``value`` as a ``float`` if a ``numbers.Real``: a string, a complex or None is rejected."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a real number, got {value!r}")
+    return float(value)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .basis import BasisKind
 from .datasets import Normalization
-from .errors import ConfigError, DataError, DegenerateModelError, as_integer
+from .errors import ConfigError, DataError, DegenerateModelError, as_integer, as_real
 from .operators import NODE_BLOCK, DesignOperator
 from .solver import LsqrResult, SolverConfig, direct_solve, lsqr_solve
 from .terms import (
@@ -49,7 +49,6 @@ from .terms import (
     Term,
     TermSet,
     build_index_union,
-    normalize_term,
 )
 
 
@@ -78,11 +77,6 @@ class Model:
     real_output: bool = True
     normalization: Normalization | None = None
 
-    @property
-    def constant(self):
-        """Coefficient of the zero frequency (enumeration index 0)."""
-        return self.coefficients[0]
-
 
 @dataclass(frozen=True, eq=False)
 class SensitivityReport:
@@ -98,18 +92,11 @@ class SensitivityReport:
     indices: tuple[tuple[Term, float], ...]
     ranking: np.ndarray | None = None
 
-    def rho(self, term) -> float:
-        term = normalize_term(term)
-        for u, value in self.indices:
-            if u == term:
-                return value
-        raise ConfigError(f"term {term} not present in report")
-
     def ranked_above(self, threshold: float) -> tuple[int, ...]:
         """1-based variables whose ranking score exceeds ``threshold`` (in ``[0, 1)``)."""
         if self.ranking is None:
             raise ConfigError("report carries no ranking; compute attribute_ranking first")
-        if not 0.0 <= threshold < 1.0:
+        if not 0.0 <= as_real(threshold, "ranking threshold") < 1.0:
             raise ConfigError(f"ranking threshold must lie in [0, 1), got {threshold}")
         return tuple(int(i) + 1 for i in np.flatnonzero(self.ranking > threshold))
 
@@ -285,7 +272,7 @@ def threshold_active_set(
     subsets are understood as zero terms.
     """
     top = termset.max_order
-    values = tuple(float(e) for e in np.atleast_1d(thresholds))
+    values = tuple(as_real(e, "gsi threshold") for e in np.atleast_1d(thresholds))
     if any(not 0.0 < e < 1.0 for e in values):
         raise ConfigError("gsi thresholds must lie in (0, 1)")
     if np.ndim(thresholds) == 0:
@@ -329,7 +316,7 @@ def incremental_expand(
     the current superposition threshold (exclusive) and ``expansion_order``
     (inclusive, below the dimension) are added.
     """
-    if not 0.0 < ranking_threshold < 1.0:
+    if not 0.0 < as_real(ranking_threshold, "ranking threshold") < 1.0:
         raise ConfigError("ranking threshold must lie in (0, 1)")
     expansion_order = as_integer(expansion_order, "expansion order")
     pool = report.ranked_above(ranking_threshold)

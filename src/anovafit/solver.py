@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, as_integer
+from .errors import ConfigError, DataError, NumericalError, as_integer, as_real
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,9 @@ class SolverConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not self.regularization >= 0.0:
-            raise ConfigError("regularization must be >= 0")
-        if not 0.0 < self.tolerance < 1.0:
+        if not 0.0 <= as_real(self.regularization, "regularization") < math.inf:
+            raise ConfigError("regularization must be finite and >= 0")
+        if not 0.0 < as_real(self.tolerance, "tolerance") < 1.0:
             raise ConfigError("tolerance must lie in (0, 1)")
         if self.max_iterations is not None:
             cap = as_integer(self.max_iterations, "max_iterations")

@@ -18,6 +18,7 @@ from anovafit import (
     load_termset,
     predict,
     save_model,
+    save_termset,
     superposition_terms,
 )
 from anovafit.bench import REAL_PRESETS, RealBenchConfig
@@ -112,16 +113,14 @@ class TestFit:
 
     def test_config_errors_exit_2(self, capsys, tmp_path):
         out_path = str(tmp_path / "m.json")
-        # no data source
-        assert run_cli(capsys, "fit", "--ds", "1", "--bandwidths", "2",
-                       "--out", out_path)[0] == 2
-        # both sources
-        assert run_cli(capsys, "fit", "--friedman", "1", "--csv", "x.csv",
-                       "--target", "y", "--ds", "1", "--bandwidths", "2",
-                       "--out", out_path)[0] == 2
-        # missing bandwidths
-        assert run_cli(capsys, "fit", "--friedman", "1", "--ds", "1",
-                       "--out", out_path)[0] == 2
+        # the parser rejects no data source, both sources and missing bandwidths
+        for argv in (["--ds", "1", "--bandwidths", "2"],
+                     ["--friedman", "1", "--csv", "x.csv", "--target", "y", "--ds", "1",
+                      "--bandwidths", "2"],
+                     ["--friedman", "1", "--ds", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["fit", *argv, "--out", out_path])
+            assert exc.value.code == 2
         # malformed bandwidths
         assert run_cli(capsys, "fit", "--friedman", "1", "--ds", "1",
                        "--bandwidths", "4,x", "--out", out_path)[0] == 2
@@ -137,6 +136,26 @@ class TestFit:
         assert code == 2
         assert "non-negative" in err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--friedman", "1", "--ds", "1", "--lambda", "inf"],
+         "regularization must be finite and >= 0"),
+        (["--csv", "{csv}", "--ds", "1"], "--csv needs --target"),
+        (["--friedman", "2", "--terms", "{terms}"],
+         "term set is over 3 variables but the data has 4"),
+    ])
+    def test_bad_settings_exit_2(self, capsys, tmp_path, flags, message):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("a,y\n0.1,1.0\n0.3,2.0\n0.5,3.0\n")
+        terms_path = tmp_path / "t.json"
+        save_termset(superposition_terms(3, 1), terms_path)
+        flags = [f.format(csv=csv_path, terms=terms_path) for f in flags]
+        out_path = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "fit", *flags, "--bandwidths", "4",
+                                 "--out", str(out_path))
+        assert code == 2
+        assert message in err
+        assert out == "" and not out_path.exists()
 
     @pytest.mark.parametrize("source, split, message", [
         ("friedman", "0.7", "fraction splits need a concrete dataset"),
@@ -599,6 +618,42 @@ class TestBench:
             default = RealBenchConfig(0.7)
             assert all(getattr(expected, f.name) != getattr(default, f.name)
                        for f in dataclasses.fields(RealBenchConfig))
+
+    def test_bench_real_bad_bandwidths_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        rows = ["a,b,y", *(",".join(f"{v:.6f}" for v in x) for x in rng.uniform(size=(60, 3)))]
+        csv_path = tmp_path / "table.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "bench-real", "custom", "--csv", str(csv_path),
+                                 "--split", "0.7", "--reps", "3", "--bandwidths", "3,2")
+        assert code == 2
+        assert out == ""
+        assert "configuration error: bandwidth for order 1 must be even" in err
+
+    def test_bench_real_unknown_name_without_split_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("a,b,y\n0.1,0.2,0.3\n")
+        code, _, err = run_cli(capsys, "bench-real", "custom", "--csv", str(csv_path))
+        assert code == 2
+        assert "unknown dataset 'custom': give --split" in err
+
+    @pytest.mark.parametrize("present", [True, False])
+    def test_bench_real_reads_the_data_dir(self, tmp_path, capsys, monkeypatch, present):
+        seen = []
+
+        def record(ds, config, repetitions, seed):
+            seen.append(ds.size)
+            return {"median": 0.0, "failures": 0}
+
+        monkeypatch.setattr("anovafit.bench.run_real_benchmark", record)
+        monkeypatch.setenv("ANOVA_DATA_DIR", str(tmp_path))
+        if present:
+            (tmp_path / "enc.csv").write_text("a,b,y\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
+        code, _, err = run_cli(capsys, "bench-real", "enc", "--reps", "2")
+        assert code == (0 if present else 3)
+        assert seen == ([2] if present else [])
+        if not present:
+            assert "data error:" in err and str(tmp_path / "enc.csv") in err
 
     def test_bench_real_without_data_dir_exits_3(self, capsys, monkeypatch):
         monkeypatch.delenv("ANOVA_DATA_DIR", raising=False)

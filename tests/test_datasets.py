@@ -199,6 +199,7 @@ class TestLoadCsv:
             ("a,y\n1,2\n3,\n", r"data.csv:3: column 'y': non-numeric cell ''"),
             ("a,y\n1,1_0\n", r"data.csv:2: column 'y': non-numeric cell '1_0'"),
             ("a,y\n\uff11,2\n", r"data.csv:2: column 'a': non-numeric cell"),
+            ("y\n1\n2\n", r"data.csv: no feature columns besides the target"),
         ],
         ids=[
             "crlf-blank-line-no-final-newline",
@@ -213,6 +214,7 @@ class TestLoadCsv:
             "empty-cell",
             "digit-separator",
             "full-width-digit",
+            "target-only",
         ],
     )
     def test_grammar(self, tmp_path, text, want):
@@ -247,7 +249,7 @@ class TestNormalize:
     def test_test_values_clamp_to_unit_interval(self):
         train = Dataset(np.array([[0.0], [10.0]]), np.zeros(2), ("a",))
         test = Dataset(np.array([[-5.0], [15.0], [5.0]]), np.zeros(3), ("a",))
-        out = normalize(test, reference=train)
+        out = apply_normalization(test, normalize(train).normalization)
         np.testing.assert_allclose(out.nodes[:, 0], [0.0, 1.0, 0.5])
 
     def test_already_unit_data_unchanged(self):
@@ -263,8 +265,7 @@ class TestNormalize:
         rng = np.random.default_rng(3)
         ds = Dataset(rng.uniform(5, 9, size=(15, 2)), rng.uniform(size=15), ("a", "b"))
         once = normalize(ds)
-        twice = normalize(once, reference=once)
-        assert twice is once
+        assert normalize(once) is once
 
     def test_constant_column_maps_to_half(self):
         ds = Dataset(np.full((4, 2), [3.0, 1.0]), np.zeros(4), ("a", "b"))
@@ -285,6 +286,13 @@ class TestNormalize:
         out = apply_normalization(other, fitted.normalization, include_target=True)
         np.testing.assert_allclose(out.nodes[:, 0], [0.5])
         np.testing.assert_allclose(out.targets, [0.5])
+
+    def test_a_normalized_dataset_is_not_mapped_again(self):
+        ds = Dataset(np.array([[2.0], [4.0], [6.0]]), np.zeros(3), ("a",))
+        once = normalize(ds)
+        other = normalize(Dataset(np.array([[0.0], [10.0]]), np.zeros(2), ("a",)))
+        with pytest.raises(ConfigError, match="dataset is already normalized"):
+            apply_normalization(once, other.normalization)
 
 
 def _toy_dataset(size=10, dim=2, seed=0):
@@ -428,6 +436,19 @@ class TestMedianEvaluate:
             median_evaluate(recipe, ds, plan)
         assert len(calls) == 1
 
+    def test_config_error_propagates(self):
+        ds = _toy_dataset(size=20)
+        plan = SplitPlan(train_fraction=0.5, repetitions=3)
+        calls = []
+
+        def recipe(tr, te):
+            calls.append(tr)
+            raise ConfigError("a bad setting")
+
+        with pytest.raises(ConfigError, match="a bad setting"):
+            median_evaluate(recipe, ds, plan)
+        assert len(calls) == 1
+
     def test_data_error_in_split_propagates(self):
         ds = _toy_dataset(size=3)
         plan = SplitPlan(train_fraction=0.1, repetitions=2)
@@ -453,9 +474,8 @@ class TestMedianEvaluate:
     def test_summary_json_keys(self):
         ds = _toy_dataset(size=20)
         plan = SplitPlan(train_fraction=0.5, repetitions=1)
-        summary = median_evaluate(lambda tr, te: 2.0, ds, plan, metric_name="rmse")
+        summary = median_evaluate(lambda tr, te: 2.0, ds, plan)
         assert summary.to_json_obj() == {
-            "metric": "rmse",
             "median": 2.0,
             "q1": 2.0,
             "q3": 2.0,

@@ -12,12 +12,15 @@ from anovafit import (
     BasisKind,
     ConfigError,
     DataError,
+    Dataset,
     DesignOperator,
     FriedmanSpec,
+    Normalization,
     SensitivityReport,
     SolverConfig,
     SplitPlan,
     TermSet,
+    apply_normalization,
     build_index_union,
     direct_solve,
     drop_variables,
@@ -73,6 +76,39 @@ def _nan_model_obj():
 
 CASES = {
     "negative regularization": (ConfigError, lambda: SolverConfig(regularization=-1)),
+    "infinite regularization": (ConfigError, lambda: SolverConfig(regularization=float("inf"))),
+    "string regularization": (ConfigError, lambda: SolverConfig(regularization="1")),
+    "string tolerance": (ConfigError, lambda: SolverConfig(tolerance="1e-8")),
+    "string train fraction": (ConfigError, lambda: SplitPlan(train_fraction="0.7")),
+    "string real-data gsi cutoff": (ConfigError, lambda: RealBenchConfig(0.7, gsi_cutoff="0.1")),
+    "string ranking threshold": (ConfigError, lambda: _report().ranked_above("0.02")),
+    "string expansion threshold": (
+        ConfigError,
+        lambda: incremental_expand(_report(), superposition_terms(3, 1), "0.02", 2),
+    ),
+    "string gsi threshold": (
+        ConfigError,
+        lambda: threshold_active_set(_report(), superposition_terms(3, 2), "0.02"),
+    ),
+    "string stage regularization": (
+        ConfigError,
+        lambda: run_recipe((Stage(2, (4, 2), "1.0"),), friedman_sample(FriedmanSpec(1), 5, 0)),
+    ),
+    "complex values with a real basis": (
+        DataError, lambda: lsqr_solve(_operator(), np.ones(8, dtype=complex))
+    ),
+    "non-finite node": (DataError, lambda: Dataset(np.array([[np.inf]]), np.zeros(1), ("a",))),
+    "normalization without target extrema": (
+        ConfigError,
+        lambda: apply_normalization(
+            Dataset(np.zeros((2, 1)), np.zeros(2), ("a",)),
+            Normalization(np.zeros(1), np.ones(1)),
+            include_target=True,
+        ),
+    ),
+    "model-file coefficient count": (
+        DataError, lambda: model_from_obj(_model_obj(coefficients=[1.0, 2.0]))
+    ),
     "1-d nodes": (DataError, lambda: DesignOperator(np.full(3, 0.5), _operator().index_union)),
     "wrong coordinate count": (
         DataError, lambda: DesignOperator(np.full((4, 2), 0.5), _operator().index_union)

@@ -405,13 +405,14 @@ class TestVarianceAndGsi:
         # squared sums 3 and 1 over the two singleton terms
         model = planted_model(2, ((1,), (2,)), [4], [0.5, 1, 1, 1, 1, 0, 0])
         report = gsi(model)
-        np.testing.assert_allclose(report.rho((1,)), 0.75, rtol=1e-14)
-        np.testing.assert_allclose(report.rho((2,)), 0.25, rtol=1e-14)
+        rho = dict(report.indices)
+        np.testing.assert_allclose(rho[(1,)], 0.75, rtol=1e-14)
+        np.testing.assert_allclose(rho[(2,)], 0.25, rtol=1e-14)
 
     def test_single_active_term_gets_everything(self):
         model = planted_model(3, ((2,),), [4], [0.0, 1.0, 2.0, -1.0])
         report = gsi(model)
-        assert report.rho((2,)) == 1.0
+        assert dict(report.indices)[(2,)] == 1.0
 
     def test_sorted_indices_deterministic(self):
         report = SensitivityReport(
@@ -434,7 +435,7 @@ class TestVarianceAndGsi:
         x, wx = gauss_legendre(40, 0.0, 1.0)
         grid = np.array([(a, b) for a in x for b in x])
         weights = np.array([wa * wb for wa in wx for wb in wx])
-        values = predict(model, grid) - model.constant
+        values = predict(model, grid) - model.coefficients[0]
         integral = float(np.sum(weights * np.abs(values) ** 2))
         np.testing.assert_allclose(integral, variance(model), atol=1e-6)
 
