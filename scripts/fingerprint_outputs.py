@@ -22,6 +22,9 @@ array, a ``float.hex`` of a scalar, or an exact count.  The script covers
   ``threshold_active_set`` at ``(t, t)`` for t = 1e-3, 1e-2, the variables
   ranked above theta = 0.02, 0.05 with the size of ``drop_variables`` on
   each, and the terms of ``incremental_expand(..., 0.05, 3)``;
+* a d=6, ds=3, N=(4, 4, 4) cosine fit (lam=1, 2000 rows) on the LSQR path:
+  its stop reason, iteration count and coefficients, so a change to the
+  order-3 apply shows as LSQR amplifies it;
 * ``run_real_benchmark`` (10 repetitions, seed 0) on a seeded 400-row
   Friedman-1 table: median, quartiles and median active-term count for the
   ``enc`` and ``ch`` presets, ``asn`` restricted by ``keep=(1, ..., 5)``,
@@ -157,9 +160,9 @@ def random_operator(rng: np.random.Generator, kind: BasisKind) -> DesignOperator
 def operator_lines() -> list[str]:
     """Hashes per basis, split by the instance's highest term order (<= 2 or 3).
 
-    Only order-3 terms take the per-term path of ``matvec`` and
-    ``adjoint_matvec``, so a change to that path shows on the ``order3`` lines
-    alone.
+    Only order-3 terms build the leading rows of ``matvec`` and
+    ``adjoint_matvec`` from products of factors, so a change to that path
+    shows on the ``order3`` lines alone.
     """
     lines = []
     for kind in (BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV):
@@ -276,6 +279,21 @@ def wide_fit_lines() -> list[str]:
     ] + refine_lines(report, termset)
 
 
+def order3_fit_lines() -> list[str]:
+    """A d=6, ds=3, N=(4, 4, 4) cosine fit (694 columns, 2000 rows, lam=1) on the LSQR path."""
+    rng = np.random.default_rng(6)
+    x = rng.random((2000, 6))
+    y = np.sin(2 * np.pi * x[:, 0] * x[:, 1] * x[:, 2]) + x[:, 3] + 0.1 * rng.standard_normal(2000)
+    model = fit(
+        x, y, superposition_terms(6, 3), BandwidthProfile.from_list([4, 4, 4]),
+        BasisKind.COSINE, SolverConfig(regularization=1.0),
+    )
+    return [
+        f"fit.order3.stop {model.stop_reason}:{model.iterations}",
+        hashed("fit.order3.coefficients", model.coefficients),
+    ]
+
+
 def real_lines() -> list[str]:
     table = friedman_sample(FriedmanSpec(1), 400, 11)
     configs = {
@@ -369,7 +387,7 @@ def main() -> int:
     print(machine_line(), flush=True)
     lines = (
         table_lines() + operator_lines() + block_lines() + friedman_lines()
-        + wide_fit_lines() + real_lines()
+        + wide_fit_lines() + order3_fit_lines() + real_lines()
     )
     for line in lines + cli_lines():
         print(line, flush=True)

@@ -438,6 +438,13 @@ def model_from_obj(obj: dict) -> Model:
         termset = TermSet.from_json_obj(obj)
         bandwidths = BandwidthProfile.from_json_obj(obj["bandwidths"])
         coefficients = _coeffs_from_obj(obj["coefficients"], kind)
+        # the union's closed-form size, checked before any frequency grid is built
+        size = 1 + sum((bandwidths.for_order(len(u)) - 1) ** len(u) for u in termset.nonempty_terms)
+        if coefficients.shape != (size,):
+            raise DataError(
+                f"model has coefficients of shape {coefficients.shape} but the index "
+                f"union holds {size} frequencies"
+            )
         diagnostics = obj["diagnostics"]
         stats = _normalization_from_obj(obj.get("normalization"), termset.dimension)
         model = Model(
@@ -458,11 +465,6 @@ def model_from_obj(obj: dict) -> Model:
         raise DataError(f"malformed model object: {exc}") from exc
     if not np.all(np.isfinite(model.coefficients)):
         raise DataError("malformed model object: non-finite coefficient")
-    if len(model.coefficients) != model.index_union.size:
-        raise DataError(
-            f"model has {len(model.coefficients)} coefficients but the index "
-            f"union holds {model.index_union.size} frequencies"
-        )
     return model
 
 

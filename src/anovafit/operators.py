@@ -34,28 +34,33 @@ when it uses all ``v`` variables, else as one gather of that range: at most
 ``T_l`` viewed as ``(n_l v_l, M)`` is frequency ``j`` of variable ``p``.
 
 **Apply.**  Each order works on ``T_l`` viewed as ``(n_l v_l, M)``.  Order 1
-takes one BLAS call each way; orders 2 and up run over node blocks, the
-column ranges ``s:s + NODE_BLOCK`` of ``T_l`` (strided views that BLAS
-reads without a copy), so no apply holds scratch of more than one block:
+takes one BLAS call each way; orders 2 and up run over node blocks, column
+ranges ``s:s + step`` of ``T_l`` (strided views that BLAS reads without a
+copy), so no apply holds scratch for more than one block:
 
 * order 1: the order-1 terms are the sorted variables, so the block viewed
   as ``(v, n)`` and transposed is ordered like the table rows: one GEMV
   ``c_1 @ T_1``; the adjoint writes ``T_1 r``, transposed back, into the
   block.  Neither holds node-sized scratch beyond the output;
-* order 2: per node block ``b``, the quadratic form
-  ``colsum((B^T T_2[:, b]) * T_2[:, b])`` (the column sum by one
-  :func:`numpy.einsum` into the output, with no product temporary), where
-  ``B`` viewed as ``(n, v, n, v)`` holds term ``t``'s ``n x n`` coefficients
-  at ``[:, pos[t, 0], :, pos[t, 1]]`` and zeros elsewhere; the adjoint sums
-  ``(T_2[:, b] * r_b) T_2[:, b]^T`` over the blocks into ``G``, which holds
-  every term's block at the same index.  Both cost ``O(M * (n_2 v_2)^2)``,
-  with ``NODE_BLOCK * n_2 v_2`` entries of scratch;
-* order 3 and up: one term and one node block at a time, the term's
-  ``n_l^l`` rows of ``F^T`` on the block from the tensor-product kernel that
-  :meth:`DesignOperator.dense` runs on all terms and nodes at once, then
-  ``c_t @ rows`` (adjoint: ``rows @ r_b``, summed over the blocks); the
-  scratch is ``NODE_BLOCK * n_l^l`` entries and one ``(n_l, NODE_BLOCK)``
-  gather per factor.
+* order ``l >= 2``: per node block ``b``, the bilinear form
+  ``colsum((B^T R_b) * T_l[:, b])`` (the column sum by one
+  :func:`numpy.einsum` into the output, with no product temporary) between
+  the *leading rows* ``R_b`` of the first ``l - 1`` factors and the table.
+  Order 2's ``R_b`` is ``T_2[:, b]`` itself, with ``P = v`` and ``q`` the
+  first variable's position; above that, ``R_b`` holds the products of the
+  ``P`` distinct leading ``(l - 1)``-tuples ``q`` of the terms, from the
+  tensor-product kernel that :meth:`DesignOperator.dense` runs on all terms
+  and nodes at once.  Row ``a P + q`` of ``R_b`` is leading frequency ``a``
+  of ``q``, and ``B``, of shape ``(n^(l-1) P, n v)``, holds term ``t``'s
+  coefficient ``(a, k)`` at row ``a P + q_t``, column ``k v + pos[t, -1]``
+  and zeros elsewhere, written through one flat index built on the first
+  apply.  The adjoint sums ``(R_b * r_b) T_l[:, b]^T`` over the blocks and
+  reads the coefficients back through that index.  The node step is
+  ``NODE_BLOCK n v // (n^(l-1) P)``, clipped to ``[1, NODE_BLOCK]``
+  (``NODE_BLOCK`` for order 2), so ``R_b`` is never larger than the
+  ``(n v, NODE_BLOCK)`` table block, and an apply of order ``l >= 2`` holds
+  at most ``3 n_l v_l NODE_BLOCK`` entries of scratch that grow with the
+  nodes, whatever ``M``, beyond its output and a few arrays of ``B``'s size.
 
 **Determinism.**  An apply runs a fixed sequence of numpy operations on
 fixed shapes, writes only to freshly allocated scratch arrays, and never
@@ -63,15 +68,15 @@ modifies a table (they are read-only, so a stray in-place update raises
 instead of corrupting the cache).  The node blocks are summed in a fixed
 order, the first one taken as is.  For a fixed BLAS thread count, repeated
 applications of the same operator are therefore bitwise-identical.  An
-operator of at most ``NODE_BLOCK`` nodes applies in exactly one product per
-step, as if there were no blocks; one of more nodes differs from that
-single product only in the last bits.
+operator whose nodes fit in each order's node step applies in exactly one
+product per step, as if there were no blocks; one of more nodes differs from
+that single product only in the last bits.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -81,7 +86,7 @@ from .terms import FrequencyIndexUnion
 
 # matrix entries allowed for the dense test oracle
 DENSE_ORACLE_MAX_ENTRIES = 2_000_000
-# nodes per block of an order >= 2 apply, and per operator in model.predict
+# nodes per block of an order-2 apply (higher orders take fewer), and per operator in model.predict
 NODE_BLOCK = 4096
 
 
@@ -96,64 +101,83 @@ class _OrderStack:
         table.setflags(write=False)
         self.table = table
         self.flat = table.reshape(self.n * self.v, M)
-        # the node blocks as (slice, view of flat); one empty block for no nodes
-        self.parts = [
-            (slice(s, s + NODE_BLOCK), self.flat[:, s:s + NODE_BLOCK])
-            for s in range(0, max(M, 1), NODE_BLOCK)
-        ]
         self.conj = conj
 
     def term_rows(self, pos, nodes=slice(None)):
-        """Rows of ``F^T`` of the terms at ``pos`` on ``nodes``, as ``(len(pos), n**order, m)``."""
-        n = self.n
-        rows = self.table[:, pos[:, 0], nodes].swapaxes(0, 1)
-        M = rows.shape[2]
-        for k in range(1, self.order):
-            factor = self.table[:, pos[:, k], nodes].swapaxes(0, 1)
-            rows = (rows[:, :, None] * factor[:, None]).reshape(len(pos), n ** (k + 1), M)
+        """Rows of ``F^T`` of ``k``-factor terms ``pos`` on ``nodes``, ``(n**k, len(pos), m)``."""
+        # take gathers in C order, unlike a mixed index, so that each reshape is a view
+        table = self.table[:, :, nodes]
+        rows = table.take(pos[:, 0], axis=1)
+        for k in range(1, pos.shape[1]):
+            factor = table.take(pos[:, k], axis=1)
+            rows = (rows[:, None] * factor).reshape(len(rows) * len(factor), *factor.shape[1:])
         return rows
 
+    @cached_property
+    def _form(self):
+        """Distinct leading tuples (None: ``R_b = T_b``), ``B``'s shape, the flat index in ``B``."""
+        n, v, pos = self.n, self.v, self.pos
+        if self.order == 2:
+            lead, q, P = None, pos[:, 0], v
+        else:
+            lead, q = np.unique(pos[:, :-1], axis=0, return_inverse=True)
+            P = len(lead)
+        A = n ** (self.order - 1)
+        # term t's coefficient (a, k) sits at row a P + q_t, column k v + pos[t, -1]
+        row = np.arange(A)[:, None] * P + q.ravel()
+        index = (row.T[:, :, None] * (n * v) + np.arange(n) * v + pos[:, -1, None, None]).ravel()
+        return lead, (A * P, n * v), index
+
+    @cached_property
+    def _parts(self):
+        """The node blocks as (slice, view of flat); one empty block for no nodes."""
+        _, (height, width), _ = self._form
+        step = min(NODE_BLOCK, max(1, NODE_BLOCK * width // height))
+        M = self.flat.shape[1]
+        return [(slice(s, s + step), self.flat[:, s:s + step]) for s in range(0, max(M, 1), step)]
+
+    def _leading_rows(self, b, Tb, weights=None):
+        """The leading rows ``R_b``, each node's column times ``weights`` if given."""
+        lead, (height, _), _ = self._form
+        if lead is None:
+            return Tb if weights is None else Tb * weights
+        R = self.term_rows(lead, b).reshape(height, Tb.shape[1])
+        if weights is not None:
+            R *= weights  # in place: a second block-sized temporary maps fresh pages per block
+        return R
+
     def matvec(self, c):
-        T, n, v, pos = self.flat, self.n, self.v, self.pos
+        T, n, v = self.flat, self.n, self.v
         C = c[self.block]
         if self.order == 1:
             return C.reshape(v, n).T.ravel() @ T
+        _, shape, index = self._form
+        B = np.zeros(shape, dtype=T.dtype)
+        B.ravel()[index] = C
         out = np.empty(T.shape[1], dtype=T.dtype)
-        if self.order == 2:
-            B = np.zeros((n, v, n, v), dtype=T.dtype)
-            B[:, pos[:, 0], :, pos[:, 1]] = C.reshape(len(pos), n, n)
-            Bt = B.reshape(n * v, n * v).T
-            for b, Tb in self.parts:
-                np.einsum("ij,ij->j", Bt @ Tb, Tb, out=out[b])
-            return out
-        # one term at a time: pos[:, None] yields (1, order) position arrays
-        C = C.reshape(len(pos), n**self.order)
-        for b, _ in self.parts:
-            out[b] = sum(c_t @ self.term_rows(p, b)[0] for p, c_t in zip(pos[:, None], C))
+        for b, Tb in self._parts:
+            np.einsum("ij,ij->j", B.T @ self._leading_rows(b, Tb), Tb, out=out[b])
         return out
 
     def dense_transposed(self, out):
         """Write this order's rows of ``F^T`` into ``out``."""
-        rows = self.term_rows(self.pos)
-        out[self.block] = rows.reshape(len(self.pos) * self.n**self.order, self.table.shape[2])
+        rows = self.term_rows(self.pos).swapaxes(0, 1)
+        out[self.block].reshape(rows.shape)[:] = rows
 
     def adjoint_matvec(self, r, out):
         """Write ``F_l^H r`` into this order's coefficient block of ``out``."""
-        T, n, v, pos = self.flat, self.n, self.v, self.pos
+        T, n, v = self.flat, self.n, self.v
         # conj(T)^H r == conj(T^T conj(r)): conjugate the vector, not the table
         rc = r.conj() if self.conj else r
         if self.order == 1:
-            G = (T @ rc).reshape(n, v).T
-        elif self.order == 2:
-            # the first block's product is the sum's start, in place of zeros
-            G = reduce(operator.iadd, ((Tb * rc[b]) @ Tb.T for b, Tb in self.parts))
-            G = G.reshape(n, v, n, v)[:, pos[:, 0], :, pos[:, 1]]
+            G = (T @ rc).reshape(n, v).T.ravel()
         else:
-            G = np.array([
-                reduce(operator.iadd, (self.term_rows(p, b)[0] @ rc[b] for b, _ in self.parts))
-                for p in pos[:, None]
-            ])
-        out[self.block] = (G.conj() if self.conj else G).ravel()
+            # the first block's product is the sum's start, in place of zeros
+            G = reduce(operator.iadd, (
+                self._leading_rows(b, Tb, rc[b]) @ Tb.T for b, Tb in self._parts
+            ))
+            G = G.ravel()[self._form[2]]
+        out[self.block] = G.conj() if self.conj else G
 
 
 class DesignOperator:

@@ -176,6 +176,8 @@ def full_grid_1d(kind: BasisKind, bandwidth: int) -> np.ndarray:
     n = as_integer(bandwidth, "bandwidth")
     if n < 2 or n % 2 != 0:
         raise ConfigError(f"bandwidth must be even and >= 2, got {n}")
+    if n > np.iinfo(np.int64).max:
+        raise ConfigError(f"bandwidth {n} exceeds the 64-bit frequency range")
     if kind.is_complex:
         grid = list(range(-n // 2, 0)) + list(range(1, n // 2))
     else:

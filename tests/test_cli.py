@@ -137,6 +137,15 @@ class TestFit:
         assert "non-negative" in err
         assert not (tmp_path / "m.json").exists()
 
+    def test_bandwidth_beyond_int64_exits_2(self, capsys, tmp_path):
+        # 10**24 >= 2**63 is rejected before any grid is allocated
+        out_path = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "fit", "--friedman", "1", "--ds", "2",
+                                 "--bandwidths", f"{10**24},2", "--out", str(out_path))
+        assert code == 2
+        assert "64-bit frequency range" in err
+        assert out == "" and not out_path.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--friedman", "1", "--ds", "1", "--lambda", "inf"],
          "regularization must be finite and >= 0"),
@@ -690,7 +699,11 @@ class TestErrorBoundary:
         assert "M_train:M_test" in err and "'20.5:10'" in err
 
     @pytest.mark.parametrize("key, value", [("basis", "wavelet"), ("bandwidths", {"1": 3}),
-                                            ("coefficients", [float("nan")] * 19)])
+                                            ("coefficients", [float("nan")] * 19),
+                                            # checked against the closed-form union size,
+                                            # so no frequency grid of this size is built
+                                            ("bandwidths", {"1": 10**6, "2": 2}),
+                                            ("bandwidths", {"1": 10**30, "2": 2})])
     def test_bad_model_settings_exit_3(self, friedman2_model, tmp_path, capsys, key, value):
         model_path, _ = friedman2_model
         obj = read_json(model_path)
@@ -701,6 +714,25 @@ class TestErrorBoundary:
         assert code == 3
         assert out == ""
         assert "malformed model object" in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("rank", []),
+        ("predict", ["--csv", "{csv}"]),
+        ("refine", ["--gsi-threshold", "0.02", "--out", "{out}"]),
+    ])
+    def test_scalar_coefficients_exit_3(self, friedman2_model, tmp_path, capsys, command, flags):
+        model_path, _ = friedman2_model
+        obj = read_json(model_path)
+        obj["coefficients"] = 5.0
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(obj))
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("a,b,c,d\n0.1,0.2,0.3,0.4\n")
+        flags = [f.format(csv=csv_path, out=tmp_path / "t.json") for f in flags]
+        code, out, err = run_cli(capsys, command, "--model", str(bad_path), *flags)
+        assert code == 3
+        assert out == ""
+        assert "coefficients of shape ()" in err
 
     def test_non_finite_coefficient_predict_exits_3(self, friedman2_model, tmp_path, capsys):
         model_path, _ = friedman2_model

@@ -1,5 +1,6 @@
 """Tests for the matrix-free design operator against the dense oracle."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -278,8 +279,9 @@ def test_node_blocks_equal_one_product(kind, order, monkeypatch):
     # blocks sum in a fixed order, so a repeated apply is bitwise the same
     assert np.array_equal(matvec, op.matvec(coeffs))
     assert np.array_equal(adjoint, op.adjoint_matvec(values))
-    # the same operator in one block
-    monkeypatch.setattr(operators, "NODE_BLOCK", rows + 1)
+    # the same operator in one block: an order's node step is at least
+    # NODE_BLOCK * n v / (rows of its prefix), and a prefix has at most op.cols rows
+    monkeypatch.setattr(operators, "NODE_BLOCK", rows * op.cols)
     one = DesignOperator(nodes, union)
     assert _relative_gap(matvec, one.matvec(coeffs)) <= 1e-14
     assert _relative_gap(adjoint, one.adjoint_matvec(values)) <= 1e-14
@@ -293,7 +295,8 @@ def test_node_blocks_bound_apply_scratch():
     rng = np.random.default_rng(5)
     op = DesignOperator(rng.random((3 * NODE_BLOCK + 5, 30)), union)
     coeffs, values = rng.standard_normal(op.cols), rng.standard_normal(op.rows)
-    scratch = 90 * op.rows * np.dtype(np.float64).itemsize
+    itemsize = np.dtype(np.float64).itemsize
+    scratch = 90 * op.rows * itemsize
 
     def peak(apply, vec):
         tracemalloc.start()
@@ -305,6 +308,20 @@ def test_node_blocks_bound_apply_scratch():
 
     assert peak(op.matvec, coeffs) < scratch / 2
     assert peak(op.adjoint_matvec, values) < scratch / 2
+
+    # order 3 alone, n * v = 3 * 6 = 18 table rows: the 10 leading pairs give
+    # a prefix of 9 * 10 = 90 rows, five times the bound below on these nodes
+    union = build_index_union(
+        TermSet(6, tuple(itertools.combinations(range(1, 7), 3))),
+        BandwidthProfile({3: 4}), BasisKind.COSINE,
+    )
+    op = DesignOperator(rng.random((3 * NODE_BLOCK + 5, 6)), union)
+    coeffs, values = rng.standard_normal(op.cols), rng.standard_normal(op.rows)
+    # the module docstring's 3 n v NODE_BLOCK entries, two output vectors and
+    # four arrays the size of B, (90, 18)
+    bound = (3 * 18 * NODE_BLOCK + 2 * op.rows + 4 * 90 * 18) * itemsize
+    assert peak(op.matvec, coeffs) < bound
+    assert peak(op.adjoint_matvec, values) < bound
 
 
 def test_nodes_are_a_read_only_view():
