@@ -25,6 +25,9 @@ array, a ``float.hex`` of a scalar, or an exact count.  The script covers
 * a d=6, ds=3, N=(4, 4, 4) cosine fit (lam=1, 2000 rows) on the LSQR path:
   its stop reason, iteration count and coefficients, so a change to the
   order-3 apply shows as LSQR amplifies it;
+* the Friedman-1 ranking-stage fit (200 rows, 76 columns, lam=3) with
+  ``max_iterations=5``: its stop reason, iteration count and coefficients,
+  which show whether an iteration cap chooses the solver;
 * ``run_real_benchmark`` (10 repetitions, seed 0) on a seeded 400-row
   Friedman-1 table: median, quartiles and median active-term count for the
   ``enc`` and ``ch`` presets, ``asn`` restricted by ``keep=(1, ..., 5)``,
@@ -294,6 +297,19 @@ def order3_fit_lines() -> list[str]:
     ]
 
 
+def capped_fit_lines() -> list[str]:
+    """The Friedman-1 ranking-stage fit (200 x 76, lam=3) with an iteration cap of 5."""
+    train = friedman_sample(FriedmanSpec(1), 200, 0)
+    model = fit(
+        train.nodes, train.targets, superposition_terms(10, 2), BandwidthProfile.from_list([4, 2]),
+        BasisKind.COSINE, SolverConfig(regularization=3.0, max_iterations=5),
+    )
+    return [
+        f"fit.capped.stop {model.stop_reason}:{model.iterations}",
+        hashed("fit.capped.coefficients", model.coefficients),
+    ]
+
+
 def real_lines() -> list[str]:
     table = friedman_sample(FriedmanSpec(1), 400, 11)
     configs = {
@@ -387,7 +403,7 @@ def main() -> int:
     print(machine_line(), flush=True)
     lines = (
         table_lines() + operator_lines() + block_lines() + friedman_lines()
-        + wide_fit_lines() + order3_fit_lines() + real_lines()
+        + wide_fit_lines() + order3_fit_lines() + capped_fit_lines() + real_lines()
     )
     for line in lines + cli_lines():
         print(line, flush=True)

@@ -300,8 +300,8 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--lambda", dest="lam", type=float, default=0.0,
                         help="l2 regularization weight (default 0)")
     parser.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                        help="LSQR iteration cap (default 10x columns); setting it "
-                             "forces LSQR for small regularized fits")
+                        help="LSQR iteration cap (default 10x columns); it limits "
+                             "LSQR iterations and does not choose the solver")
     parser.add_argument("--tol", type=float, default=1e-8,
                         help="solver relative tolerance (default 1e-8)")
 

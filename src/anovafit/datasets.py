@@ -45,12 +45,36 @@ def rng_stream(seed: int, rep_index: int = 0, purpose: str = "train") -> np.rand
 
 @dataclass(frozen=True, eq=False)
 class Normalization:
-    """Per-column extrema recorded when a dataset was normalized."""
+    """Per-column extrema recorded when a dataset was normalized.
+
+    Every bound is finite and each min at most its max; the target bounds
+    are both set or both None.
+    """
 
     feature_min: np.ndarray
     feature_max: np.ndarray
     target_min: float | None = None
     target_max: float | None = None
+
+    def __post_init__(self):
+        lo = np.asarray(self.feature_min, dtype=np.float64)
+        hi = np.asarray(self.feature_max, dtype=np.float64)
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise DataError(
+                f"normalization extrema must be two 1-d bounds of one length, "
+                f"got shapes {lo.shape} and {hi.shape}"
+            )
+        if (self.target_min is None) != (self.target_max is None):
+            raise DataError("normalization extrema must set both target bounds or neither")
+        extrema = [(lo, hi)]
+        if self.target_min is not None:
+            object.__setattr__(self, "target_min", as_real(self.target_min, "target_min"))
+            object.__setattr__(self, "target_max", as_real(self.target_max, "target_max"))
+            extrema.append((self.target_min, self.target_max))
+        if not all(np.isfinite([a, b]).all() and np.all(a <= b) for a, b in extrema):
+            raise DataError("normalization extrema must be finite, each min at most its max")
+        object.__setattr__(self, "feature_min", lo)
+        object.__setattr__(self, "feature_max", hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,6 +324,11 @@ def apply_normalization(
         raise ConfigError("dataset is already normalized")
     if include_target and stats.target_min is None:
         raise ConfigError("normalization statistics carry no target extrema")
+    if stats.feature_min.shape != (ds.dimension,):
+        raise DataError(
+            f"normalization extrema hold {stats.feature_min.size} values per bound "
+            f"but the dataset has {ds.dimension} columns"
+        )
     nodes = _affine_to_unit(ds.nodes, stats.feature_min, stats.feature_max)
     targets = ds.targets
     if include_target:
@@ -366,6 +395,7 @@ def split(ds: Dataset, plan: SplitPlan, rep_index: int) -> tuple[Dataset, Datase
     """Disjoint random train/test partition, deterministic in (seed, rep_index)."""
     if plan.generated:
         raise ConfigError("size-based splits only apply to synthetic generators")
+    rep_index = as_integer(rep_index, "rep_index")
     if not 0 <= rep_index < plan.repetitions:
         raise ConfigError(f"rep_index {rep_index} outside 0..{plan.repetitions - 1}")
     n_train = int(round(plan.train_fraction * ds.size))

@@ -129,10 +129,9 @@ def fit(
 
     The system is solved directly (:func:`~anovafit.solver.direct_solve` on
     ``op.dense()``, reporting 0 iterations and stop reason ``"direct"``) when
-    ``regularization > 0``, ``max_iterations`` is None (a cap asks for LSQR's
-    truncation), ``rows * cols**2 <= DIRECT_SOLVE_MAX_WORK`` (the measured
-    crossover) and ``(||F||_F^2 + lam) / lam * eps <= tolerance`` (so the
-    squared condition number costs no accuracy); otherwise by LSQR.
+    ``regularization > 0``, ``rows * cols**2 <= DIRECT_SOLVE_MAX_WORK`` (the
+    measured crossover) and ``(||F||_F^2 + lam) / lam * eps <= tolerance`` (so
+    the squared condition number costs no accuracy); otherwise by LSQR.
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     values = np.asarray(values)
@@ -165,8 +164,7 @@ def fit(
 
 def _solve(op: DesignOperator, values, cfg: SolverConfig) -> LsqrResult:
     lam = cfg.regularization
-    small = op.rows * op.cols**2 <= DIRECT_SOLVE_MAX_WORK
-    if lam > 0.0 and cfg.max_iterations is None and small:
+    if lam > 0.0 and op.rows * op.cols**2 <= DIRECT_SOLVE_MAX_WORK:
         F = op.dense()
         # dense() fills F^T, so F.T is contiguous and vdot reads it without a copy
         if (np.vdot(F.T, F.T).real + lam) / lam * np.finfo(np.float64).eps <= cfg.tolerance:
@@ -419,17 +417,12 @@ def model_to_obj(model: Model) -> dict:
 def _normalization_from_obj(block: dict | None, dimension: int) -> Normalization | None:
     if block is None:
         return None
-    lo = np.asarray(block["feature_min"], dtype=np.float64)
-    hi = np.asarray(block["feature_max"], dtype=np.float64)
-    if lo.shape != (dimension,) or hi.shape != (dimension,):
+    stats = Normalization(
+        block["feature_min"], block["feature_max"], block.get("target_min"), block.get("target_max")
+    )
+    if stats.feature_min.shape != (dimension,):
         raise DataError(f"normalization extrema must hold {dimension} values per bound")
-    t_lo, t_hi = block.get("target_min"), block.get("target_max")
-    if t_lo is not None or t_hi is not None:
-        t_lo, t_hi = float(t_lo), float(t_hi)  # a lone bound raises TypeError
-    extrema = [(lo, hi)] if t_lo is None else [(lo, hi), (t_lo, t_hi)]
-    if not all(np.isfinite([a, b]).all() and np.all(a <= b) for a, b in extrema):
-        raise DataError("normalization extrema must be finite, each min at most its max")
-    return Normalization(lo, hi, t_lo, t_hi)
+    return stats
 
 
 def model_from_obj(obj: dict) -> Model:

@@ -229,8 +229,6 @@ class DesignOperator:
         return self.rows / self.cols
 
     def _coerce(self, vec, length: int, what: str) -> np.ndarray:
-        if isinstance(vec, np.ndarray) and vec.dtype == self.kind.dtype and vec.shape == (length,):
-            return vec
         v = np.asarray(vec)
         if v.shape != (length,):
             raise DataError(f"{what} must have shape ({length},), got {v.shape}")

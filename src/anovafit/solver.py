@@ -34,7 +34,8 @@ from .errors import ConfigError, DataError, NumericalError, as_integer, as_real
 class SolverConfig:
     """Regularization weight and the stopping controls of :func:`lsqr_solve`.
 
-    An explicit ``max_iterations`` forces LSQR where ``fit`` would solve directly.
+    ``max_iterations`` limits LSQR's iterations and nothing else: it does not
+    choose between LSQR and ``fit``'s direct solve.
     """
 
     regularization: float = 0.0
@@ -67,18 +68,6 @@ class LsqrResult:
     residual_history: np.ndarray  # damped residual norm, entry per iteration
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm, bitwise equal to ``np.linalg.norm(v)`` for 1-d ``v``.
-
-    Uses numpy's own formula without its per-call dispatch, which costs
-    more than the dot products on the short vectors of a small fit.
-    """
-    if v.dtype.kind == "c":
-        re, im = v.real, v.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(v.dot(v))
-
-
 def _check_system(shape, y, is_complex: bool) -> np.ndarray:
     m, n = shape
     if m < 1 or n < 1:
@@ -104,8 +93,8 @@ def direct_solve(F: np.ndarray, y, regularization: float) -> LsqrResult:
     gram = Fh @ F
     gram.flat[:: gram.shape[0] + 1] += regularization
     x = np.linalg.solve(gram, Fh @ y)
-    bnorm = _norm(y)
-    rnorm = math.sqrt(_norm(y - F @ x) ** 2 + regularization * _norm(x) ** 2)
+    bnorm = np.linalg.norm(y)
+    rnorm = math.sqrt(np.linalg.norm(y - F @ x) ** 2 + regularization * np.linalg.norm(x) ** 2)
     relative = rnorm / bnorm if bnorm > 0.0 else 0.0
     return LsqrResult(x, 0, relative, "direct", np.asarray([rnorm]))
 
@@ -123,14 +112,14 @@ def lsqr_solve(op, y, config: SolverConfig | None = None) -> LsqrResult:
 
     x = np.zeros(n, dtype=dtype)
     u = y.astype(dtype, copy=True)
-    bnorm = _norm(u)
+    bnorm = np.linalg.norm(u)
     if bnorm == 0.0:
         return LsqrResult(x, 0, 0.0, "tolerance", np.zeros(1))
 
     beta = bnorm
     u /= beta
     v = op.adjoint_matvec(u)
-    alpha = _norm(v)
+    alpha = np.linalg.norm(v)
     if alpha > 0.0:
         v /= alpha
     w = v.copy()
@@ -153,12 +142,12 @@ def lsqr_solve(op, y, config: SolverConfig | None = None) -> LsqrResult:
 
         # next bidiagonalization step
         u = op.matvec(v) - alpha * u
-        beta = _norm(u)
+        beta = np.linalg.norm(u)
         if beta > 0.0:
             u /= beta
             anorm = math.sqrt(anorm**2 + alpha**2 + beta**2 + damp**2)
             v = op.adjoint_matvec(u) - beta * v
-            alpha = _norm(v)
+            alpha = np.linalg.norm(v)
             if alpha > 0.0:
                 v /= alpha
 
@@ -191,7 +180,7 @@ def lsqr_solve(op, y, config: SolverConfig | None = None) -> LsqrResult:
         arnorm = alpha * abs(tau)
         history.append(rnorm)
 
-        xnorm = _norm(x)
+        xnorm = np.linalg.norm(x)
         test1 = rnorm / bnorm
         test2 = arnorm / (anorm * rnorm + eps)
         rtol = cfg.tolerance + cfg.tolerance * anorm * xnorm / bnorm

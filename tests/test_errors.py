@@ -33,6 +33,7 @@ from anovafit import (
     lsqr_solve,
     mse,
     rng_stream,
+    split,
     superposition_terms,
     threshold_active_set,
 )
@@ -105,6 +106,25 @@ CASES = {
             Normalization(np.zeros(1), np.ones(1)),
             include_target=True,
         ),
+    ),
+    "normalization extrema of the wrong width": (
+        DataError,
+        lambda: apply_normalization(
+            Dataset(np.zeros((5, 3)), np.zeros(5), ("a", "b", "c")),
+            Normalization(np.zeros(2), np.ones(2)),
+        ),
+    ),
+    "inverted normalization extrema": (DataError, lambda: Normalization(np.ones(2), np.zeros(2))),
+    "NaN normalization minimum": (
+        DataError, lambda: Normalization(np.array([np.nan, 0.0]), np.ones(2))
+    ),
+    "lone normalization target bound": (
+        DataError, lambda: Normalization(np.zeros(1), np.ones(1), target_min=0.0)
+    ),
+    "string split repetition index": (
+        ConfigError,
+        lambda: split(Dataset(np.zeros((4, 1)), np.zeros(4), ("a",)),
+                      SplitPlan(train_fraction=0.5), "0"),
     ),
     "model-file coefficient count": (
         DataError, lambda: model_from_obj(_model_obj(coefficients=[1.0, 2.0]))

@@ -151,6 +151,12 @@ class TestSolvePath:
     def _train():
         return friedman_sample(FriedmanSpec(1), 200, rng_stream(0, 0, "train"))
 
+    @staticmethod
+    def _union():
+        return build_index_union(
+            superposition_terms(10, 2), BandwidthProfile.from_list([4, 2]), BasisKind.COSINE
+        )
+
     def _fit(self, **config):
         train = self._train()
         return fit(train.nodes, train.targets, superposition_terms(10, 2),
@@ -160,11 +166,18 @@ class TestSolvePath:
     def test_stage_fit_is_direct_and_agrees_with_lsqr(self):
         direct = self._fit(regularization=self.LAM)
         assert (direct.stop_reason, direct.iterations) == ("direct", 0)
-        # an explicit iteration cap asks for LSQR
-        lsqr = self._fit(regularization=self.LAM, max_iterations=10_000)
+        train = self._train()
+        lsqr = lsqr_solve(DesignOperator(train.nodes, self._union()), train.targets,
+                          SolverConfig(regularization=self.LAM))
         assert lsqr.stop_reason == "tolerance" and lsqr.iterations > 0
         rel = np.linalg.norm(direct.coefficients - lsqr.coefficients)
         assert rel / np.linalg.norm(direct.coefficients) < 1e-6
+
+    def test_iteration_cap_does_not_choose_the_solver(self):
+        capped = self._fit(regularization=self.LAM, max_iterations=5)
+        assert (capped.stop_reason, capped.iterations) == ("direct", 0)
+        uncapped = self._fit(regularization=self.LAM)
+        assert np.array_equal(capped.coefficients, uncapped.coefficients)
 
     def test_direct_fit_is_bitwise_repeatable(self):
         first = self._fit(regularization=self.LAM)
@@ -184,10 +197,7 @@ class TestSolvePath:
         assert self._fit(regularization=self.LAM).stop_reason == "tolerance"
 
     def test_conditioning_guard(self):
-        union = build_index_union(
-            superposition_terms(10, 2), BandwidthProfile.from_list([4, 2]), BasisKind.COSINE
-        )
-        dense = DesignOperator(self._train().nodes, union).dense()
+        dense = DesignOperator(self._train().nodes, self._union()).dense()
         # the rule: (||F||_F^2 + lam) / lam * eps <= tolerance
         bound = (np.sum(dense**2) + self.LAM) / self.LAM * np.finfo(np.float64).eps
         above = self._fit(regularization=self.LAM, tolerance=1.001 * bound)
