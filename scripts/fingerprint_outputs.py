@@ -6,6 +6,9 @@ array, a ``float.hex`` of a scalar, or an exact count.  The script covers
 
 * ``eval_1d_table`` of each basis on more than ``_TABLE_BLOCK`` points (the
   domain endpoints included), with negative frequencies for ``per``;
+* the index unions of a d=6 term set with gaps, of highest order 1, 2 and 3,
+  in each basis: ``frequencies_full()`` and the ``slice_for`` bounds of the
+  empty term and of the first and last term of each order;
 * ``matvec``, ``adjoint_matvec`` and ``dense()`` of seeded random design
   operators (term orders 1-3, orders skipped, all three bases), hashed
   apart for instances of highest order <= 2 and of order 3;
@@ -129,6 +132,27 @@ def table_lines() -> list[str]:
         x = np.concatenate([[lo, hi], rng.uniform(lo, hi, 2 * _TABLE_BLOCK + 77)])
         freqs = np.arange(-11, 12) if kind.is_complex else np.arange(11, -1, -1)
         lines.append(hashed(f"basis.{kind.value}.table", eval_1d_table(kind, freqs, x)))
+    return lines
+
+
+def union_lines() -> list[str]:
+    lines = []
+    for kind in (BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV):
+        for top in (1, 2, 3):
+            terms = [u for u in superposition_terms(6, top).terms if sum(u) % 3 != 1]
+            union = build_index_union(
+                TermSet(6, tuple(terms)), BandwidthProfile.from_list([6, 4, 4][:top]), kind
+            )
+            name = f"union.{kind.value}.order{top}"
+            lines.append(hashed(f"{name}.frequencies", union.frequencies_full()))
+            ends = [()] + [
+                [u for u in union.terms if len(u) == order][end]
+                for order in range(1, top + 1) for end in (0, -1)
+            ]
+            bounds = (union.slice_for(u) for u in ends)
+            lines.append(f"{name}.slices " + " ".join(
+                f"{','.join(map(str, u)) or '-'}={sl.start}:{sl.stop}" for u, sl in zip(ends, bounds)
+            ))
     return lines
 
 
@@ -402,7 +426,7 @@ def main() -> int:
     args = parser.parse_args()
     print(machine_line(), flush=True)
     lines = (
-        table_lines() + operator_lines() + block_lines() + friedman_lines()
+        table_lines() + union_lines() + operator_lines() + block_lines() + friedman_lines()
         + wide_fit_lines() + order3_fit_lines() + capped_fit_lines() + real_lines()
     )
     for line in lines + cli_lines():

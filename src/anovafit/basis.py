@@ -99,20 +99,15 @@ def check_domain(kind: BasisKind, x, *, what: str = "coordinate") -> np.ndarray:
     return x
 
 
-def _validate_frequency(kind: BasisKind, k: int) -> int:
-    k = as_integer(k, "frequency")
-    if not kind.is_complex and k < 0:
-        raise ConfigError(f"negative frequency {k} is invalid for basis {kind.token!r}")
-    return k
-
-
 def eval_1d(kind: BasisKind, k: int, x):
     """Evaluate the 1-d basis function of frequency ``k`` at ``x``.
 
     ``x`` may be a scalar or an ndarray; the return matches its shape.
     Frequency 0 is the constant function 1 for every kind.
     """
-    k = _validate_frequency(kind, k)
+    k = as_integer(k, "frequency")
+    if not kind.is_complex and k < 0:
+        raise ConfigError(f"negative frequency {k} is invalid for basis {kind.token!r}")
     x = check_domain(kind, x)
     if kind is BasisKind.EXPONENTIAL:
         out = np.exp(2j * np.pi * k * x)

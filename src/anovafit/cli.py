@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -53,15 +52,8 @@ from .terms import (
     load_termset,
     save_termset,
     superposition_terms,
+    write_json,
 )
-
-
-def _dump_json(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 def _note(message: str) -> None:
@@ -143,7 +135,7 @@ def cmd_fit(args) -> int:
     bandwidths = BandwidthProfile.from_list(_parse_list(args.bandwidths, "--bandwidths", int))
     model = fit(train.nodes, train.targets, termset, bandwidths, kind, config)
     model = dataclasses.replace(model, normalization=train.normalization)
-    _dump_json(model_to_obj(model), args.out)
+    write_json(model_to_obj(model), args.out)
 
     report = {
         "model": args.out,
@@ -155,7 +147,7 @@ def cmd_fit(args) -> int:
         "stop_reason": model.stop_reason,
         "metrics": _metrics(test.targets, predict(model, test.nodes)),
     }
-    _dump_json(report, args.metrics_out)
+    write_json(report, args.metrics_out)
     return 0
 
 
@@ -178,14 +170,14 @@ def cmd_predict(args) -> int:
     if args.target is not None:
         out["metrics"] = _metrics(ds.targets, predictions)
         out["target_normalized"] = target_normalized
-    _dump_json(out, args.out)
+    write_json(out, args.out)
     return 0
 
 
 def cmd_rank(args) -> int:
     model = load_model(args.model)
     report = analyze(model)
-    _dump_json(report.to_json_obj(), args.out)
+    write_json(report.to_json_obj(), args.out)
 
     ranking = [(f"x{i + 1}", float(score)) for i, score in enumerate(report.ranking)]
     indices = [("{" + ",".join(map(str, u)) + "}", rho) for u, rho in report.sorted_indices()]
@@ -235,7 +227,7 @@ def cmd_refine(args) -> int:
         "added": sorted([list(u) for u in after - before], key=lambda u: (len(u), u)),
         "removed": sorted([list(u) for u in before - after], key=lambda u: (len(u), u)),
     }
-    _dump_json(diff, None)
+    write_json(diff, None)
     return 0
 
 
@@ -249,7 +241,7 @@ def cmd_bench_friedman(args) -> int:
         f"{args.reps} repetitions (reference {result['reference_median_mse']:.4g}; "
         f"baselines {baselines})"
     )
-    _dump_json(result, args.out)
+    write_json(result, args.out)
     return 0
 
 
@@ -289,21 +281,11 @@ def cmd_bench_real(args) -> int:
         f"{args.name}: median {config.metric} {result['median']:.5g} over "
         f"{args.reps} splits ({result['failures']} failures)"
     )
-    _dump_json(result, args.out)
+    write_json(result, args.out)
     return 0
 
 
 # --- parser ----------------------------------------------------------------
-
-
-def _add_solver_flags(parser) -> None:
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                        help="l2 regularization weight (default 0)")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                        help="LSQR iteration cap (default 10x columns); it limits "
-                             "LSQR iterations and does not choose the solver")
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="solver relative tolerance (default 1e-8)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also normalize the target into [0,1]")
     p_fit.add_argument("--out", required=True, help="model JSON output path")
     p_fit.add_argument("--metrics-out", help="metrics JSON path (default stdout)")
-    _add_solver_flags(p_fit)
+    p_fit.add_argument("--lambda", dest="lam", type=float, default=0.0,
+                       help="l2 regularization weight (default 0)")
+    p_fit.add_argument("--max-iter", dest="max_iter", type=int, default=None,
+                       help="LSQR iteration cap (default 10x columns); it limits "
+                            "LSQR iterations and does not choose the solver")
+    p_fit.add_argument("--tol", type=float, default=1e-8,
+                       help="solver relative tolerance (default 1e-8)")
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="evaluate a saved model on a CSV")

@@ -43,6 +43,16 @@ def rng_stream(seed: int, rep_index: int = 0, purpose: str = "train") -> np.rand
     return np.random.default_rng(seq)
 
 
+def _real_array(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array; a non-numeric or complex entry is a :class:`DataError`."""
+    try:
+        if np.iscomplexobj(value):
+            raise TypeError("complex values")
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} must be real numbers: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Normalization:
     """Per-column extrema recorded when a dataset was normalized.
@@ -57,8 +67,8 @@ class Normalization:
     target_max: float | None = None
 
     def __post_init__(self):
-        lo = np.asarray(self.feature_min, dtype=np.float64)
-        hi = np.asarray(self.feature_max, dtype=np.float64)
+        lo = _real_array(self.feature_min, "feature_min")
+        hi = _real_array(self.feature_max, "feature_max")
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise DataError(
                 f"normalization extrema must be two 1-d bounds of one length, "
@@ -88,8 +98,8 @@ class Dataset:
     normalization: Normalization | None = None
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64)
+        nodes = _real_array(self.nodes, "node matrix")
+        targets = _real_array(self.targets, "target vector")
         if nodes.ndim != 2 or nodes.shape[0] < 1 or nodes.shape[1] < 1:
             raise DataError(f"node matrix must be (M, d) with M, d >= 1, got {nodes.shape}")
         if targets.shape != (nodes.shape[0],):

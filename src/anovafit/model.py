@@ -49,6 +49,7 @@ from .terms import (
     Term,
     TermSet,
     build_index_union,
+    write_json,
 )
 
 
@@ -225,13 +226,12 @@ def gsi(model: Model) -> SensitivityReport:
         raise DegenerateModelError(
             "model variance is zero; sensitivity indices are undefined"
         )
-    union = model.index_union
     # each order's block as (T_l, n_l**l): one row per term, in union order
     mass = np.concatenate([
         np.sum(np.abs(model.coefficients[block].reshape(len(factors), -1)) ** 2, axis=1)
-        for block, factors in map(union.order_block, union.grids)
+        for block, factors, _, _ in model.index_union.layout.values()
     ])
-    indices = tuple((term, float(m) / sigma2) for term, m in zip(union.terms[1:], mass))
+    indices = tuple((u, float(m) / sigma2) for u, m in zip(model.index_union.terms[1:], mass))
     return SensitivityReport(model.terms.dimension, sigma2, indices)
 
 
@@ -431,8 +431,8 @@ def model_from_obj(obj: dict) -> Model:
         termset = TermSet.from_json_obj(obj)
         bandwidths = BandwidthProfile.from_json_obj(obj["bandwidths"])
         coefficients = _coeffs_from_obj(obj["coefficients"], kind)
-        # the union's closed-form size, checked before any frequency grid is built
-        size = 1 + sum((bandwidths.for_order(len(u)) - 1) ** len(u) for u in termset.nonempty_terms)
+        # the union's size, checked before any frequency grid is built
+        size = sum(bandwidths.term_size(len(u)) for u in termset.terms)
         if coefficients.shape != (size,):
             raise DataError(
                 f"model has coefficients of shape {coefficients.shape} but the index "
@@ -462,9 +462,7 @@ def model_from_obj(obj: dict) -> Model:
 
 
 def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_obj(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(model_to_obj(model), path)
 
 
 def load_model(path) -> Model:

@@ -10,10 +10,9 @@ The union states each order's 1-d grid ``g_l`` of ``n_l = N_l - 1``
 frequencies once (``index_union.grids``), and every order-``l`` term
 carries ``g_l^l`` in :func:`itertools.product` order.  Terms are sorted by
 (order, lex), so the ``T_l`` terms of order ``l`` own one contiguous
-coefficient block of shape ``(T_l, n_l, ..., n_l)``; the operator takes
-that block and the ``(T_l, l)`` array of the terms' variables from
-:meth:`~anovafit.terms.FrequencyIndexUnion.order_block` and checks nothing
-about them.  The empty term is index 0 and contributes the constant column.
+coefficient block of shape ``(T_l, n_l, ..., n_l)``, laid out once by the
+union with ``own`` and ``pos`` below (``index_union.layout``); the operator
+reads that layout and checks nothing about it.  Index 0 is the constant column.
 
 **Tables.**  ``nodes`` is a read-only view of the checked nodes (a copy
 only where :func:`~anovafit.basis.check_domain` makes one: a conversion to
@@ -27,7 +26,7 @@ result's transpose is the operator's one table, C-contiguous and read-only,
 of shape ``(|g|, v, M)``: ``[j, p]`` is frequency ``g[j]`` of variable
 number ``p`` (ascending) at all ``M`` nodes.  Order ``l`` reads its
 ``(n_l, v_l, M)`` table ``T_l`` from it as the row range of ``g_l``, a view,
-when it uses all ``v`` variables, else as one gather of that range: at most
+when it uses all ``v`` variables, else as one gather of it at ``own``: at most
 ``M * (v |g| + sum_l n_l v_l)`` entries, whatever the number of terms.
 ``pos[t, k]`` is the position ``p`` of term ``t``'s ``k``-th variable, so
 ``T_l[:, pos[t, k]]`` is that factor of term ``t``; row ``j v_l + p`` of
@@ -205,22 +204,18 @@ class DesignOperator:
         self.cols = index_union.size
         self.shape = (self.rows, self.cols)
         # one table over every order's variables and frequencies (see Tables)
-        blocks = {order: index_union.order_block(order) for order in index_union.grids}
-        # masks over 0..d of the variables that appear in each order's terms
-        used = [np.bincount(f.ravel(), minlength=X.shape[1] + 1) > 0 for _, f in blocks.values()]
-        variables = np.flatnonzero(np.any(used, axis=0))
+        variables = index_union.variables
         grid = max(index_union.grids.values(), key=len, default=np.empty(0, np.int64))
         # points over (variable, node) pairs: the transposed table is (|g|, v, M)
         table = eval_1d_table(kind, grid, X.T[variables - 1].ravel()).T
         table = table.reshape(len(grid), len(variables), self.rows)
         self._stacks = []
-        for mask, (order, (block, factors)) in zip(used, blocks.items()):
-            g, own = index_union.grids[order], np.flatnonzero(mask[variables])
+        for order, (block, _, own, pos) in index_union.layout.items():
+            g = index_union.grids[order]
             start = int(np.searchsorted(grid, g[0]))
             sub = table[start:start + len(g)]
             if len(own) < len(variables):
                 sub = np.take(sub, own, axis=1)
-            pos = (np.cumsum(mask) - 1)[factors]
             self._stacks.append(_OrderStack(order, block, pos, sub, kind.is_complex))
 
     @property

@@ -20,10 +20,11 @@ elements, with no duplicates.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -93,10 +94,6 @@ class TermSet:
     def max_order(self) -> int:
         return max((len(u) for u in self.terms), default=0)
 
-    def orders(self) -> tuple[int, ...]:
-        """Distinct nonzero term orders present, ascending."""
-        return tuple(sorted({len(u) for u in self.terms if u}))
-
     def to_json_obj(self) -> dict:
         """Wire format, also embedded in model files; terms are 1-based index arrays."""
         return {
@@ -163,6 +160,10 @@ class BandwidthProfile:
         except KeyError:
             raise ConfigError(f"no bandwidth configured for term order {order}") from None
 
+    def term_size(self, order: int) -> int:
+        """Frequencies of one term of order ``order``: ``(N_l - 1)^l``, 1 for the empty term."""
+        return (self.for_order(order) - 1) ** order if order else 1
+
     def to_json_obj(self) -> dict[str, int]:
         return {str(order): n for order, n in self.by_order.items()}
 
@@ -193,71 +194,83 @@ class FrequencyIndexUnion:
     a term carries the ``len(grids[l]) ** l`` frequencies of
     ``itertools.product(grids[l], repeat=l)`` on its own coordinates, all
     off-term coordinates being zero, so the support of each frequency
-    equals its owning term.  ``terms`` follow :class:`TermSet` order, so
-    the empty term, with the single zero frequency, is index 0; term ``i``
-    owns the contiguous index range starting at ``offsets[i]``, and the terms
-    of one order own one (:meth:`order_block`).  ``grids`` follow from the
-    other fields, so equality and hashing leave them out.
+    equals its owning term.  ``terms`` follow :class:`TermSet` order: the
+    empty term (the zero frequency) is index 0, and the ``T_l`` terms of
+    order ``l`` own the range ``block`` of ``layout[l] = (block, factors,
+    own, pos)``, a C-ordered ``(T_l, n_l, ..., n_l)`` array (terms, then one
+    axis per factor over ``grids[l]``); ``factors`` holds their ``(T_l, l)``
+    variables, ``own`` the positions of the order's variables in
+    ``variables`` (all terms', ascending) and ``pos`` the position of each
+    factor among those.  Equality and hashing leave out the fields after
+    ``size``, which follow from the others; ``bandwidths`` holds ``(l, N_l)``.
     """
 
     dimension: int
     kind: BasisKind
     terms: tuple[Term, ...]
-    grids: dict[int, np.ndarray] = field(compare=False)
-    offsets: tuple[int, ...]
+    bandwidths: tuple[tuple[int, int], ...]
     size: int
-
-    def group_slice(self, i: int) -> slice:
-        stop = self.offsets[i + 1] if i + 1 < len(self.offsets) else self.size
-        return slice(self.offsets[i], stop)
+    grids: dict[int, np.ndarray] = field(compare=False)
+    variables: np.ndarray = field(compare=False)
+    layout: dict[int, tuple[slice, np.ndarray, np.ndarray, np.ndarray]] = field(compare=False)
 
     def slice_for(self, term) -> slice:
         term = normalize_term(term)
         if term not in self.terms:
             raise ConfigError(f"term {term} is not part of the index union")
-        return self.group_slice(self.terms.index(term))
+        if not term:
+            return slice(0, 1)
+        block, factors, _, _ = self.layout[len(term)]
+        width = len(self.grids[len(term)]) ** len(term)
+        start = block.start + width * factors.tolist().index(list(term))
+        return slice(start, start + width)
 
-    def order_block(self, order: int) -> tuple[slice, np.ndarray]:
-        """Index range of the ``T_l`` terms of order ``l`` and their ``(T_l, l)`` variables.
-
-        The range holds a C-ordered ``(T_l, n_l, ..., n_l)`` array: one axis
-        over the terms in union order, then one per factor over ``grids[l]``.
-        """
-        lo = bisect.bisect_left(self.terms, order, key=len)
-        hi = bisect.bisect_right(self.terms, order, key=len)
-        if order < 1 or lo == hi:
+    def order_block(self, order: int) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
+        """``layout[order]``; a :class:`ConfigError` if no term has order ``order``."""
+        if order not in self.layout:
             raise ConfigError(f"the index union has no term of order {order}")
-        block = slice(self.offsets[lo], self.group_slice(hi - 1).stop)
-        return block, np.array(self.terms[lo:hi], dtype=np.intp)
+        return self.layout[order]
 
     def frequencies_full(self) -> np.ndarray:
         """All frequencies as ``(size, dimension)`` integer vectors in ``Z^d``."""
         full = np.zeros((self.size, self.dimension), dtype=np.int64)
-        for i, term in enumerate(self.terms[1:], start=1):
-            block = list(itertools.product(self.grids[len(term)], repeat=len(term)))
-            full[self.group_slice(i), np.asarray(term) - 1] = block
+        for term in self.terms[1:]:
+            grid = list(itertools.product(self.grids[len(term)], repeat=len(term)))
+            full[self.slice_for(term), np.asarray(term) - 1] = grid
         return full
 
 
 def build_index_union(
     termset: TermSet, bandwidths: BandwidthProfile, kind: BasisKind
 ) -> FrequencyIndexUnion:
-    """The full grid of every order and the index range of every term."""
-    grids = {
-        order: full_grid_1d(kind, bandwidths.for_order(order))
-        for order in termset.orders()
-    }
-    counts = [len(grids[len(u)]) ** len(u) if u else 1 for u in termset.terms]
-    offsets = tuple(itertools.accumulate(counts[:-1], initial=0))
+    """The full grid and the layout of every order."""
+    variables = np.array(sorted({i for u in termset for i in u}), dtype=np.intp)
+    layout, size = {}, 1
+    for order, group in itertools.groupby(termset.nonempty_terms, key=len):
+        factors = np.array(list(group), dtype=np.intp)
+        own = np.searchsorted(variables, np.flatnonzero(np.bincount(factors.ravel())))
+        block = slice(size, size + len(factors) * bandwidths.term_size(order))
+        layout[order] = (block, factors, own, np.searchsorted(variables[own], factors))
+        size = block.stop
+    pairs = tuple((order, bandwidths.for_order(order)) for order in layout)
+    grids = {order: full_grid_1d(kind, n) for order, n in pairs}
     return FrequencyIndexUnion(
-        termset.dimension, kind, termset.terms, grids, offsets, sum(counts)
+        termset.dimension, kind, termset.terms, pairs, size, grids, variables, layout
     )
 
 
+def write_json(obj, path) -> None:
+    """Write ``obj`` to the file ``path``, or to stdout if None, in the one JSON format
+    of model, term set and CLI output (sorted keys, indent 2, final newline, UTF-8)."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
+
+
 def save_termset(termset: TermSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(termset.to_json_obj(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(termset.to_json_obj(), path)
 
 
 def load_termset(path) -> TermSet:

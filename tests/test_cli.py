@@ -169,6 +169,7 @@ class TestFit:
     @pytest.mark.parametrize("source, split, message", [
         ("friedman", "0.7", "fraction splits need a concrete dataset"),
         ("csv", "20:10", "size-based splits only apply to synthetic generators"),
+        ("csv", "abc", "--split expects a fraction or M_train:M_test, got 'abc'"),
     ])
     def test_split_mode_must_match_the_source(self, capsys, tmp_path, source, split, message):
         csv_path = tmp_path / "d.csv"
@@ -749,7 +750,8 @@ class TestErrorBoundary:
         assert "non-finite coefficient" in err
 
     @pytest.mark.parametrize("lo, hi", [([1, 1, 1, 1], [0, 0, 0, 0]),
-                                        ([float("nan"), 0, 0, 0], [1, 1, 1, 1])])
+                                        ([float("nan"), 0, 0, 0], [1, 1, 1, 1]),
+                                        ([0, 0, 0], [1, 1, 1])])
     def test_malformed_normalization_extrema_predict_exits_3(self, friedman2_model,
                                                              tmp_path, capsys, lo, hi):
         model_path, _ = friedman2_model

@@ -191,6 +191,7 @@ class TestLoadCsv:
             ('"a","y"\n"1.5", 2 \n -3 ,"4e1"\n', ([[1.5], [-3.0]], [2.0, 40.0])),
             ("a,b,y\n1,2,3\n", ([[1.0, 2.0]], [3.0])),
             ("a,y\n1,2\n \n3,4\n", r"data.csv:3: expected 2 cells, got 1"),
+            ("a,y\n1,2\n\n3,x\n", r"data.csv:4: column 'y': non-numeric cell 'x'"),
             ("a,y\n", r"data.csv: no data rows"),
             ("a,y\n\n\n", r"data.csv: no data rows"),
             ("a,b,y\n1,2,3\n4,5\n", r"data.csv:3: expected 3 cells, got 2"),
@@ -206,6 +207,7 @@ class TestLoadCsv:
             "quoted-and-padded",
             "single-row",
             "whitespace-only-line",
+            "blank-line-before-bad-cell",
             "header-only",
             "blank-body",
             "short-row",

@@ -37,8 +37,10 @@ from anovafit import (
     superposition_terms,
     threshold_active_set,
 )
+from anovafit.basis import eval_1d_table
 from anovafit.bench import RealBenchConfig, Stage, run_real_benchmark, run_recipe
 from anovafit.model import model_from_obj, model_to_obj
+from anovafit.plots import svg_bar_chart
 
 
 def _operator():
@@ -227,6 +229,31 @@ CASES = {
     "empty recipe": (
         ConfigError, lambda: run_recipe((), friedman_sample(FriedmanSpec(1), 5, 0))
     ),
+    "non-numeric normalization bound": (DataError, lambda: Normalization(["a"], [1])),
+    "complex normalization bound": (DataError, lambda: Normalization([1j], [2])),
+    "non-numeric node": (DataError, lambda: Dataset([["a"]], [1.0], ("x",))),
+    "complex targets": (DataError, lambda: Dataset(np.eye(2), [1j, 1.0], ("a", "b"))),
+    "1-d dataset nodes": (DataError, lambda: Dataset(np.zeros(3), np.zeros(3), ("a",))),
+    "zero sample size": (ConfigError, lambda: friedman_sample(FriedmanSpec(1), 0, 0)),
+    "repeated term variable": (ConfigError, lambda: TermSet(3, ((2, 2),))),
+    "term variable below 1": (ConfigError, lambda: TermSet(3, ((0, 1),))),
+    "zero dimension": (ConfigError, lambda: TermSet(0, ())),
+    "superposition threshold above the dimension": (ConfigError, lambda: TermSet(3, (), 4)),
+    "bandwidth for order 0": (ConfigError, lambda: BandwidthProfile({0: 4})),
+    "negative cosine table frequency": (
+        ConfigError, lambda: eval_1d_table(BasisKind.COSINE, [2, -1], [0.5])
+    ),
+    "negative Chebyshev table frequency": (
+        ConfigError, lambda: eval_1d_table(BasisKind.CHEBYSHEV, [-1], [0.5])
+    ),
+    "term missing from the report": (
+        ConfigError, lambda: threshold_active_set(_report(), superposition_terms(3, 3), 0.1)
+    ),
+    "zero-length system": (
+        DataError,
+        lambda: lsqr_solve(DesignOperator(np.empty((0, 3)), _operator().index_union), []),
+    ),
+    "mismatched chart labels": (DataError, lambda: svg_bar_chart(["a", "b"], [1.0])),
 }
 
 

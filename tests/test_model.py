@@ -460,6 +460,11 @@ class TestRanking:
         ranking = attribute_ranking(report)
         np.testing.assert_allclose(ranking, [0.7 / 1.2, 0.5 / 1.2], rtol=1e-12)
 
+    def test_ranking_without_mass_is_degenerate(self):
+        report = SensitivityReport(dimension=2, variance=1.0, indices=(((1,), 0.0),))
+        with pytest.raises(DegenerateModelError, match="no sensitivity mass"):
+            attribute_ranking(report)
+
     def test_single_variable_takes_all(self):
         report = SensitivityReport(
             dimension=3, variance=1.0, indices=(((2,), 1.0),)

@@ -125,6 +125,16 @@ def test_zero_values_give_zero_solution():
     assert result.stop_reason == "tolerance"
 
 
+def test_values_orthogonal_to_the_range_give_zero_solution():
+    # the constant column alone: F^T y = sum(y) = 0
+    union = build_index_union(TermSet(1, ()), BandwidthProfile(), BasisKind.COSINE)
+    result = lsqr_solve(DesignOperator(np.full((2, 1), 0.5), union), np.array([1.0, -1.0]))
+    assert np.array_equal(result.coefficients, np.zeros(1))
+    assert (result.iterations, result.stop_reason, result.relative_residual) == (
+        0, "tolerance", 1.0
+    )
+
+
 def test_nonfinite_values_raise():
     rng = np.random.default_rng(52)
     op = random_instance(rng, BasisKind.COSINE)

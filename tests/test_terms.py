@@ -144,8 +144,8 @@ class TestIndexUnion:
         ts = superposition_terms(4, 3)
         union = build_index_union(ts, BandwidthProfile.from_list([4, 2, 2]), kind)
         full = union.frequencies_full()
-        for i, term in enumerate(union.terms):
-            block = full[union.group_slice(i)]
+        for term in union.terms:
+            block = full[union.slice_for(term)]
             for k in block:
                 support = tuple(np.flatnonzero(k) + 1)
                 assert support == term
@@ -159,14 +159,17 @@ class TestIndexUnion:
         for absent in {0, 4} | set(range(1, 4)) - set(union.grids):
             with pytest.raises(ConfigError, match="no term of order"):
                 union.order_block(absent)
+        assert union.variables.tolist() == sorted({i for u in union.terms for i in u})
         stop = 1
         for order in sorted(union.grids):
-            block, factors = union.order_block(order)
-            owned = [i for i, u in enumerate(union.terms) if len(u) == order]
-            assert block.start == stop == union.group_slice(owned[0]).start
-            assert block.stop == union.group_slice(owned[-1]).stop
-            assert factors.shape == (len(owned), order)
-            assert factors.tolist() == [list(union.terms[i]) for i in owned]
+            block, factors, own, pos = union.order_block(order)
+            owned = [u for u in union.terms if len(u) == order]
+            assert block.start == stop == union.slice_for(owned[0]).start
+            assert block.stop == union.slice_for(owned[-1]).stop
+            assert factors.shape == pos.shape == (len(owned), order)
+            assert factors.tolist() == [list(u) for u in owned]
+            assert union.variables[own].tolist() == sorted(set(factors.ravel().tolist()))
+            np.testing.assert_array_equal(union.variables[own][pos], factors)
             stop = block.stop
         assert stop == union.size
 
