@@ -32,7 +32,7 @@ import enum
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, as_integer
+from .errors import ConfigError, DataError, DomainError, as_array, as_integer
 
 SQRT2 = float(np.sqrt(2.0))
 # points per recurrence block of eval_1d_table; keeps its scratch in cache
@@ -75,21 +75,20 @@ class BasisKind(enum.Enum):
         return (0.0, 1.0)
 
 
-def wrap_periodic(x):
-    """Map coordinates onto the torus representative interval [-0.5, 0.5)."""
-    x = np.asarray(x, dtype=np.float64)
+def wrap_periodic(x: np.ndarray) -> np.ndarray:
+    """Map a float array of coordinates onto the torus representative interval [-0.5, 0.5)."""
     return x - np.floor(x + 0.5)
 
 
 def check_domain(kind: BasisKind, x, *, what: str = "coordinate") -> np.ndarray:
     """Validate coordinates against the basis domain.
 
-    Non-finite coordinates raise :class:`DomainError` for every kind.
-    Exponential coordinates are then wrapped by periodicity instead of
-    rejected (the torus identification makes wrapping exact); the other
-    kinds raise :class:`DomainError` outside [0, 1].
+    Coordinates that are not real numbers raise :class:`DataError` and
+    non-finite ones :class:`DomainError`, for every kind.  Exponential
+    coordinates are then wrapped by periodicity instead of rejected (the torus
+    identification makes wrapping exact); other kinds raise :class:`DomainError` outside [0, 1].
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_array(x, what)
     if not np.all(np.isfinite(x)):
         raise DomainError(f"{what} is not finite (nan or inf)")
     if kind.is_complex:
@@ -124,11 +123,11 @@ def eval_1d(kind: BasisKind, k: int, x):
 def eval_tensor(kind: BasisKind, freqs, x):
     """Evaluate the tensor-product basis function ``prod_i eta_{k_i}(x_i)``.
 
-    Only coordinates with nonzero frequency contribute; the rest multiply by
-    the exact constant 1.
+    Every coordinate passes :func:`check_domain`; only coordinates with
+    nonzero frequency contribute, the rest multiply by the exact constant 1.
     """
     freqs = np.asarray(freqs, dtype=np.int64)
-    x = np.asarray(x, dtype=np.float64)
+    x = check_domain(kind, x)
     if freqs.ndim != 1 or x.ndim != 1 or freqs.shape != x.shape:
         raise DataError(
             f"frequency/node dimension mismatch: {freqs.shape} vs {x.shape}"
@@ -137,8 +136,6 @@ def eval_tensor(kind: BasisKind, freqs, x):
     for k, xi in zip(freqs, x):
         if k != 0:
             out = out * eval_1d(kind, int(k), float(xi))
-        else:
-            check_domain(kind, xi)
     return out
 
 

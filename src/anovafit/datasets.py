@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError, as_integer, as_real
+from .errors import ConfigError, DataError, as_array, as_integer, as_real
 
 _PURPOSE_CODES = {"train": 0, "test": 1, "split": 2}
 
@@ -43,16 +43,6 @@ def rng_stream(seed: int, rep_index: int = 0, purpose: str = "train") -> np.rand
     return np.random.default_rng(seq)
 
 
-def _real_array(value, what: str) -> np.ndarray:
-    """``value`` as a float64 array; a non-numeric or complex entry is a :class:`DataError`."""
-    try:
-        if np.iscomplexobj(value):
-            raise TypeError("complex values")
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{what} must be real numbers: {exc}") from None
-
-
 @dataclass(frozen=True, eq=False)
 class Normalization:
     """Per-column extrema recorded when a dataset was normalized.
@@ -67,8 +57,8 @@ class Normalization:
     target_max: float | None = None
 
     def __post_init__(self):
-        lo = _real_array(self.feature_min, "feature_min")
-        hi = _real_array(self.feature_max, "feature_max")
+        lo = as_array(self.feature_min, "feature_min")
+        hi = as_array(self.feature_max, "feature_max")
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise DataError(
                 f"normalization extrema must be two 1-d bounds of one length, "
@@ -98,8 +88,8 @@ class Dataset:
     normalization: Normalization | None = None
 
     def __post_init__(self):
-        nodes = _real_array(self.nodes, "node matrix")
-        targets = _real_array(self.targets, "target vector")
+        nodes = as_array(self.nodes, "node matrix")
+        targets = as_array(self.targets, "target vector")
         if nodes.ndim != 2 or nodes.shape[0] < 1 or nodes.shape[1] < 1:
             raise DataError(f"node matrix must be (M, d) with M, d >= 1, got {nodes.shape}")
         if targets.shape != (nodes.shape[0],):
@@ -168,7 +158,7 @@ def _scale_4(x):
 
 def friedman_eval(spec: FriedmanSpec, x) -> Union[float, np.ndarray]:
     """Noise-free function value(s); ``x`` is one node or a matrix of nodes."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_array(x, "friedman node")
     single = x.ndim == 1
     pts = x[None, :] if single else x
     if pts.ndim != 2 or pts.shape[1] != spec.dimension:
@@ -222,8 +212,9 @@ def load_csv(path, target_column: str | None) -> Dataset:
     The header is read with :mod:`csv`; the body is parsed in one
     :func:`numpy.loadtxt` call, so a cell must follow numpy's float grammar
     (ASCII, optionally quoted and padded, no ``_`` digit separators).  Blank
-    lines are skipped.  A malformed row or a non-numeric or non-finite cell
-    raises :class:`DataError` naming the line and, for a cell, its column.
+    lines are skipped.  A repeated column name, a malformed row or a
+    non-numeric or non-finite cell raises :class:`DataError` naming the
+    column or the line and, for a cell, its column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -233,6 +224,9 @@ def load_csv(path, target_column: str | None) -> Dataset:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc}") from None
         header = [name.strip() for name in header]
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise DataError(f"{path}: header repeats column {repeated[0]!r}")
         if target_column is None:
             target_idx = None
         elif target_column not in header:

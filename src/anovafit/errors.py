@@ -1,14 +1,20 @@
-"""Exception types shared across the package, and the typed setting readers that raise one.
+"""Exception types shared across the package, and the typed readers that raise one.
 
 The library raises these where it finds the fault; the CLI maps them onto
 process exit codes: ConfigError -> 2, DataError -> 3, NumericalError -> 4.
 ConfigError and DataError are also ValueErrors, so ``except ValueError``
 still catches bad settings and bad arrays.  Any other exception that
 reaches the CLI's ``main`` is a bug and shows its traceback.
+
+A setting is read by :func:`as_integer` or :func:`as_real`, and every array
+argument of the library by :func:`as_array`, so a wrong type is a typed
+error at the boundary and never a bare numpy error or a silent cast.
 """
 
 import numbers
 import operator
+
+import numpy as np
 
 
 class AnovaFitError(Exception):
@@ -36,15 +42,34 @@ class DegenerateModelError(NumericalError):
 
 
 def as_integer(value, what: str) -> int:
-    """``value`` as an ``int`` through ``operator.index``: a float is rejected, never truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` as an ``int`` through ``operator.index``: a float or a bool is rejected."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def as_real(value, what: str) -> float:
-    """``value`` as a ``float`` if a ``numbers.Real``: a string, a complex or None is rejected."""
-    if not isinstance(value, numbers.Real):
+    """``value`` as a ``float`` if a ``numbers.Real`` other than a bool; a string or None is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{what} must be a real number, got {value!r}")
     return float(value)
+
+
+def as_array(value, what: str, *, real: bool = True) -> np.ndarray:
+    """``value`` as a float64 array of bools, integers or floats, or complex128 if complex.
+
+    A complex entry where ``real``, a string, an object and a ragged list are
+    a :class:`DataError`.
+    """
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} must be an array of numbers: {exc}") from None
+    if array.dtype.kind == "c" and not real:
+        return np.asarray(array, dtype=np.complex128)
+    if array.dtype.kind not in "biuf":
+        raise DataError(f"{what} must be {'real ' if real else ''}numbers, got {array.dtype}")
+    return np.asarray(array, dtype=np.float64)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .basis import BasisKind
 from .datasets import Normalization
-from .errors import ConfigError, DataError, DegenerateModelError, as_integer, as_real
+from .errors import ConfigError, DataError, DegenerateModelError, as_array, as_integer, as_real
 from .operators import NODE_BLOCK, DesignOperator
 from .solver import LsqrResult, SolverConfig, direct_solve, lsqr_solve
 from .terms import (
@@ -134,20 +134,16 @@ def fit(
     measured crossover) and ``(||F||_F^2 + lam) / lam * eps <= tolerance`` (so
     the squared condition number costs no accuracy); otherwise by LSQR.
     """
-    nodes = np.asarray(nodes, dtype=np.float64)
-    values = np.asarray(values)
-    if nodes.size == 0 or values.size == 0:
-        raise DataError("cannot fit on empty data")
     cfg = config if config is not None else SolverConfig()
     union = build_index_union(termset, bandwidths, kind)
     op = DesignOperator(nodes, union)
+    result: LsqrResult = _solve(op, values, cfg)
     if op.oversampling <= 1.0:
         warnings.warn(
             f"oversampling ratio {op.oversampling:.3f} <= 1: the least-squares "
             "system may be rank-deficient",
             stacklevel=2,
         )
-    result: LsqrResult = _solve(op, values, cfg)
     return Model(
         kind=kind,
         terms=termset,
@@ -175,7 +171,7 @@ def _solve(op: DesignOperator, values, cfg: SolverConfig) -> LsqrResult:
 
 def _evaluate(model: Model, coefficients: np.ndarray, nodes) -> np.ndarray:
     """``DesignOperator(nodes, ...).matvec(coefficients)``, one row block at a time."""
-    X = np.asarray(nodes, dtype=np.float64)
+    X = as_array(nodes, "node coordinate")
     rows = len(X) if X.ndim == 2 else 0
     out = np.empty(rows, dtype=np.float64 if model.real_output else model.kind.dtype)
     # a zero-row or malformed input still builds one operator, which raises
@@ -345,8 +341,8 @@ def incremental_expand(
 
 
 def _paired(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(y_true)
-    b = np.asarray(y_pred)
+    a = as_array(y_true, "reference values", real=False)
+    b = as_array(y_pred, "predicted values", real=False)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise DataError(
             f"metric inputs must be equal-length nonempty vectors, "
@@ -383,9 +379,10 @@ def _coeffs_to_obj(coefficients: np.ndarray) -> list:
 
 
 def _coeffs_from_obj(obj, kind: BasisKind) -> np.ndarray:
+    c = as_array(obj, "coefficients")
     if kind.is_complex:
-        return np.asarray([complex(re, im) for re, im in obj], dtype=np.complex128)
-    return np.asarray(obj, dtype=np.float64)
+        return np.asarray([complex(re, im) for re, im in c], dtype=np.complex128)
+    return c
 
 
 def model_to_obj(model: Model) -> dict:
@@ -439,6 +436,9 @@ def model_from_obj(obj: dict) -> Model:
                 f"union holds {size} frequencies"
             )
         diagnostics = obj["diagnostics"]
+        real_output = obj["real_output"]
+        if not isinstance(real_output, bool):
+            raise DataError(f"real_output must be true or false, got {real_output!r}")
         stats = _normalization_from_obj(obj.get("normalization"), termset.dimension)
         model = Model(
             kind=kind,
@@ -446,12 +446,12 @@ def model_from_obj(obj: dict) -> Model:
             bandwidths=bandwidths,
             index_union=build_index_union(termset, bandwidths, kind),
             coefficients=coefficients,
-            regularization=float(obj["lambda"]),
+            regularization=SolverConfig(regularization=obj["lambda"]).regularization,
             iterations=as_integer(diagnostics["iterations"], "iterations"),
-            relative_residual=float(diagnostics["relative_residual"]),
+            relative_residual=as_real(diagnostics["relative_residual"], "relative_residual"),
             stop_reason=str(diagnostics["stop_reason"]),
-            oversampling=float(diagnostics["oversampling"]),
-            real_output=bool(obj["real_output"]),
+            oversampling=as_real(diagnostics["oversampling"], "oversampling"),
+            real_output=real_output,
             normalization=stats,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -80,7 +80,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .basis import check_domain, eval_1d_table, eval_tensor
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, as_array
 from .terms import FrequencyIndexUnion
 
 # matrix entries allowed for the dense test oracle
@@ -183,7 +183,11 @@ class DesignOperator:
     """Evaluation map from basis coefficients to values at fixed nodes."""
 
     def __init__(self, nodes, index_union: FrequencyIndexUnion):
-        X = np.asarray(nodes, dtype=np.float64)
+        kind = index_union.kind
+        # a read-only view: the caller's array stays writable, and the tables
+        # below are fixed here whatever happens to it later
+        X = check_domain(kind, nodes, what="node coordinate").view()
+        X.setflags(write=False)
         if X.ndim != 2:
             raise DataError(f"nodes must be a 2-d array, got shape {X.shape}")
         if X.shape[1] != index_union.dimension:
@@ -191,11 +195,6 @@ class DesignOperator:
                 f"nodes have {X.shape[1]} coordinates but the index union "
                 f"expects {index_union.dimension}"
             )
-        kind = index_union.kind
-        # a read-only view: the caller's array stays writable, and the tables
-        # below are fixed here whatever happens to it later
-        X = check_domain(kind, X, what="node coordinate").view()
-        X.setflags(write=False)
 
         self.kind = kind
         self.index_union = index_union
@@ -224,11 +223,9 @@ class DesignOperator:
         return self.rows / self.cols
 
     def _coerce(self, vec, length: int, what: str) -> np.ndarray:
-        v = np.asarray(vec)
+        v = as_array(vec, what, real=not self.kind.is_complex)
         if v.shape != (length,):
             raise DataError(f"{what} must have shape ({length},), got {v.shape}")
-        if np.iscomplexobj(v) and not self.kind.is_complex:
-            raise DataError(f"{what} is complex but the basis is real")
         return v.astype(self.kind.dtype, copy=False)
 
     def matvec(self, coeffs) -> np.ndarray:
@@ -267,7 +264,7 @@ def dense_design_matrix(nodes, index_union: FrequencyIndexUnion) -> np.ndarray:
     :class:`DesignOperator`.
     """
     kind = index_union.kind
-    X = check_domain(kind, np.asarray(nodes, dtype=np.float64))
+    X = check_domain(kind, nodes)
     full = index_union.frequencies_full()
     if X.shape[0] * len(full) > DENSE_ORACLE_MAX_ENTRIES:
         raise ConfigError(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, as_integer, as_real
+from .errors import ConfigError, DataError, NumericalError, as_array, as_integer, as_real
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,11 @@ def _check_system(shape, y, is_complex: bool) -> np.ndarray:
     m, n = shape
     if m < 1 or n < 1:
         raise DataError(f"zero-length system: operator shape {shape}")
-    y = np.asarray(y)
+    y = as_array(y, "value vector", real=not is_complex)
     if y.shape != (m,):
         raise DataError(f"value vector must have shape ({m},), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise NumericalError("value vector contains non-finite entries")
-    if np.iscomplexobj(y) and not is_complex:
-        raise DataError("complex values with a real basis")
     return y
 
 
@@ -88,6 +86,7 @@ def direct_solve(F: np.ndarray, y, regularization: float) -> LsqrResult:
     Reports 0 iterations, stop reason ``"direct"`` and LSQR's relative
     residual ``sqrt(||y - F g||^2 + lam ||g||^2) / ||y||``.
     """
+    F = as_array(F, "design matrix", real=False)
     y = _check_system(F.shape, y, np.iscomplexobj(F)).astype(F.dtype, copy=False)
     Fh = F.conj().T
     gram = Fh @ F

@@ -225,12 +225,6 @@ class FrequencyIndexUnion:
         start = block.start + width * factors.tolist().index(list(term))
         return slice(start, start + width)
 
-    def order_block(self, order: int) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
-        """``layout[order]``; a :class:`ConfigError` if no term has order ``order``."""
-        if order not in self.layout:
-            raise ConfigError(f"the index union has no term of order {order}")
-        return self.layout[order]
-
     def frequencies_full(self) -> np.ndarray:
         """All frequencies as ``(size, dimension)`` integer vectors in ``Z^d``."""
         full = np.zeros((self.size, self.dimension), dtype=np.int64)

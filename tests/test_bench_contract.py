@@ -9,9 +9,10 @@ that no test runs, so two tests resolve ``__all__`` and import each script.
 
 The library raises ``ConfigError``/``DataError`` where it finds a fault,
 and the CLI's ``main`` maps only those onto exit codes.  A new bare
-``raise ValueError`` or a catch-all ``except ValueError`` in ``main``
-would still pass the behavioural tests, so the last two tests read the
-source.
+``raise ValueError``, a catch-all ``except ValueError`` in ``main`` or an
+array argument converted by ``np.asarray(..., dtype=np.float64)`` instead
+of ``errors.as_array`` would still pass the behavioural tests, so the last
+three tests read the source.
 """
 
 import ast
@@ -26,6 +27,8 @@ SPANS = ROOT / "perfbench" / "spans.py"
 PACKAGE = ROOT / "src" / "anovafit"
 # converts a parse failure that load_csv catches internally
 ALLOWED_VALUE_ERRORS = {("datasets", "_csv_cell")}
+# the reader itself, and the table builder, whose points have passed check_domain
+ALLOWED_FLOAT_CONVERSIONS = {("errors", "as_array"), ("basis", "eval_1d_table")}
 
 
 def _load(path: Path, name: str):
@@ -73,14 +76,21 @@ def _is_value_error(node) -> bool:
     return isinstance(node, ast.Name) and node.id == "ValueError"
 
 
-def _value_error_raises():
-    """``(module, enclosing function, line)`` of every ``raise ValueError``."""
+def _is_float_conversion(node) -> bool:
+    return (
+        isinstance(node, ast.Call) and ast.unparse(node.func) == "np.asarray"
+        and any(ast.unparse(kw) == "dtype=np.float64" for kw in node.keywords)
+    )
+
+
+def _sites(match):
+    """``(module, enclosing function, line)`` of every package node that ``match`` accepts."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Raise) and _is_value_error(node.exc):
+            if match(node):
                 scope = node
                 while scope in parents and not isinstance(scope, ast.FunctionDef):
                     scope = parents[scope]
@@ -90,10 +100,17 @@ def _value_error_raises():
 
 
 def test_library_raises_typed_errors():
-    found = _value_error_raises()
+    found = _sites(lambda node: isinstance(node, ast.Raise) and _is_value_error(node.exc))
     assert {(module, name) for module, name, _ in found} >= ALLOWED_VALUE_ERRORS
     stray = [site for site in found if site[:2] not in ALLOWED_VALUE_ERRORS]
     assert stray == [], f"raise ConfigError or DataError instead of ValueError at {stray}"
+
+
+def test_arrays_are_read_through_as_array():
+    found = _sites(_is_float_conversion)
+    assert {(module, name) for module, name, _ in found} >= ALLOWED_FLOAT_CONVERSIONS
+    stray = [site for site in found if site[:2] not in ALLOWED_FLOAT_CONVERSIONS]
+    assert stray == [], f"read array arguments through errors.as_array instead, at {stray}"
 
 
 def test_cli_main_has_no_value_error_handler():

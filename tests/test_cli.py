@@ -704,7 +704,9 @@ class TestErrorBoundary:
                                             # checked against the closed-form union size,
                                             # so no frequency grid of this size is built
                                             ("bandwidths", {"1": 10**6, "2": 2}),
-                                            ("bandwidths", {"1": 10**30, "2": 2})])
+                                            ("bandwidths", {"1": 10**30, "2": 2}),
+                                            ("real_output", "false"), ("lambda", "1.5"),
+                                            ("lambda", -1), ("lambda", True)])
     def test_bad_model_settings_exit_3(self, friedman2_model, tmp_path, capsys, key, value):
         model_path, _ = friedman2_model
         obj = read_json(model_path)

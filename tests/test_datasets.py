@@ -201,6 +201,8 @@ class TestLoadCsv:
             ("a,y\n1,1_0\n", r"data.csv:2: column 'y': non-numeric cell '1_0'"),
             ("a,y\n\uff11,2\n", r"data.csv:2: column 'a': non-numeric cell"),
             ("y\n1\n2\n", r"data.csv: no feature columns besides the target"),
+            ("a,a,y\n1,2,3\n", r"data.csv: header repeats column 'a'"),
+            ("y,a,y\n1,2,3\n", r"data.csv: header repeats column 'y'"),
         ],
         ids=[
             "crlf-blank-line-no-final-newline",
@@ -217,6 +219,8 @@ class TestLoadCsv:
             "digit-separator",
             "full-width-digit",
             "target-only",
+            "repeated-feature",
+            "repeated-target",
         ],
     )
     def test_grammar(self, tmp_path, text, want):

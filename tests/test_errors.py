@@ -22,16 +22,20 @@ from anovafit import (
     TermSet,
     apply_normalization,
     build_index_union,
+    dense_design_matrix,
     direct_solve,
     drop_variables,
     eval_1d,
     fit,
+    friedman_eval,
     friedman_sample,
     full_grid_1d,
     incremental_expand,
     load_termset,
     lsqr_solve,
     mse,
+    predict,
+    predict_term,
     rng_stream,
     split,
     superposition_terms,
@@ -39,6 +43,7 @@ from anovafit import (
 )
 from anovafit.basis import eval_1d_table
 from anovafit.bench import RealBenchConfig, Stage, run_real_benchmark, run_recipe
+from anovafit.errors import as_array
 from anovafit.model import model_from_obj, model_to_obj
 from anovafit.plots import svg_bar_chart
 
@@ -55,11 +60,23 @@ def _report():
     return SensitivityReport(3, 1.0, indices, ranking=np.full(3, 1.0 / 3))
 
 
-def _model_obj(**changes):
+def _fit(nodes, values):
+    return fit(nodes, values, superposition_terms(3, 2), BandwidthProfile.from_list([4, 2]),
+               BasisKind.COSINE)
+
+
+def _model():
     rng = np.random.default_rng(0)
-    model = fit(rng.random((20, 2)), rng.random(20), superposition_terms(2, 1),
-                BandwidthProfile.from_list([4]), BasisKind.COSINE)
-    return {**model_to_obj(model), **changes}
+    return fit(rng.random((20, 2)), rng.random(20), superposition_terms(2, 1),
+               BandwidthProfile.from_list([4]), BasisKind.COSINE)
+
+
+def _model_obj(**changes):
+    return {**model_to_obj(_model()), **changes}
+
+
+def _lambda(value):
+    return _model_obj(**{"lambda": value})
 
 
 def _diagnostics(**changes):
@@ -254,6 +271,62 @@ CASES = {
         lambda: lsqr_solve(DesignOperator(np.empty((0, 3)), _operator().index_union), []),
     ),
     "mismatched chart labels": (DataError, lambda: svg_bar_chart(["a", "b"], [1.0])),
+    "string fit node": (DataError, lambda: _fit(np.full((8, 3), "0.5"), np.ones(8))),
+    "complex fit node": (DataError, lambda: _fit(np.full((8, 3), 0.5 + 1j), np.ones(8))),
+    "string fit value": (DataError, lambda: _fit(np.full((8, 3), 0.5), ["1"] * 8)),
+    "string predict node": (DataError, lambda: predict(_model(), [["0.5", "0.5"]])),
+    "complex predict node": (DataError, lambda: predict(_model(), [[0.5j, 0.5]])),
+    "string predict_term node": (DataError, lambda: predict_term(_model(), (1,), [["0.5", "0"]])),
+    "complex predict_term node": (DataError, lambda: predict_term(_model(), (1,), [[0.5j, 0]])),
+    "string operator node": (
+        DataError, lambda: DesignOperator(np.full((4, 3), "0.5"), _operator().index_union)
+    ),
+    "complex operator node": (
+        DataError, lambda: DesignOperator(np.full((4, 3), 0.5j), _operator().index_union)
+    ),
+    "string oracle node": (
+        DataError, lambda: dense_design_matrix(np.full((4, 3), "0.5"), _operator().index_union)
+    ),
+    "complex oracle node": (
+        DataError, lambda: dense_design_matrix(np.full((4, 3), 0.5j), _operator().index_union)
+    ),
+    "string coefficient": (DataError, lambda: _operator().matvec(np.full(_operator().cols, "1"))),
+    "string lsqr value": (DataError, lambda: lsqr_solve(_operator(), ["1"] * 8)),
+    "string design matrix": (
+        DataError, lambda: direct_solve(np.full((8, 3), "1"), np.ones(8), 1.0)
+    ),
+    "string direct value": (DataError, lambda: direct_solve(_operator().dense(), ["1"] * 8, 1.0)),
+    "string metric input": (DataError, lambda: mse(["1", "2"], [1.0, 2.0])),
+    "numeric-string normalization bound": (DataError, lambda: Normalization(["0"], ["1"])),
+    "object-array node": (
+        DataError, lambda: Dataset(np.ones((1, 1), dtype=object), [1.0], ("a",))
+    ),
+    "complex friedman node": (DataError, lambda: friedman_eval(FriedmanSpec(2), [0.5j] * 4)),
+    "string model-file coefficient": (
+        DataError,
+        lambda: model_from_obj(_model_obj(coefficients=[str(c) for c in _model().coefficients])),
+    ),
+    "string model-file real_output": (
+        DataError, lambda: model_from_obj(_model_obj(real_output="false"))
+    ),
+    "string model-file lambda": (DataError, lambda: model_from_obj(_lambda("1.5"))),
+    "negative model-file lambda": (DataError, lambda: model_from_obj(_lambda(-1))),
+    "NaN model-file lambda": (DataError, lambda: model_from_obj(_lambda(float("nan")))),
+    "bool model-file lambda": (DataError, lambda: model_from_obj(_lambda(True))),
+    "bool model-file iteration count": (
+        DataError, lambda: model_from_obj(_diagnostics(iterations=True))
+    ),
+    "string model-file relative residual": (
+        DataError, lambda: model_from_obj(_diagnostics(relative_residual="0.1"))
+    ),
+    "string model-file oversampling": (
+        DataError, lambda: model_from_obj(_diagnostics(oversampling="10"))
+    ),
+    "bool dimension": (ConfigError, lambda: TermSet(True, ((True,),))),
+    "bool term index": (ConfigError, lambda: TermSet(2, ((True,),))),
+    "bool bandwidth order": (ConfigError, lambda: BandwidthProfile({True: 4})),
+    "bool regularization": (ConfigError, lambda: SolverConfig(regularization=True)),
+    "bool ranking threshold": (ConfigError, lambda: _report().ranked_above(False)),
 }
 
 
@@ -280,6 +353,19 @@ def test_model_file_without_a_required_key_is_a_data_error(key):
 
 def test_term_file_with_fractional_dimension_is_a_data_error(tmp_path):
     path = tmp_path / "terms.json"
-    path.write_text('{"dimension": 2.9, "superposition_threshold": 1, "terms": [[1], [2]]}')
-    with pytest.raises(DataError, match="dimension must be an integer"):
-        load_termset(path)
+    for dimension in ("2.9", "true"):
+        path.write_text(
+            f'{{"dimension": {dimension}, "superposition_threshold": 1, "terms": [[1], [2]]}}'
+        )
+        with pytest.raises(DataError, match="dimension must be an integer"):
+            load_termset(path)
+
+
+def test_as_array_reads_numbers_only():
+    for value in ([True, False], [1, 2], np.arange(2, dtype=np.float32)):
+        assert as_array(value, "x").dtype == np.float64
+    assert as_array([1j, 2], "x", real=False).dtype == np.complex128
+    assert as_array([1.0, 2], "x", real=False).dtype == np.float64
+    for value, real in ((["1"], True), ([1j], True), ([None], False), ([[1], [2, 3]], False)):
+        with pytest.raises(DataError, match="^x must be"):
+            as_array(value, "x", real=real)

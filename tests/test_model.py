@@ -1,6 +1,7 @@
 """Tests for fitting, prediction, interpretation, and refinement."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -137,9 +138,13 @@ class TestFit:
                 BasisKind.COSINE)
 
     def test_empty_data_rejected(self):
-        with pytest.raises(DataError):
-            fit(np.zeros((0, 2)), np.zeros(0), superposition_terms(2, 1),
-                BandwidthProfile.from_list([2]), BasisKind.COSINE)
+        # each solver rejects it, before the oversampling warning of a solved fit
+        for lam in (0.0, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError, match="zero-length system"):
+                    fit(np.zeros((0, 2)), np.zeros(0), superposition_terms(2, 1),
+                        BandwidthProfile.from_list([2]), BasisKind.COSINE, SolverConfig(lam))
 
 
 class TestSolvePath:

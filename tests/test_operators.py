@@ -149,10 +149,10 @@ def test_order_tables_equal_their_own_evaluation(kind):
         op = random_instance(rng, kind)
         union = op.index_union
         longest = max(map(len, union.grids.values()), default=0)
-        every = np.unique(np.concatenate([union.order_block(o)[1].ravel() for o in union.grids]))
+        every = np.unique(np.concatenate([f.ravel() for _, f, _, _ in union.layout.values()]))
         for stack in op._stacks:
             grid = union.grids[stack.order]
-            variables = np.unique(union.order_block(stack.order)[1])
+            variables = np.unique(union.layout[stack.order][1])
             want = eval_1d_table(kind, grid, op.nodes.T[variables - 1].ravel())
             np.testing.assert_array_equal(
                 stack.table, want.T.reshape(len(grid), len(variables), op.rows)

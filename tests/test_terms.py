@@ -156,13 +156,11 @@ class TestIndexUnion:
     )
     def test_order_blocks_tile_the_union(self, termset, kind, n):
         union = build_index_union(termset, BandwidthProfile.from_list([n, n, n]), kind)
-        for absent in {0, 4} | set(range(1, 4)) - set(union.grids):
-            with pytest.raises(ConfigError, match="no term of order"):
-                union.order_block(absent)
+        assert list(union.layout) == sorted(union.grids)
         assert union.variables.tolist() == sorted({i for u in union.terms for i in u})
         stop = 1
         for order in sorted(union.grids):
-            block, factors, own, pos = union.order_block(order)
+            block, factors, own, pos = union.layout[order]
             owned = [u for u in union.terms if len(u) == order]
             assert block.start == stop == union.slice_for(owned[0]).start
             assert block.stop == union.slice_for(owned[-1]).stop
