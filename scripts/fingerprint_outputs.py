@@ -5,7 +5,8 @@ Each output line is ``name value``: a sha256 of the raw bytes of an output
 array, a ``float.hex`` of a scalar, or an exact count.  The script covers
 
 * ``eval_1d_table`` of each basis on more than ``_TABLE_BLOCK`` points (the
-  domain endpoints included), with negative frequencies for ``per``;
+  domain endpoints included), on the grid of N = 22 for ``per`` and N = 12
+  otherwise, so that every ``|k| <= 11`` is covered;
 * the index unions of a d=6 term set with gaps, of highest order 1, 2 and 3,
   in each basis: ``frequencies_full()`` and the ``slice_for`` bounds of the
   empty term and of the first and last term of each order;
@@ -130,8 +131,8 @@ def table_lines() -> list[str]:
     for kind in (BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV):
         lo, hi = kind.domain
         x = np.concatenate([[lo, hi], rng.uniform(lo, hi, 2 * _TABLE_BLOCK + 77)])
-        freqs = np.arange(-11, 12) if kind.is_complex else np.arange(11, -1, -1)
-        lines.append(hashed(f"basis.{kind.value}.table", eval_1d_table(kind, freqs, x)))
+        bandwidth = 22 if kind.is_complex else 12
+        lines.append(hashed(f"basis.{kind.value}.table", eval_1d_table(kind, bandwidth, x)))
     return lines
 
 

@@ -5,7 +5,7 @@ least squares, read off global sensitivity indices and attribute rankings,
 and refine the active term set.
 """
 
-from .basis import BasisKind, eval_1d, eval_tensor
+from .basis import BasisKind, eval_1d, eval_tensor, full_grid_1d
 from .bench import EvaluationSummary, median_evaluate
 from .datasets import (
     Dataset,
@@ -54,7 +54,6 @@ from .terms import (
     FrequencyIndexUnion,
     TermSet,
     build_index_union,
-    full_grid_1d,
     load_termset,
     save_termset,
     superposition_terms,

@@ -14,11 +14,12 @@ Three families are supported, selected by :class:`BasisKind`:
 
 Multivariate basis functions are plain tensor products of the 1-d family;
 frequency ``0`` contributes the constant factor ``1`` in every coordinate.
+Each term coordinate carries the grid of its bandwidth (:func:`full_grid_1d`).
 
 :func:`eval_1d` and :func:`eval_tensor` evaluate each function directly
 (one ``cos``/``exp`` per value) and serve as the reference.  The table
 builder :func:`eval_1d_table`, which the design operator uses, spends one
-transcendental per point and fills all degrees by recurrence: the
+transcendental per point and fills one grid by recurrence: the
 Chebyshev three-term recurrence ``T_k = 2c T_{k-1} - T_{k-2}`` for the
 real kinds (with ``c = cos(pi x)`` or ``c = 2x - 1``) and repeated
 multiplication by ``z = e^{2 pi i x}`` for the exponentials (Mason &
@@ -86,15 +87,17 @@ def check_domain(kind: BasisKind, x, *, what: str = "coordinate") -> np.ndarray:
     Coordinates that are not real numbers raise :class:`DataError` and
     non-finite ones :class:`DomainError`, for every kind.  Exponential
     coordinates are then wrapped by periodicity instead of rejected (the torus
-    identification makes wrapping exact); other kinds raise :class:`DomainError` outside [0, 1].
+    identification makes wrapping exact); other kinds raise :class:`DomainError` outside
+    their closed :attr:`BasisKind.domain`.
     """
     x = as_array(x, what)
     if not np.all(np.isfinite(x)):
         raise DomainError(f"{what} is not finite (nan or inf)")
     if kind.is_complex:
         return wrap_periodic(x)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise DomainError(f"{what} outside [0, 1] for basis {kind.token!r}")
+    lo, hi = kind.domain
+    if np.any(x < lo) or np.any(x > hi):
+        raise DomainError(f"{what} outside [{lo:g}, {hi:g}] for basis {kind.token!r}")
     return x
 
 
@@ -126,72 +129,76 @@ def eval_tensor(kind: BasisKind, freqs, x):
     Every coordinate passes :func:`check_domain`; only coordinates with
     nonzero frequency contribute, the rest multiply by the exact constant 1.
     """
-    freqs = np.asarray(freqs, dtype=np.int64)
     x = check_domain(kind, x)
-    if freqs.ndim != 1 or x.ndim != 1 or freqs.shape != x.shape:
-        raise DataError(
-            f"frequency/node dimension mismatch: {freqs.shape} vs {x.shape}"
-        )
+    if x.ndim != 1 or np.shape(freqs) != x.shape:
+        raise DataError(f"frequency/node dimension mismatch: {np.shape(freqs)} vs {x.shape}")
     out = kind.dtype.type(1.0)
     for k, xi in zip(freqs, x):
+        k = as_integer(k, "frequency")
         if k != 0:
-            out = out * eval_1d(kind, int(k), float(xi))
+            out = out * eval_1d(kind, k, float(xi))
     return out
 
 
-def eval_1d_table(kind: BasisKind, freqs, x) -> np.ndarray:
-    """Evaluate many 1-d basis functions at many points.
+def full_grid_1d(kind: BasisKind, bandwidth: int) -> np.ndarray:
+    """The 1-d frequency grid for one coordinate of a term; zero is excluded."""
+    n = as_integer(bandwidth, "bandwidth")
+    if n < 2 or n % 2 != 0:
+        raise ConfigError(f"bandwidth must be even and >= 2, got {n}")
+    if n > np.iinfo(np.int64).max:
+        raise ConfigError(f"bandwidth {n} exceeds the 64-bit frequency range")
+    if kind.is_complex:
+        grid = list(range(-n // 2, 0)) + list(range(1, n // 2))
+    else:
+        grid = list(range(1, n))
+    return np.asarray(grid, dtype=np.int64)
 
-    Returns an array of shape ``(len(x), len(freqs))`` with column ``j``
-    holding ``eta_{freqs[j]}`` at all points.  Used by the design operator
-    to build its one table of every order, from nodes that already passed
-    :func:`check_domain`: ``x`` must lie in the basis domain.
+
+def eval_1d_table(kind: BasisKind, bandwidth: int, x: np.ndarray) -> np.ndarray:
+    """Evaluate the basis functions of the grid ``g = full_grid_1d(kind, N)`` at many points.
+
+    Returns the ``(len(x), N - 1)`` table whose column ``j`` holds
+    ``eta_{g[j]}``; ``x`` is a 1-d float64 array that passed :func:`check_domain`.
 
     Each point costs one transcendental: ``c = cos(pi x)`` (cosine), none
     (Chebyshev, ``c = 2x - 1`` clipped to [-1, 1]) or ``z = exp(2 pi i x)``
-    (exponential).  Degrees ``k = 0 .. max|freqs|`` then follow from the
+    (exponential).  Degrees ``k = 1 .. max|g|`` then follow from the
     recurrence ``T_k = 2c T_{k-1} - T_{k-2}`` (``T_k(c)`` is ``cos(k pi x)``,
-    respectively ``cos(k arccos(2x - 1))``), or from ``z^k = z^{k-1} z``
-    with ``conj(z^|k|)`` for negative ``k``; the real kinds scale every
-    ``k != 0`` by ``sqrt(2)``.  The recurrence runs over blocks of
-    ``_TABLE_BLOCK`` points, so its scratch stays in cache and the only
-    large allocation is the returned table, written frequency-major (its
-    ``.T`` is C-contiguous, one contiguous run per frequency and block).
+    respectively ``cos(k arccos(2x - 1))``), or from ``z^k = z^{k-1} z``;
+    each block gathers the degrees ``|g|``, then scales them by ``sqrt(2)``
+    (real kinds) or conjugates the rows of ``g < 0``.  The recurrence runs
+    over blocks of ``_TABLE_BLOCK`` points, so its scratch stays in cache and
+    the only large allocation is the returned table, written frequency-major
+    (its ``.T`` is C-contiguous, one contiguous run per frequency and block).
     Its error grows like ``k^2 eps`` (about ``3e-14`` at ``|k| = 11``)
     against direct evaluation, which :func:`eval_1d` keeps as the reference.
     """
-    freqs = np.asarray(freqs, dtype=np.int64)
-    if not kind.is_complex and np.any(freqs < 0):
-        raise ConfigError(f"negative frequency is invalid for basis {kind.token!r}")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    top = int(np.abs(freqs).max(initial=0))
-    table = np.empty((freqs.size, x.size), dtype=kind.dtype)
+    grid = full_grid_1d(kind, bandwidth)
+    degrees = np.abs(grid)
+    table = np.empty((grid.size, x.size), dtype=kind.dtype)
     # powers[k] holds degree k at the points of the current block
-    powers = np.empty((top + 1, min(x.size, _TABLE_BLOCK)), dtype=kind.dtype)
+    powers = np.empty((degrees.max() + 1, min(x.size, _TABLE_BLOCK)), dtype=kind.dtype)
     powers[0] = 1.0
     for start in range(0, x.size, _TABLE_BLOCK):
         xb = x[start:start + _TABLE_BLOCK]
         p = powers[:, :xb.size]
-        if top:
-            if kind is BasisKind.EXPONENTIAL:
-                np.exp(2j * np.pi * xb, out=p[1])
-                for k in range(2, top + 1):
-                    np.multiply(p[k - 1], p[1], out=p[k])
+        if kind is BasisKind.EXPONENTIAL:
+            np.exp(2j * np.pi * xb, out=p[1])
+            for k in range(2, len(p)):
+                np.multiply(p[k - 1], p[1], out=p[k])
+        else:
+            if kind is BasisKind.COSINE:
+                np.cos(np.pi * xb, out=p[1])
             else:
-                if kind is BasisKind.COSINE:
-                    np.cos(np.pi * xb, out=p[1])
-                else:
-                    np.clip(2.0 * xb - 1.0, -1.0, 1.0, out=p[1])
-                twice = 2.0 * p[1]
-                for k in range(2, top + 1):
-                    np.multiply(twice, p[k - 1], out=p[k])
-                    np.subtract(p[k], p[k - 2], out=p[k])
+                np.clip(2.0 * xb - 1.0, -1.0, 1.0, out=p[1])
+            twice = 2.0 * p[1]
+            for k in range(2, len(p)):
+                np.multiply(twice, p[k - 1], out=p[k])
+                np.subtract(p[k], p[k - 2], out=p[k])
         block = table[:, start:start + xb.size]
-        for j, k in enumerate(freqs.tolist()):
-            if k < 0:
-                np.conjugate(p[-k], out=block[j])
-            elif k and not kind.is_complex:
-                np.multiply(p[k], SQRT2, out=block[j])
-            else:
-                block[j] = p[k]
+        np.take(p, degrees, axis=0, out=block, mode="clip")  # "raise" copies via a buffer
+        if kind.is_complex:
+            np.conjugate(block, out=block, where=grid[:, None] < 0)
+        else:
+            block *= SQRT2
     return table.T

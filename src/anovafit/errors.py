@@ -52,10 +52,13 @@ def as_integer(value, what: str) -> int:
 
 
 def as_real(value, what: str) -> float:
-    """``value`` as a ``float`` if a ``numbers.Real`` other than a bool; a string or None is not."""
+    """``value`` as a ``float`` if a ``numbers.Real`` other than a bool within the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} exceeds the float range") from None
 
 
 def as_array(value, what: str, *, real: bool = True) -> np.ndarray:

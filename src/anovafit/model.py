@@ -99,7 +99,8 @@ class SensitivityReport:
             raise ConfigError("report carries no ranking; compute attribute_ranking first")
         if not 0.0 <= as_real(threshold, "ranking threshold") < 1.0:
             raise ConfigError(f"ranking threshold must lie in [0, 1), got {threshold}")
-        return tuple(int(i) + 1 for i in np.flatnonzero(self.ranking > threshold))
+        ranking = as_array(self.ranking, "ranking")
+        return tuple(int(i) + 1 for i in np.flatnonzero(ranking > threshold))
 
     def sorted_indices(self) -> tuple[tuple[Term, float], ...]:
         """Indices by descending share; ties broken by order then lexicographic."""
@@ -469,6 +470,6 @@ def load_model(path) -> Model:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # a decode error, or an integer too long to convert
             raise DataError(f"{path}: not a JSON file: {exc}") from None
     return model_from_obj(obj)

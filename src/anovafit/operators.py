@@ -18,10 +18,10 @@ reads that layout and checks nothing about it.  Index 0 is the constant column.
 only where :func:`~anovafit.basis.check_domain` makes one: a conversion to
 float64, or the wrapping of ``per`` nodes), and the tables below are fixed
 at construction, so a later change to the caller's array changes no apply.
-The operator calls :func:`~anovafit.basis.eval_1d_table` once,
-on the ``v`` variables of all terms (points in (variable, node) order) and
-the longest grid ``g``: each ``cos``/``cheb`` grid is a prefix
-``1 .. N_l - 1`` of ``g`` and each ``per`` grid a contiguous run of it.  The
+The operator calls :func:`~anovafit.basis.eval_1d_table` once, on the
+``v`` variables of all terms (points in (variable, node) order) and the
+largest bandwidth, whose grid ``g`` is the longest: every order's grid is a
+contiguous run of ``g`` (a prefix for ``cos`` and ``cheb``).  The
 result's transpose is the operator's one table, C-contiguous and read-only,
 of shape ``(|g|, v, M)``: ``[j, p]`` is frequency ``g[j]`` of variable
 number ``p`` (ascending) at all ``M`` nodes.  Order ``l`` reads its
@@ -79,7 +79,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .basis import check_domain, eval_1d_table, eval_tensor
+from .basis import check_domain, eval_1d_table, eval_tensor, full_grid_1d
 from .errors import ConfigError, DataError, as_array
 from .terms import FrequencyIndexUnion
 
@@ -204,9 +204,10 @@ class DesignOperator:
         self.shape = (self.rows, self.cols)
         # one table over every order's variables and frequencies (see Tables)
         variables = index_union.variables
-        grid = max(index_union.grids.values(), key=len, default=np.empty(0, np.int64))
+        bandwidth = max((n for _, n in index_union.bandwidths), default=2)
+        grid = full_grid_1d(kind, bandwidth)
         # points over (variable, node) pairs: the transposed table is (|g|, v, M)
-        table = eval_1d_table(kind, grid, X.T[variables - 1].ravel()).T
+        table = eval_1d_table(kind, bandwidth, X.T[variables - 1].ravel()).T
         table = table.reshape(len(grid), len(variables), self.rows)
         self._stacks = []
         for order, (block, _, own, pos) in index_union.layout.items():

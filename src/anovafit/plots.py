@@ -6,7 +6,9 @@ which matplotlib's embedded metadata would break.
 
 from __future__ import annotations
 
-from .errors import DataError
+import numpy as np
+
+from .errors import DataError, as_array
 
 WIDTH = 640
 HEIGHT = 360
@@ -15,8 +17,8 @@ MARGIN_BOTTOM = 64
 MARGIN_TOP = 28
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+def _escape(text: str) -> str:  # as XML text; xml.sax.saxutils would import urllib.request
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def svg_bar_chart(
@@ -27,9 +29,10 @@ def svg_bar_chart(
     threshold: float | None = None,
 ) -> str:
     """Render labeled bars (optionally with a dashed threshold line) as SVG text."""
-    if len(labels) != len(values) or not values:
-        raise DataError("labels and values must be equal-length and nonempty")
-    top = max(max(values), threshold or 0.0, 1e-12) * 1.1
+    values = as_array(values, "bar values")
+    if values.shape != (len(labels),) or not values.size or not np.all(np.isfinite(values)):
+        raise DataError("labels and values must be equal-length and nonempty, values finite")
+    top = max(values.max(), threshold or 0.0, 1e-12) * 1.1
     plot_w = WIDTH - MARGIN_LEFT - 16
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
     slot = plot_w / len(values)
@@ -45,7 +48,7 @@ def svg_bar_chart(
     ]
     if title:
         parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="16" text-anchor="middle">{title}</text>'
+            f'<text x="{WIDTH / 2:.1f}" y="16" text-anchor="middle">{_escape(title)}</text>'
         )
     # axes
     x0, y0 = MARGIN_LEFT, MARGIN_TOP + plot_h
@@ -59,7 +62,7 @@ def svg_bar_chart(
         v = top * frac
         y = ypos(v)
         parts.append(
-            f'<text x="{x0 - 6}" y="{y + 4:.1f}" text-anchor="end">{_fmt(v)}</text>'
+            f'<text x="{x0 - 6}" y="{y + 4:.1f}" text-anchor="end">{v:.6g}</text>'
         )
         parts.append(
             f'<line x1="{x0 - 3}" y1="{y:.1f}" x2="{x0}" y2="{y:.1f}" stroke="black"/>'
@@ -73,7 +76,7 @@ def svg_bar_chart(
         )
         parts.append(
             f'<text x="{cx:.1f}" y="{y0 + 14}" text-anchor="middle" '
-            f'transform="rotate(45 {cx:.1f} {y0 + 14})">{label}</text>'
+            f'transform="rotate(45 {cx:.1f} {y0 + 14})">{_escape(label)}</text>'
         )
     if threshold is not None:
         y = ypos(threshold)

@@ -8,8 +8,7 @@ are reproducible.
 
 Each term of order ``l > 0`` carries the full-grid frequency set
 ``grid(N_l)^l`` embedded into ``Z^d`` on its own coordinates, where the 1-d
-grid excludes zero: ``{-N/2, ..., -1, 1, ..., N/2 - 1}`` for the periodic
-basis and ``{1, ..., N - 1}`` otherwise (``N - 1`` elements either way).
+grid :func:`~anovafit.basis.full_grid_1d` holds ``N - 1`` nonzero frequencies.
 The empty term carries the single zero frequency.  Supports are therefore
 pairwise disjoint across terms and the union of all embedded grids has
 
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import BasisKind
+from .basis import BasisKind, full_grid_1d
 from .errors import ConfigError, DataError, as_integer
 
 Term = tuple[int, ...]
@@ -170,20 +169,6 @@ class BandwidthProfile:
     @classmethod
     def from_json_obj(cls, obj) -> "BandwidthProfile":
         return cls({int(order): n for order, n in obj.items()})  # JSON keys are strings
-
-
-def full_grid_1d(kind: BasisKind, bandwidth: int) -> np.ndarray:
-    """The 1-d frequency grid for one coordinate of a term; zero is excluded."""
-    n = as_integer(bandwidth, "bandwidth")
-    if n < 2 or n % 2 != 0:
-        raise ConfigError(f"bandwidth must be even and >= 2, got {n}")
-    if n > np.iinfo(np.int64).max:
-        raise ConfigError(f"bandwidth {n} exceeds the 64-bit frequency range")
-    if kind.is_complex:
-        grid = list(range(-n // 2, 0)) + list(range(1, n // 2))
-    else:
-        grid = list(range(1, n))
-    return np.asarray(grid, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anovafit import BasisKind, DomainError, eval_1d, eval_tensor
+from anovafit import BasisKind, DomainError, eval_1d, eval_tensor, full_grid_1d
 from anovafit.basis import _TABLE_BLOCK, eval_1d_table, wrap_periodic
 
 from conftest import orthonormality_defect
@@ -130,15 +130,19 @@ def test_chebyshev_endpoints_finite():
             assert np.isfinite(eval_1d(BasisKind.CHEBYSHEV, k, x))
 
 
+def _assert_table_is_grid(kind, bandwidth, x, **tolerance):
+    grid = full_grid_1d(kind, bandwidth)
+    table = eval_1d_table(kind, bandwidth, x)
+    assert table.shape == (x.size, grid.size) and table.dtype == kind.dtype
+    for j, k in enumerate(grid):
+        np.testing.assert_allclose(table[:, j], eval_1d(kind, int(k), x), **tolerance)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_table_matches_scalar_eval(kind):
     rng = np.random.default_rng(3)
     lo, hi = kind.domain
-    x = rng.uniform(lo, hi, 20)
-    freqs = np.array([-2, -1, 0, 1, 3]) if kind.is_complex else np.array([0, 1, 2, 5])
-    table = eval_1d_table(kind, freqs, x)
-    for j, k in enumerate(freqs):
-        np.testing.assert_allclose(table[:, j], eval_1d(kind, int(k), x), rtol=1e-14)
+    _assert_table_is_grid(kind, 6, rng.uniform(lo, hi, 20), rtol=1e-14)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -148,21 +152,13 @@ def test_table_recurrence_matches_direct_eval(kind):
     rng = np.random.default_rng(11)
     lo, hi = kind.domain
     x = np.concatenate([[lo, hi], rng.uniform(lo, hi, 2 * _TABLE_BLOCK + 77)])
-    freqs = np.arange(-11, 12) if kind.is_complex else np.arange(11, -1, -1)
-    table = eval_1d_table(kind, freqs, x)
-    assert table.shape == (x.size, freqs.size) and table.dtype == kind.dtype
-    for j, k in enumerate(freqs):
-        np.testing.assert_allclose(table[:, j], eval_1d(kind, int(k), x), rtol=0, atol=1e-13)
+    _assert_table_is_grid(kind, 22 if kind.is_complex else 12, x, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_table_of_empty_inputs(kind):
-    freqs = np.array([0, -2, 3]) if kind.is_complex else np.array([0, 2, 3])
-    empty = eval_1d_table(kind, freqs, np.empty(0))
+    empty = eval_1d_table(kind, 4, np.empty(0))
     assert empty.shape == (0, 3) and empty.dtype == kind.dtype
-    constant = eval_1d_table(kind, [0], np.full(5, 0.25))
-    np.testing.assert_array_equal(constant, np.ones((5, 1)))
-    assert eval_1d_table(kind, [], np.full(5, 0.25)).shape == (5, 0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

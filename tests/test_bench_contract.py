@@ -10,9 +10,9 @@ that no test runs, so two tests resolve ``__all__`` and import each script.
 The library raises ``ConfigError``/``DataError`` where it finds a fault,
 and the CLI's ``main`` maps only those onto exit codes.  A new bare
 ``raise ValueError``, a catch-all ``except ValueError`` in ``main`` or an
-array argument converted by ``np.asarray(..., dtype=np.float64)`` instead
-of ``errors.as_array`` would still pass the behavioural tests, so the last
-three tests read the source.
+array argument converted by ``np.asarray(..., dtype=np.float64)`` anywhere
+but inside ``errors.as_array`` itself would still pass the behavioural
+tests, so the last three tests read the source.
 """
 
 import ast
@@ -27,8 +27,8 @@ SPANS = ROOT / "perfbench" / "spans.py"
 PACKAGE = ROOT / "src" / "anovafit"
 # converts a parse failure that load_csv catches internally
 ALLOWED_VALUE_ERRORS = {("datasets", "_csv_cell")}
-# the reader itself, and the table builder, whose points have passed check_domain
-ALLOWED_FLOAT_CONVERSIONS = {("errors", "as_array"), ("basis", "eval_1d_table")}
+# the reader itself
+ALLOWED_FLOAT_CONVERSIONS = {("errors", "as_array")}
 
 
 def _load(path: Path, name: str):

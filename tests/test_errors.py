@@ -4,6 +4,8 @@
 callers that catch ``ValueError`` keep working.
 """
 
+from xml.dom.minidom import parseString
+
 import numpy as np
 import pytest
 
@@ -26,11 +28,13 @@ from anovafit import (
     direct_solve,
     drop_variables,
     eval_1d,
+    eval_tensor,
     fit,
     friedman_eval,
     friedman_sample,
     full_grid_1d,
     incremental_expand,
+    load_model,
     load_termset,
     lsqr_solve,
     mse,
@@ -41,7 +45,6 @@ from anovafit import (
     superposition_terms,
     threshold_active_set,
 )
-from anovafit.basis import eval_1d_table
 from anovafit.bench import RealBenchConfig, Stage, run_real_benchmark, run_recipe
 from anovafit.errors import as_array
 from anovafit.model import model_from_obj, model_to_obj
@@ -228,6 +231,12 @@ CASES = {
         lambda: incremental_expand(_report(), superposition_terms(3, 1), 0.1, 2.0),
     ),
     "fractional frequency": (ConfigError, lambda: eval_1d(BasisKind.COSINE, 1.5, 0.3)),
+    "fractional tensor frequency": (
+        ConfigError, lambda: eval_tensor(BasisKind.COSINE, [1.5, 0], [0.3, 0.5])
+    ),
+    "string tensor frequency": (
+        ConfigError, lambda: eval_tensor(BasisKind.COSINE, ["a", "1"], [0.3, 0.5])
+    ),
     "fractional model-file iteration count": (
         DataError, lambda: model_from_obj(_diagnostics(iterations=2.9))
     ),
@@ -257,12 +266,6 @@ CASES = {
     "zero dimension": (ConfigError, lambda: TermSet(0, ())),
     "superposition threshold above the dimension": (ConfigError, lambda: TermSet(3, (), 4)),
     "bandwidth for order 0": (ConfigError, lambda: BandwidthProfile({0: 4})),
-    "negative cosine table frequency": (
-        ConfigError, lambda: eval_1d_table(BasisKind.COSINE, [2, -1], [0.5])
-    ),
-    "negative Chebyshev table frequency": (
-        ConfigError, lambda: eval_1d_table(BasisKind.CHEBYSHEV, [-1], [0.5])
-    ),
     "term missing from the report": (
         ConfigError, lambda: threshold_active_set(_report(), superposition_terms(3, 3), 0.1)
     ),
@@ -271,6 +274,12 @@ CASES = {
         lambda: lsqr_solve(DesignOperator(np.empty((0, 3)), _operator().index_union), []),
     ),
     "mismatched chart labels": (DataError, lambda: svg_bar_chart(["a", "b"], [1.0])),
+    "string chart value": (DataError, lambda: svg_bar_chart(["a", "b"], ["1", "x"])),
+    "NaN chart value": (DataError, lambda: svg_bar_chart(["a", "b"], [1.0, float("nan")])),
+    "string ranking": (
+        DataError,
+        lambda: SensitivityReport(2, 1.0, (((1,), 0.5),), ranking=["a", "b"]).ranked_above(0.1),
+    ),
     "string fit node": (DataError, lambda: _fit(np.full((8, 3), "0.5"), np.ones(8))),
     "complex fit node": (DataError, lambda: _fit(np.full((8, 3), 0.5 + 1j), np.ones(8))),
     "string fit value": (DataError, lambda: _fit(np.full((8, 3), 0.5), ["1"] * 8)),
@@ -326,6 +335,12 @@ CASES = {
     "bool term index": (ConfigError, lambda: TermSet(2, ((True,),))),
     "bool bandwidth order": (ConfigError, lambda: BandwidthProfile({True: 4})),
     "bool regularization": (ConfigError, lambda: SolverConfig(regularization=True)),
+    "regularization beyond the float range": (
+        ConfigError, lambda: SolverConfig(regularization=10**400)
+    ),
+    "model-file relative residual beyond the float range": (
+        DataError, lambda: model_from_obj(_diagnostics(relative_residual=10**400))
+    ),
     "bool ranking threshold": (ConfigError, lambda: _report().ranked_above(False)),
 }
 
@@ -359,6 +374,20 @@ def test_term_file_with_fractional_dimension_is_a_data_error(tmp_path):
         )
         with pytest.raises(DataError, match="dimension must be an integer"):
             load_termset(path)
+
+
+def test_chart_escapes_labels_and_title():
+    svg = svg_bar_chart(["a<b", "c&d"], [1.0, 0.5], title='"x" > <y>')
+    texts = [node.firstChild.data for node in parseString(svg).getElementsByTagName("text")]
+    assert texts[0] == '"x" > <y>' and texts[-2:] == ["a<b", "c&d"]
+
+
+def test_model_file_with_an_overlong_integer_is_a_data_error(tmp_path):
+    # json.load raises a plain ValueError for an integer of more than 4300 digits
+    path = tmp_path / "model.json"
+    path.write_text('{"dimension": ' + "1" * 5000 + "}")
+    with pytest.raises(DataError):
+        load_model(path)
 
 
 def test_as_array_reads_numbers_only():

@@ -153,7 +153,8 @@ def test_order_tables_equal_their_own_evaluation(kind):
         for stack in op._stacks:
             grid = union.grids[stack.order]
             variables = np.unique(union.layout[stack.order][1])
-            want = eval_1d_table(kind, grid, op.nodes.T[variables - 1].ravel())
+            bandwidth = dict(union.bandwidths)[stack.order]
+            want = eval_1d_table(kind, bandwidth, op.nodes.T[variables - 1].ravel())
             np.testing.assert_array_equal(
                 stack.table, want.T.reshape(len(grid), len(variables), op.rows)
             )
