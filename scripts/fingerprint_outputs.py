@@ -39,7 +39,12 @@ array, a ``float.hex`` of a scalar, or an exact count.  The script covers
 * the command line, run in-process in a temporary directory: the stdout,
   stderr and both SVG charts of ``anovafit rank`` on a Friedman-1 model,
   and the JSON of ``anovafit bench-real custom`` with every protocol flag
-  set, on a generated CSV with ``--reps 2``.
+  set, on a generated CSV with ``--reps 2``;
+* ``anovafit fit --csv`` with ``--normalize`` and with ``--normalize-target``,
+  in ``cos`` and ``per``, on a generated CSV whose features lie off the unit
+  cube: the model file, and the output (temporary paths stripped) of the
+  fit, of ``predict --target`` through that model, and of ``predict``
+  without ``--target`` on a features-only CSV.
 
 The first line records the BLAS thread variables (or ``unset``) and
 ``os.cpu_count()``.
@@ -372,6 +377,13 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def write_csv(path: Path, header, rows: np.ndarray) -> str:
+    """A headered CSV of ``rows``, each value written by ``repr``; returns the path."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows.tolist()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 def cli_lines() -> list[str]:
     """``rank`` and ``bench-real`` output, with only flags that older checkouts have."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -389,11 +401,7 @@ def cli_lines() -> list[str]:
         ]
         table = friedman_sample(FriedmanSpec(1), 300, 21)
         csv_path, real = Path(tmp, "table.csv"), Path(tmp, "real.json")
-        rows = [",".join(table.columns + ("y",))] + [
-            ",".join(map(repr, [*x, y]))
-            for x, y in zip(table.nodes.tolist(), table.targets.tolist())
-        ]
-        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_csv(csv_path, table.columns + ("y",), np.column_stack([table.nodes, table.targets]))
         code, _, _ = run_cli(
             "bench-real", "custom", "--csv", str(csv_path), "--target", "y",
             "--split", "0.6", "--ds", "2", "--bandwidths", "4,2", "--lambda", "0.5",
@@ -401,6 +409,43 @@ def cli_lines() -> list[str]:
             "--keep", "1,2,3,4,5,6", "--reps", "2", "--seed", "1", "--out", str(real),
         )
         lines.append(f"cli.bench_real.custom {code} {sha_bytes(real.read_bytes())}")
+    return lines
+
+
+def normalized_lines() -> list[str]:
+    """``fit --csv`` with each normalization flag, and ``predict`` through its model.
+
+    The temporary directory is stripped from the output before it is hashed.
+    """
+    table = friedman_sample(FriedmanSpec(1), 300, 22)
+    nodes = 2.0 + 3.0 * table.nodes  # off the unit cube, so the map has work to do
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def digest(out: str, err: str) -> str:
+            return sha_bytes((out + err).replace(tmp, "").encode())
+
+        data = write_csv(Path(tmp, "data.csv"), table.columns + ("y",),
+                         np.column_stack([nodes, table.targets]))
+        features = write_csv(Path(tmp, "features.csv"), table.columns, nodes[:40])
+        model = str(Path(tmp, "model.json"))
+        for basis in ("cos", "per"):
+            for flag in ("--normalize", "--normalize-target"):
+                name = f"cli.normalized.{basis}.{flag[2:].replace('-', '_')}"
+                code, out, err = run_cli(
+                    "fit", "--csv", data, "--target", "y", "--basis", basis, "--ds", "2",
+                    "--bandwidths", "4,2", "--split", "0.7", "--lambda", "1", "--seed", "2",
+                    flag, "--out", model,
+                )
+                lines += [
+                    f"{name}.model {sha_bytes(Path(model).read_bytes())}",
+                    f"{name}.fit {code} {digest(out, err)}",
+                ]
+                code, out, err = run_cli("predict", "--model", model, "--csv", data,
+                                         "--target", "y")
+                lines.append(f"{name}.predict_target {code} {digest(out, err)}")
+                code, out, err = run_cli("predict", "--model", model, "--csv", features)
+                lines.append(f"{name}.predict_features {code} {digest(out, err)}")
     return lines
 
 
@@ -430,7 +475,7 @@ def main() -> int:
         table_lines() + union_lines() + operator_lines() + block_lines() + friedman_lines()
         + wide_fit_lines() + order3_fit_lines() + capped_fit_lines() + real_lines()
     )
-    for line in lines + cli_lines():
+    for line in lines + cli_lines() + normalized_lines():
         print(line, flush=True)
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)

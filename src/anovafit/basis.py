@@ -130,8 +130,12 @@ def eval_tensor(kind: BasisKind, freqs, x):
     nonzero frequency contribute, the rest multiply by the exact constant 1.
     """
     x = check_domain(kind, x)
-    if x.ndim != 1 or np.shape(freqs) != x.shape:
-        raise DataError(f"frequency/node dimension mismatch: {np.shape(freqs)} vs {x.shape}")
+    try:
+        shape = np.shape(freqs)
+    except ValueError:  # a ragged list
+        raise DataError(f"frequencies must be one flat list, got {freqs!r}") from None
+    if x.ndim != 1 or shape != x.shape:
+        raise DataError(f"frequency/node dimension mismatch: {shape} vs {x.shape}")
     out = kind.dtype.type(1.0)
     for k, xi in zip(freqs, x):
         k = as_integer(k, "frequency")

@@ -308,9 +308,7 @@ def run_real_benchmark(
 
     def recipe(train_raw: Dataset, test_raw: Dataset) -> float:
         train = normalize(train_raw, include_target=cfg.normalize_targets)
-        test = apply_normalization(
-            test_raw, train.normalization, include_target=cfg.normalize_targets
-        )
+        test = apply_normalization(test_raw, train.normalization)
         model, _ = run_recipe(stages, train, termset)
         value = METRICS[cfg.metric](test.targets, predict(model, test.nodes))
         # appended last, so it holds exactly the repetitions that succeeded

@@ -101,9 +101,7 @@ def _load_train_test(args) -> tuple[Dataset, Dataset]:
     train, test = bench.rep_data(ds, plan, 0)
     if args.normalize or args.normalize_target:
         train = normalize(train, include_target=args.normalize_target)
-        test = apply_normalization(
-            test, train.normalization, include_target=args.normalize_target
-        )
+        test = apply_normalization(test, train.normalization)
     return train, test
 
 
@@ -160,11 +158,9 @@ def cmd_predict(args) -> int:
             f"{model.terms.dimension} variables"
         )
     stats = model.normalization
-    target_normalized = False
     if stats is not None:
-        include_target = args.target is not None and stats.target_min is not None
-        ds = apply_normalization(ds, stats, include_target=include_target)
-        target_normalized = include_target
+        ds = apply_normalization(ds, stats)
+    target_normalized = stats is not None and stats.target_min is not None
     predictions = predict(model, ds.nodes)
     out = {"predictions": _coeffs_to_obj(predictions)}
     if args.target is not None:

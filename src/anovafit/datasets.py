@@ -76,6 +76,19 @@ class Normalization:
         object.__setattr__(self, "feature_min", lo)
         object.__setattr__(self, "feature_max", hi)
 
+    def to_json_obj(self) -> dict:
+        """Wire format, the ``normalization`` block of a model file."""
+        return {
+            "feature_min": self.feature_min.tolist(),
+            "feature_max": self.feature_max.tolist(),
+            "target_min": self.target_min,
+            "target_max": self.target_max,
+        }
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "Normalization":
+        return cls(obj["feature_min"], obj["feature_max"], obj["target_min"], obj["target_max"])
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -317,17 +330,14 @@ def _affine_to_unit(values, lo, hi):
     return np.clip(out, 0.0, 1.0)
 
 
-def apply_normalization(
-    ds: Dataset, stats: Normalization, *, include_target: bool = False
-) -> Dataset:
+def apply_normalization(ds: Dataset, stats: Normalization) -> Dataset:
     """Map a raw dataset through recorded min-max extrema, such as its training set's.
 
+    The targets are mapped exactly when ``stats`` holds target extrema.
     Values outside the extrema clamp to [0, 1]; constant columns map to 0.5.
     """
     if ds.normalization is not None:
         raise ConfigError("dataset is already normalized")
-    if include_target and stats.target_min is None:
-        raise ConfigError("normalization statistics carry no target extrema")
     if stats.feature_min.shape != (ds.dimension,):
         raise DataError(
             f"normalization extrema hold {stats.feature_min.size} values per bound "
@@ -335,7 +345,7 @@ def apply_normalization(
         )
     nodes = _affine_to_unit(ds.nodes, stats.feature_min, stats.feature_max)
     targets = ds.targets
-    if include_target:
+    if stats.target_min is not None:
         targets = _affine_to_unit(ds.targets, stats.target_min, stats.target_max)
     return replace(ds, nodes=nodes, targets=targets, normalization=stats)
 
@@ -347,13 +357,9 @@ def normalize(ds: Dataset, *, include_target: bool = False) -> Dataset:
     """
     if ds.normalization is not None:
         return ds
-    stats = Normalization(
-        feature_min=ds.nodes.min(axis=0),
-        feature_max=ds.nodes.max(axis=0),
-        target_min=float(ds.targets.min()) if include_target else None,
-        target_max=float(ds.targets.max()) if include_target else None,
-    )
-    return apply_normalization(ds, stats, include_target=include_target)
+    target_bounds = (float(ds.targets.min()), float(ds.targets.max())) if include_target else ()
+    stats = Normalization(ds.nodes.min(axis=0), ds.nodes.max(axis=0), *target_bounds)
+    return apply_normalization(ds, stats)
 
 
 # --- splitting -----------------------------------------------------------

@@ -62,7 +62,8 @@ class Model:
     """Fitted truncated expansion with its fit diagnostics.
 
     ``normalization`` holds the extrema that mapped the training data into
-    the basis domain; :func:`predict` still takes nodes in that domain.
+    the basis domain, its targets too exactly when it holds target extrema;
+    :func:`predict` still takes nodes in that domain.
     """
 
     kind: BasisKind
@@ -401,26 +402,9 @@ def model_to_obj(model: Model) -> dict:
             "oversampling": float(model.oversampling),
         },
     }
-    stats = model.normalization
-    if stats is not None:
-        obj["normalization"] = {
-            "feature_min": [float(v) for v in stats.feature_min],
-            "feature_max": [float(v) for v in stats.feature_max],
-            "target_min": stats.target_min,
-            "target_max": stats.target_max,
-        }
+    if model.normalization is not None:
+        obj["normalization"] = model.normalization.to_json_obj()
     return obj
-
-
-def _normalization_from_obj(block: dict | None, dimension: int) -> Normalization | None:
-    if block is None:
-        return None
-    stats = Normalization(
-        block["feature_min"], block["feature_max"], block.get("target_min"), block.get("target_max")
-    )
-    if stats.feature_min.shape != (dimension,):
-        raise DataError(f"normalization extrema must hold {dimension} values per bound")
-    return stats
 
 
 def model_from_obj(obj: dict) -> Model:
@@ -440,7 +424,12 @@ def model_from_obj(obj: dict) -> Model:
         real_output = obj["real_output"]
         if not isinstance(real_output, bool):
             raise DataError(f"real_output must be true or false, got {real_output!r}")
-        stats = _normalization_from_obj(obj.get("normalization"), termset.dimension)
+        block = obj.get("normalization")
+        stats = None if block is None else Normalization.from_json_obj(block)
+        if stats is not None and stats.feature_min.shape != (termset.dimension,):
+            raise DataError(
+                f"normalization extrema must hold {termset.dimension} values per bound"
+            )
         model = Model(
             kind=kind,
             terms=termset,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, as_array
+from .errors import ConfigError, DataError, as_array, as_real
 
 WIDTH = 640
 HEIGHT = 360
@@ -32,6 +32,10 @@ def svg_bar_chart(
     values = as_array(values, "bar values")
     if values.shape != (len(labels),) or not values.size or not np.all(np.isfinite(values)):
         raise DataError("labels and values must be equal-length and nonempty, values finite")
+    if threshold is not None:
+        threshold = as_real(threshold, "chart threshold")
+        if not np.isfinite(threshold):
+            raise ConfigError(f"chart threshold must be finite, got {threshold}")
     top = max(values.max(), threshold or 0.0, 1e-12) * 1.1
     plot_w = WIDTH - MARGIN_LEFT - 16
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

@@ -21,7 +21,7 @@ from anovafit import (
     rng_stream,
     split,
 )
-from anovafit.datasets import apply_normalization
+from anovafit.datasets import Normalization, apply_normalization
 
 
 def reference_friedman(which, x):
@@ -289,9 +289,18 @@ class TestNormalize:
         train = Dataset(np.array([[0.0], [4.0]]), np.array([1.0, 5.0]), ("a",))
         fitted = normalize(train, include_target=True)
         other = Dataset(np.array([[2.0]]), np.array([3.0]), ("a",))
-        out = apply_normalization(other, fitted.normalization, include_target=True)
+        out = apply_normalization(other, fitted.normalization)
         np.testing.assert_allclose(out.nodes[:, 0], [0.5])
         np.testing.assert_allclose(out.targets, [0.5])
+
+    def test_targets_mapped_exactly_when_the_extrema_include_them(self):
+        ds = Dataset(np.array([[1.0], [3.0]]), np.array([2.0, 6.0]), ("a",))
+        features = Normalization(np.array([1.0]), np.array([3.0]))
+        both = Normalization(np.array([1.0]), np.array([3.0]), 2.0, 10.0)
+        np.testing.assert_array_equal(apply_normalization(ds, features).targets, [2.0, 6.0])
+        np.testing.assert_array_equal(apply_normalization(ds, both).targets, [0.0, 0.5])
+        for stats in (features, both):
+            np.testing.assert_array_equal(apply_normalization(ds, stats).nodes[:, 0], [0.0, 1.0])
 
     def test_a_normalized_dataset_is_not_mapped_again(self):
         ds = Dataset(np.array([[2.0], [4.0], [6.0]]), np.zeros(3), ("a",))

@@ -121,14 +121,6 @@ CASES = {
         DataError, lambda: lsqr_solve(_operator(), np.ones(8, dtype=complex))
     ),
     "non-finite node": (DataError, lambda: Dataset(np.array([[np.inf]]), np.zeros(1), ("a",))),
-    "normalization without target extrema": (
-        ConfigError,
-        lambda: apply_normalization(
-            Dataset(np.zeros((2, 1)), np.zeros(2), ("a",)),
-            Normalization(np.zeros(1), np.ones(1)),
-            include_target=True,
-        ),
-    ),
     "normalization extrema of the wrong width": (
         DataError,
         lambda: apply_normalization(
@@ -342,6 +334,19 @@ CASES = {
         DataError, lambda: model_from_obj(_diagnostics(relative_residual=10**400))
     ),
     "bool ranking threshold": (ConfigError, lambda: _report().ranked_above(False)),
+    "NaN chart threshold": (
+        ConfigError, lambda: svg_bar_chart(["a"], [1.0], threshold=float("nan"))
+    ),
+    "infinite chart threshold": (
+        ConfigError, lambda: svg_bar_chart(["a"], [1.0], threshold=float("inf"))
+    ),
+    "bool chart threshold": (ConfigError, lambda: svg_bar_chart(["a"], [1.0], threshold=True)),
+    "string chart threshold": (
+        ConfigError, lambda: svg_bar_chart(["a"], [1.0], threshold="0.5")
+    ),
+    "ragged tensor frequencies": (
+        DataError, lambda: eval_tensor(BasisKind.COSINE, [[1], [2, 3]], [0.3, 0.5])
+    ),
 }
 
 

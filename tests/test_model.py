@@ -798,11 +798,17 @@ class TestSerialization:
                 "target_min": -1.0, "target_max": 4.0}
         stats = model_from_obj({**obj, "normalization": good}).normalization
         assert stats.feature_max.tolist() == [2.0, 3.0] and stats.target_max == 4.0
-        assert model_to_obj(model_from_obj({**obj, "normalization": good}))[
-            "normalization"] == good
+        features = {**good, "target_min": None, "target_max": None}
+        for block in (good, features):
+            assert model_to_obj(model_from_obj({**obj, "normalization": block}))[
+                "normalization"] == block
         for bad in ({"feature_max": [2.0]}, {"target_min": "low"}, {"target_max": None}):
             with pytest.raises(DataError):
                 model_from_obj({**obj, "normalization": {**good, **bad}})
+        for key in ("target_min", "target_max"):
+            block = {k: v for k, v in good.items() if k != key}
+            with pytest.raises(DataError, match=key):
+                model_from_obj({**obj, "normalization": block})
 
     def test_report_json_shape(self):
         report = SensitivityReport(
