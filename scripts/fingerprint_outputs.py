@@ -45,6 +45,13 @@ array, a ``float.hex`` of a scalar, or an exact count.  The script covers
   cube: the model file, and the output (temporary paths stripped) of the
   fit, of ``predict --target`` through that model, and of ``predict``
   without ``--target`` on a features-only CSV.
+* the type and message of the error that one fixed bad input raises, per
+  rule that the library states once: a bandwidth (3 in a grid; 6.5 and
+  2**64 in a profile), a vector length (a coefficient vector and a value
+  vector of the wrong length) and the width of normalization extrema (in
+  ``apply_normalization`` and in a model file); ``accepted`` if none;
+* sha256 of the help text of ``anovafit fit`` and ``anovafit refine``, at
+  80 columns.
 
 The first line records the BLAS thread variables (or ``unset``) and
 ``os.cpu_count()``.
@@ -80,6 +87,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import replace
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -89,16 +97,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from anovafit import (  # noqa: E402
     BandwidthProfile,
     BasisKind,
+    Dataset,
     DesignOperator,
     FriedmanSpec,
+    Normalization,
     SolverConfig,
     TermSet,
     analyze,
+    apply_normalization,
     build_index_union,
     drop_variables,
     fit,
     friedman_sample,
+    full_grid_1d,
     incremental_expand,
+    lsqr_solve,
     predict,
     superposition_terms,
     threshold_active_set,
@@ -106,6 +119,7 @@ from anovafit import (  # noqa: E402
 from anovafit.basis import _TABLE_BLOCK, eval_1d_table  # noqa: E402
 from anovafit.bench import REAL_PRESETS, bench_friedman, run_real_benchmark  # noqa: E402
 from anovafit.cli import main as cli_main  # noqa: E402
+from anovafit.model import model_from_obj, model_to_obj  # noqa: E402
 
 INSTANCES_PER_BASIS = 46
 MAX_COLUMNS = 400
@@ -449,6 +463,54 @@ def normalized_lines() -> list[str]:
     return lines
 
 
+def error_line(name: str, call) -> str:
+    """``errors.<name>`` with the type and message of what ``call()`` raises."""
+    try:
+        call()
+    except Exception as exc:  # any type: the line records which
+        return f"errors.{name} {type(exc).__name__}: {exc}"
+    return f"errors.{name} accepted"
+
+
+def error_lines() -> list[str]:
+    union = build_index_union(
+        superposition_terms(3, 2), BandwidthProfile.from_list([4, 2]), BasisKind.COSINE
+    )
+    op = DesignOperator(np.full((8, 3), 0.5), union)
+    rng = np.random.default_rng(5)
+    model = fit(rng.random((20, 2)), rng.random(20), superposition_terms(2, 1),
+                BandwidthProfile.from_list([4]), BasisKind.COSINE)
+    block = {"feature_min": [0, 0, 0], "feature_max": [1, 1, 1],
+             "target_min": None, "target_max": None}
+    cases = {
+        "grid_bandwidth_3": lambda: full_grid_1d(BasisKind.COSINE, 3),
+        "profile_bandwidth_6.5": lambda: BandwidthProfile({1: 6.5}),
+        "profile_bandwidth_2**64": lambda: BandwidthProfile({1: 2**64}),
+        "coefficient_vector_length": lambda: op.matvec(np.ones(3)),
+        "value_vector_length": lambda: lsqr_solve(op, np.ones(7)),
+        "apply_normalization_width": lambda: apply_normalization(
+            Dataset(np.zeros((5, 3)), np.zeros(5), ("a", "b", "c")),
+            Normalization(np.zeros(2), np.ones(2)),
+        ),
+        "model_file_normalization_width": lambda: model_from_obj(
+            {**model_to_obj(model), "normalization": block}
+        ),
+    }
+    return [error_line(name, call) for name, call in cases.items()]
+
+
+def help_lines() -> list[str]:
+    """sha256 of each subcommand's ``--help`` text, formatted at 80 columns."""
+    lines = []
+    for command in ("fit", "refine"):
+        out = io.StringIO()
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(out), \
+                contextlib.suppress(SystemExit):
+            cli_main([command, "--help"])
+        lines.append(f"cli.help.{command} {sha_bytes(out.getvalue().encode())}")
+    return lines
+
+
 def compare(directory: Path) -> None:
     """Print each kept array's largest difference to its saved reference, to stderr."""
     for name, a in HASHED.items():
@@ -475,7 +537,7 @@ def main() -> int:
         table_lines() + union_lines() + operator_lines() + block_lines() + friedman_lines()
         + wide_fit_lines() + order3_fit_lines() + capped_fit_lines() + real_lines()
     )
-    for line in lines + cli_lines() + normalized_lines():
+    for line in lines + cli_lines() + normalized_lines() + error_lines() + help_lines():
         print(line, flush=True)
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)

@@ -144,18 +144,23 @@ def eval_tensor(kind: BasisKind, freqs, x):
     return out
 
 
+def as_bandwidth(value, what: str = "bandwidth") -> int:
+    """``value`` as a bandwidth: an even integer >= 2 whose grid fits in 64-bit frequencies."""
+    n = as_integer(value, what)
+    if n < 2 or n % 2 != 0:
+        raise ConfigError(f"{what} must be even and >= 2, got {n}")
+    if n > np.iinfo(np.int64).max:
+        raise ConfigError(f"{what} {n} exceeds the 64-bit frequency range")
+    return n
+
+
 def full_grid_1d(kind: BasisKind, bandwidth: int) -> np.ndarray:
     """The 1-d frequency grid for one coordinate of a term; zero is excluded."""
-    n = as_integer(bandwidth, "bandwidth")
-    if n < 2 or n % 2 != 0:
-        raise ConfigError(f"bandwidth must be even and >= 2, got {n}")
-    if n > np.iinfo(np.int64).max:
-        raise ConfigError(f"bandwidth {n} exceeds the 64-bit frequency range")
+    n = as_bandwidth(bandwidth)
     if kind.is_complex:
-        grid = list(range(-n // 2, 0)) + list(range(1, n // 2))
-    else:
-        grid = list(range(1, n))
-    return np.asarray(grid, dtype=np.int64)
+        grid = np.arange(-n // 2, n // 2, dtype=np.int64)
+        return grid[grid != 0]
+    return np.arange(1, n, dtype=np.int64)
 
 
 def eval_1d_table(kind: BasisKind, bandwidth: int, x: np.ndarray) -> np.ndarray:

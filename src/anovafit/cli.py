@@ -52,6 +52,7 @@ from .terms import (
     load_termset,
     save_termset,
     superposition_terms,
+    term_sort_key,
     write_json,
 )
 
@@ -220,8 +221,8 @@ def cmd_refine(args) -> int:
     diff = {
         "terms_file": args.out,
         "kept": len(after),
-        "added": sorted([list(u) for u in after - before], key=lambda u: (len(u), u)),
-        "removed": sorted([list(u) for u in before - after], key=lambda u: (len(u), u)),
+        "added": [list(u) for u in sorted(after - before, key=term_sort_key)],
+        "removed": [list(u) for u in sorted(before - after, key=term_sort_key)],
     }
     write_json(diff, None)
     return 0
@@ -312,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also normalize the target into [0,1]")
     p_fit.add_argument("--out", required=True, help="model JSON output path")
     p_fit.add_argument("--metrics-out", help="metrics JSON path (default stdout)")
-    p_fit.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                       help="l2 regularization weight (default 0)")
-    p_fit.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                       help="LSQR iteration cap (default 10x columns); it limits "
-                            "LSQR iterations and does not choose the solver")
-    p_fit.add_argument("--tol", type=float, default=1e-8,
-                       help="solver relative tolerance (default 1e-8)")
+    p_fit.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.regularization,
+                       help="l2 regularization weight (default %(default)s)")
+    p_fit.add_argument("--max-iter", dest="max_iter", type=int, default=SolverConfig.max_iterations,
+                       help="LSQR iteration cap (default %(default)s: 10x columns); it "
+                            "limits LSQR iterations and does not choose the solver")
+    p_fit.add_argument("--tol", type=float, default=SolverConfig.tolerance,
+                       help="solver relative tolerance (default %(default)s)")
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="evaluate a saved model on a CSV")

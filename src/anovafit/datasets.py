@@ -89,6 +89,11 @@ class Normalization:
     def from_json_obj(cls, obj) -> "Normalization":
         return cls(obj["feature_min"], obj["feature_max"], obj["target_min"], obj["target_max"])
 
+    def check_width(self, columns: int) -> None:
+        """Raise a :class:`DataError` unless the extrema hold one value per column."""
+        if self.feature_min.size != columns:
+            raise DataError(f"normalization extrema for {self.feature_min.size} columns, not {columns}")
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -338,11 +343,7 @@ def apply_normalization(ds: Dataset, stats: Normalization) -> Dataset:
     """
     if ds.normalization is not None:
         raise ConfigError("dataset is already normalized")
-    if stats.feature_min.shape != (ds.dimension,):
-        raise DataError(
-            f"normalization extrema hold {stats.feature_min.size} values per bound "
-            f"but the dataset has {ds.dimension} columns"
-        )
+    stats.check_width(ds.dimension)
     nodes = _affine_to_unit(ds.nodes, stats.feature_min, stats.feature_max)
     targets = ds.targets
     if stats.target_min is not None:

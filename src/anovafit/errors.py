@@ -7,8 +7,8 @@ still catches bad settings and bad arrays.  Any other exception that
 reaches the CLI's ``main`` is a bug and shows its traceback.
 
 A setting is read by :func:`as_integer` or :func:`as_real`, and every array
-argument of the library by :func:`as_array`, so a wrong type is a typed
-error at the boundary and never a bare numpy error or a silent cast.
+argument of the library by :func:`as_array`, so a wrong type or length is a
+typed error at the boundary and never a bare numpy error or a silent cast.
 """
 
 import numbers
@@ -61,18 +61,20 @@ def as_real(value, what: str) -> float:
         raise ConfigError(f"{what} exceeds the float range") from None
 
 
-def as_array(value, what: str, *, real: bool = True) -> np.ndarray:
+def as_array(value, what: str, *, real: bool = True, shape: tuple | None = None) -> np.ndarray:
     """``value`` as a float64 array of bools, integers or floats, or complex128 if complex.
 
-    A complex entry where ``real``, a string, an object and a ragged list are
-    a :class:`DataError`.
+    A complex entry where ``real``, a string, an object, a ragged list and,
+    if ``shape`` is given, any other shape are a :class:`DataError`.
     """
     try:
         array = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{what} must be an array of numbers: {exc}") from None
-    if array.dtype.kind == "c" and not real:
-        return np.asarray(array, dtype=np.complex128)
-    if array.dtype.kind not in "biuf":
+    if array.dtype.kind not in ("biuf" if real else "biufc"):
         raise DataError(f"{what} must be {'real ' if real else ''}numbers, got {array.dtype}")
+    if shape is not None and array.shape != shape:
+        raise DataError(f"{what} must have shape {shape}, got {array.shape}")
+    if array.dtype.kind == "c":
+        return np.asarray(array, dtype=np.complex128)
     return np.asarray(array, dtype=np.float64)

@@ -426,10 +426,8 @@ def model_from_obj(obj: dict) -> Model:
             raise DataError(f"real_output must be true or false, got {real_output!r}")
         block = obj.get("normalization")
         stats = None if block is None else Normalization.from_json_obj(block)
-        if stats is not None and stats.feature_min.shape != (termset.dimension,):
-            raise DataError(
-                f"normalization extrema must hold {termset.dimension} values per bound"
-            )
+        if stats is not None:
+            stats.check_width(termset.dimension)
         model = Model(
             kind=kind,
             terms=termset,

@@ -31,6 +31,8 @@ when it uses all ``v`` variables, else as one gather of it at ``own``: at most
 ``pos[t, k]`` is the position ``p`` of term ``t``'s ``k``-th variable, so
 ``T_l[:, pos[t, k]]`` is that factor of term ``t``; row ``j v_l + p`` of
 ``T_l`` viewed as ``(n_l v_l, M)`` is frequency ``j`` of variable ``p``.
+A table of more bytes than :func:`physical_memory` is a
+:class:`~anovafit.errors.ConfigError`, raised before any table is built.
 
 **Apply.**  Each order works on ``T_l`` viewed as ``(n_l v_l, M)``.  Order 1
 takes one BLAS call each way; orders 2 and up run over node blocks, column
@@ -75,6 +77,7 @@ that single product only in the last bits.
 from __future__ import annotations
 
 import operator
+import os
 from functools import cached_property, reduce
 
 import numpy as np
@@ -87,6 +90,11 @@ from .terms import FrequencyIndexUnion
 DENSE_ORACLE_MAX_ENTRIES = 2_000_000
 # nodes per block of an order-2 apply (higher orders take fewer), and per operator in model.predict
 NODE_BLOCK = 4096
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory: no operator builds a basis table larger than this."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class _OrderStack:
@@ -205,6 +213,13 @@ class DesignOperator:
         # one table over every order's variables and frequencies (see Tables)
         variables = index_union.variables
         bandwidth = max((n for _, n in index_union.bandwidths), default=2)
+        # the table holds N - 1 frequencies of v variables at M nodes
+        nbytes = (bandwidth - 1) * len(variables) * self.rows * kind.dtype.itemsize
+        memory = physical_memory()
+        if nbytes > memory:
+            raise ConfigError(
+                f"a basis table of {nbytes} bytes exceeds the {memory} bytes of physical memory"
+            )
         grid = full_grid_1d(kind, bandwidth)
         # points over (variable, node) pairs: the transposed table is (|g|, v, M)
         table = eval_1d_table(kind, bandwidth, X.T[variables - 1].ravel()).T
@@ -224,9 +239,7 @@ class DesignOperator:
         return self.rows / self.cols
 
     def _coerce(self, vec, length: int, what: str) -> np.ndarray:
-        v = as_array(vec, what, real=not self.kind.is_complex)
-        if v.shape != (length,):
-            raise DataError(f"{what} must have shape ({length},), got {v.shape}")
+        v = as_array(vec, what, real=not self.kind.is_complex, shape=(length,))
         return v.astype(self.kind.dtype, copy=False)
 
     def matvec(self, coeffs) -> np.ndarray:

@@ -72,9 +72,7 @@ def _check_system(shape, y, is_complex: bool) -> np.ndarray:
     m, n = shape
     if m < 1 or n < 1:
         raise DataError(f"zero-length system: operator shape {shape}")
-    y = as_array(y, "value vector", real=not is_complex)
-    if y.shape != (m,):
-        raise DataError(f"value vector must have shape ({m},), got {y.shape}")
+    y = as_array(y, "value vector", real=not is_complex, shape=(m,))
     if not np.all(np.isfinite(y)):
         raise NumericalError("value vector contains non-finite entries")
     return y

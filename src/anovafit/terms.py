@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import BasisKind, full_grid_1d
+from .basis import BasisKind, as_bandwidth, full_grid_1d
 from .errors import ConfigError, DataError, as_integer
 
 Term = tuple[int, ...]
@@ -127,9 +127,9 @@ def superposition_terms(dimension: int, threshold: int) -> TermSet:
 class BandwidthProfile:
     """Order-dependent bandwidths: every term of order ``l`` shares ``N_l``.
 
-    Bandwidths must be even and at least 2.  Orders missing from the profile
-    are an error rather than a default, so misconfiguration cannot pass
-    silently.
+    Each bandwidth passes :func:`~anovafit.basis.as_bandwidth`.  Orders
+    missing from the profile are an error rather than a default, so
+    misconfiguration cannot pass silently.
     """
 
     by_order: dict[int, int] = field(default_factory=dict)
@@ -138,14 +138,9 @@ class BandwidthProfile:
         clean = {}
         orders = {as_integer(order, "bandwidth order"): n for order, n in self.by_order.items()}
         for order, n in sorted(orders.items()):
-            n = as_integer(n, "bandwidth")
             if order < 1:
                 raise ConfigError(f"bandwidth given for invalid order {order}")
-            if n < 2 or n % 2 != 0:
-                raise ConfigError(
-                    f"bandwidth for order {order} must be even and >= 2, got {n}"
-                )
-            clean[order] = n
+            clean[order] = as_bandwidth(n, f"bandwidth for order {order}")
         object.__setattr__(self, "by_order", clean)
 
     @classmethod

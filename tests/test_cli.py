@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import warnings
+from xml.dom.minidom import parseString
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from anovafit import (
     BandwidthProfile,
     BasisKind,
+    SolverConfig,
     analyze,
     fit,
     load_csv,
@@ -21,8 +23,10 @@ from anovafit import (
     save_termset,
     superposition_terms,
 )
+from anovafit import operators
 from anovafit.bench import REAL_PRESETS, RealBenchConfig
-from anovafit.cli import main
+from anovafit.cli import build_parser, main
+from anovafit.plots import HEIGHT, MARGIN_BOTTOM, MARGIN_TOP, svg_bar_chart
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +148,20 @@ class TestFit:
                                  "--bandwidths", f"{10**24},2", "--out", str(out_path))
         assert code == 2
         assert "64-bit frequency range" in err
+        assert out == "" and not out_path.exists()
+
+    def test_table_beyond_physical_memory_exits_2(self, capsys, tmp_path, monkeypatch):
+        # d=10, 200 training rows: 999 frequencies of 10 variables take 16 MB, against 1 MiB
+        def unreachable(*args):
+            raise AssertionError("eval_1d_table was reached")
+
+        monkeypatch.setattr(operators, "physical_memory", lambda: 2**20)
+        monkeypatch.setattr(operators, "eval_1d_table", unreachable)
+        out_path = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "fit", "--friedman", "1", "--ds", "2",
+                                 "--bandwidths", "1000,2", "--out", str(out_path))
+        assert code == 2
+        assert "configuration error: a basis table of 15984000 bytes exceeds" in err
         assert out == "" and not out_path.exists()
 
     @pytest.mark.parametrize("flags, message", [
@@ -522,6 +540,17 @@ class TestPlots:
         assert a.read_bytes() == b.read_bytes()
         assert g.read_text().startswith("<svg")
 
+    def test_threshold_line_sits_at_the_threshold(self):
+        def dashed(svg):
+            lines = parseString(svg).getElementsByTagName("line")
+            return [line for line in lines if line.getAttribute("stroke-dasharray")]
+
+        assert dashed(svg_bar_chart(["a", "b"], [1.0, 0.5])) == []
+        [line] = dashed(svg_bar_chart(["a", "b"], [1.0, 0.5], threshold=0.25))
+        # the axis tops out 10% above the largest bar
+        y = MARGIN_TOP + (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM) * (1.0 - 0.25 / 1.1)
+        assert line.getAttribute("y1") == line.getAttribute("y2") == f"{y:.1f}"
+
 
 class TestBench:
     def test_bench_friedman_smoke(self, tmp_path, capsys):
@@ -826,3 +855,16 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--friedman", "1", "--basis", "wavelet"])
         assert exc.value.code == 2
+
+    def test_fit_defaults_are_the_solver_config_defaults(self, capsys, monkeypatch):
+        args = build_parser().parse_args(["fit", "--friedman", "1", "--ds", "1",
+                                          "--bandwidths", "4", "--out", "m.json"])
+        config = SolverConfig()
+        assert (args.lam, args.max_iter, args.tol) == (
+            config.regularization, config.max_iterations, config.tolerance
+        )
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        text = capsys.readouterr().out
+        assert "(default 0.0)" in text and "(default 1e-08)" in text

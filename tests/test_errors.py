@@ -176,6 +176,7 @@ CASES = {
     "fractional bandwidth": (ConfigError, lambda: BandwidthProfile({1: 6.5})),
     "fractional bandwidth order": (ConfigError, lambda: BandwidthProfile({1.5: 6})),
     "fractional bandwidth in a list": (ConfigError, lambda: BandwidthProfile.from_list([6.9])),
+    "profile bandwidth of 2**64": (ConfigError, lambda: BandwidthProfile({1: 2**64})),
     "string bandwidth order": (ConfigError, lambda: BandwidthProfile({"1": 4, 2: 2})),
     "fractional kept variable": (
         ConfigError, lambda: drop_variables(superposition_terms(3, 2), [1.7, 2])
@@ -403,3 +404,40 @@ def test_as_array_reads_numbers_only():
     for value, real in ((["1"], True), ([1j], True), ([None], False), ([[1], [2, 3]], False)):
         with pytest.raises(DataError, match="^x must be"):
             as_array(value, "x", real=real)
+    assert as_array([1j, 2], "x", real=False, shape=(2,)).shape == (2,)
+    with pytest.raises(DataError, match=r"^x must have shape \(3,\), got \(2,\)$"):
+        as_array([1.0, 2.0], "x", shape=(3,))
+
+
+def test_each_moved_rule_has_one_message():
+    # a bandwidth: one reader, named by the caller
+    for call, message in (
+        (lambda: full_grid_1d(BasisKind.COSINE, 3), "bandwidth must be even and >= 2, got 3"),
+        (lambda: BandwidthProfile({2: 3}), "bandwidth for order 2 must be even and >= 2, got 3"),
+        (lambda: BandwidthProfile({1: 6.5}), "bandwidth for order 1 must be an integer, got 6.5"),
+        (lambda: BandwidthProfile({1: 2**64}),
+         f"bandwidth for order 1 {2**64} exceeds the 64-bit frequency range"),
+    ):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == message
+    # a vector length: the operator and the solver read it through as_array
+    for call, message in (
+        (lambda: _operator().matvec(np.ones(3)),
+         "coefficient vector must have shape (13,), got (3,)"),
+        (lambda: _operator().adjoint_matvec(np.ones(7)),
+         "value vector must have shape (8,), got (7,)"),
+        (lambda: lsqr_solve(_operator(), np.ones(7)),
+         "value vector must have shape (8,), got (7,)"),
+    ):
+        with pytest.raises(DataError) as info:
+            call()
+        assert str(info.value) == message
+    # the width of normalization extrema, from a dataset and from a model file
+    with pytest.raises(DataError) as info:
+        apply_normalization(Dataset(np.zeros((5, 3)), np.zeros(5), ("a", "b", "c")),
+                            Normalization(np.zeros(2), np.ones(2)))
+    assert str(info.value) == "normalization extrema for 2 columns, not 3"
+    with pytest.raises(DataError) as info:
+        model_from_obj(_extrema([0, 0, 0], [1, 1, 1]))
+    assert str(info.value) == "malformed model object: normalization extrema for 3 columns, not 2"

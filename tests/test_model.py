@@ -696,6 +696,14 @@ class TestRefinement:
             out = incremental_expand(report, termset, 0.9, 2)
         assert out == termset
 
+    def test_expand_with_a_pool_too_small_for_a_new_subset(self):
+        # one variable above the threshold forms no pair: the set comes back as is, unwarned
+        termset = superposition_terms(5, 1)
+        report = SensitivityReport(5, 1.0, (), ranking=np.array([0.6, 0.1, 0.1, 0.1, 0.1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert incremental_expand(report, termset, 0.2, 2) is termset
+
     def test_expand_validation(self):
         termset = superposition_terms(5, 2)
         report = SensitivityReport(5, 1.0, (), ranking=np.full(5, 0.2))

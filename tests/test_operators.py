@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 from anovafit import (
     BandwidthProfile,
     BasisKind,
+    ConfigError,
     DesignOperator,
     DomainError,
     TermSet,
     build_index_union,
     dense_design_matrix,
+    fit,
+    predict,
     superposition_terms,
 )
 from anovafit import operators
@@ -419,3 +422,39 @@ def test_dense_oracle_size_guard():
     nodes = np.random.default_rng(0).uniform(size=(rows, 6))
     with pytest.raises(ValueError, match="dense oracle"):
         dense_design_matrix(nodes, union)
+
+
+def _unreachable(*args):
+    raise AssertionError("eval_1d_table was reached")
+
+
+@pytest.mark.parametrize("kind", [BasisKind.COSINE, BasisKind.EXPONENTIAL])
+def test_table_beyond_physical_memory_is_refused_before_any_table(kind, monkeypatch):
+    union = build_index_union(
+        TermSet(5, ((1,), (2,), (1, 3))), BandwidthProfile.from_list([6, 4]), kind
+    )
+    nodes = np.full((7, 5), 0.25)
+    # (N - 1) v M entries: 5 frequencies of variables 1, 2 and 3 at 7 nodes
+    nbytes = 5 * 3 * 7 * kind.dtype.itemsize
+    monkeypatch.setattr(operators, "physical_memory", lambda: nbytes)
+    DesignOperator(nodes, union)
+    monkeypatch.setattr(operators, "physical_memory", lambda: nbytes - 1)
+    monkeypatch.setattr(operators, "eval_1d_table", _unreachable)
+    with pytest.raises(ConfigError, match=f"a basis table of {nbytes} bytes exceeds"):
+        DesignOperator(nodes, union)
+
+
+def test_fit_and_predict_refuse_a_table_beyond_physical_memory(monkeypatch):
+    rng = np.random.default_rng(3)
+    model = fit(rng.random((40, 3)), rng.random(40), superposition_terms(3, 1),
+                BandwidthProfile.from_list([4]), BasisKind.COSINE)
+    monkeypatch.setattr(operators, "physical_memory", lambda: 2**20)
+    monkeypatch.setattr(operators, "eval_1d_table", _unreachable)
+    # 999 frequencies of 3 variables at 100 nodes take 2.4 MB
+    with pytest.raises(ConfigError, match="physical memory"):
+        fit(rng.random((100, 3)), rng.random(100), superposition_terms(3, 1),
+            BandwidthProfile.from_list([1000]), BasisKind.COSINE)
+    # predict's block operators: 3 frequencies of 3 variables at 4096 nodes take 295 kB
+    monkeypatch.setattr(operators, "physical_memory", lambda: 2**18)
+    with pytest.raises(ConfigError, match="physical memory"):
+        predict(model, rng.random((5000, 3)))
