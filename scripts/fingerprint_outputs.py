@@ -50,6 +50,12 @@ array, a ``float.hex`` of a scalar, or an exact count.  The script covers
   2**64 in a profile), a vector length (a coefficient vector and a value
   vector of the wrong length) and the width of normalization extrema (in
   ``apply_normalization`` and in a model file); ``accepted`` if none;
+* the same for hostile sizes and thresholds: a Friedman-1 fit at
+  bandwidths (1e9, 2), with every lookup of ``full_grid_1d`` refusing a
+  bandwidth above 64 so that no run allocates a bandwidth-sized grid; a
+  model object with one term over variable 10**15, loaded, then given to
+  ``anovafit predict`` (its exit code and stderr); ``direct_solve`` of a 1-d
+  matrix; ``incremental_expand`` at ranking threshold 0;
 * sha256 of the help text of ``anovafit fit`` and ``anovafit refine``, at
   80 columns.
 
@@ -82,6 +88,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -101,11 +108,13 @@ from anovafit import (  # noqa: E402
     DesignOperator,
     FriedmanSpec,
     Normalization,
+    SensitivityReport,
     SolverConfig,
     TermSet,
     analyze,
     apply_normalization,
     build_index_union,
+    direct_solve,
     drop_variables,
     fit,
     friedman_sample,
@@ -464,12 +473,37 @@ def normalized_lines() -> list[str]:
 
 
 def error_line(name: str, call) -> str:
-    """``errors.<name>`` with the type and message of what ``call()`` raises."""
+    """``errors.<name>`` with the type and message of what ``call()`` raises,
+    else what it returns if that is a string, else ``accepted``."""
     try:
-        call()
+        result = call()
     except Exception as exc:  # any type: the line records which
         return f"errors.{name} {type(exc).__name__}: {exc}"
-    return f"errors.{name} accepted"
+    return f"errors.{name} {result if isinstance(result, str) else 'accepted'}"
+
+
+def refusing_large_grids():
+    """Patch every lookup of ``full_grid_1d`` to raise for a bandwidth above 64."""
+
+    def refusing(kind, bandwidth):
+        if bandwidth > 64:
+            raise AssertionError(f"a grid of bandwidth {bandwidth} was requested")
+        return full_grid_1d(kind, bandwidth)
+
+    stack = contextlib.ExitStack()
+    for module in ("basis", "terms", "operators"):
+        stack.enter_context(mock.patch(f"anovafit.{module}.full_grid_1d", refusing))
+    return stack
+
+
+def huge_index_predict(obj: dict) -> str:
+    """``anovafit predict`` of the model object ``obj`` on a 2-column CSV: exit code and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model, data = Path(tmp, "m.json"), Path(tmp, "x.csv")
+        model.write_text(json.dumps(obj), encoding="utf-8")
+        data.write_text("a,b\n0.1,0.2\n", encoding="utf-8")
+        code, _, err = run_cli("predict", "--model", str(model), "--csv", str(data))
+        return f"exit {code}: {err.replace(tmp, '').strip()}"
 
 
 def error_lines() -> list[str]:
@@ -496,7 +530,24 @@ def error_lines() -> list[str]:
             {**model_to_obj(model), "normalization": block}
         ),
     }
-    return [error_line(name, call) for name, call in cases.items()]
+    train = friedman_sample(FriedmanSpec(1), 200, 0)
+    huge = {**model_to_obj(model), "dimension": 10**15, "terms": [[], [10**15]],
+            "bandwidths": {"1": 2}, "coefficients": [0.0, 1.0]}
+    ranking = SensitivityReport(3, 1.0, (), ranking=np.array([0.5, 0.0, 0.5]))
+    with refusing_large_grids():
+        huge_bandwidth = error_line("fit_bandwidth_1e9", lambda: fit(
+            train.nodes, train.targets, superposition_terms(10, 2),
+            BandwidthProfile.from_list([10**9, 2]), BasisKind.COSINE,
+        ))
+    return [error_line(name, call) for name, call in cases.items()] + [
+        huge_bandwidth,
+        error_line("model_file_variable_1e15_load", lambda: model_from_obj(huge)),
+        error_line("model_file_variable_1e15_predict", lambda: huge_index_predict(huge)),
+        error_line("direct_solve_1d", lambda: direct_solve(np.ones(3), np.ones(3), 1.0)),
+        error_line("expand_threshold_0", lambda: incremental_expand(
+            ranking, superposition_terms(3, 1), 0.0, 2
+        )),
+    ]
 
 
 def help_lines() -> list[str]:

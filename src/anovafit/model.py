@@ -308,12 +308,11 @@ def incremental_expand(
     """Add higher-order interactions among the highly ranked variables.
 
     Variables whose ranking score exceeds ``ranking_threshold`` (in
-    ``(0, 1)``) form a pool ``v``; all subsets of ``v`` with order between
-    the current superposition threshold (exclusive) and ``expansion_order``
-    (inclusive, below the dimension) are added.
+    ``[0, 1)``, see :meth:`SensitivityReport.ranked_above`) form a pool
+    ``v``; all subsets of ``v`` with order between the current superposition
+    threshold (exclusive) and ``expansion_order`` (inclusive, below the
+    dimension) are added.
     """
-    if not 0.0 < as_real(ranking_threshold, "ranking threshold") < 1.0:
-        raise ConfigError("ranking threshold must lie in (0, 1)")
     expansion_order = as_integer(expansion_order, "expansion order")
     pool = report.ranked_above(ranking_threshold)
     current = termset.superposition_threshold or termset.max_order
@@ -413,12 +412,11 @@ def model_from_obj(obj: dict) -> Model:
         termset = TermSet.from_json_obj(obj)
         bandwidths = BandwidthProfile.from_json_obj(obj["bandwidths"])
         coefficients = _coeffs_from_obj(obj["coefficients"], kind)
-        # the union's size, checked before any frequency grid is built
-        size = sum(bandwidths.term_size(len(u)) for u in termset.terms)
-        if coefficients.shape != (size,):
+        union = build_index_union(termset, bandwidths, kind)
+        if coefficients.shape != (union.size,):
             raise DataError(
                 f"model has coefficients of shape {coefficients.shape} but the index "
-                f"union holds {size} frequencies"
+                f"union holds {union.size} frequencies"
             )
         diagnostics = obj["diagnostics"]
         real_output = obj["real_output"]
@@ -432,7 +430,7 @@ def model_from_obj(obj: dict) -> Model:
             kind=kind,
             terms=termset,
             bandwidths=bandwidths,
-            index_union=build_index_union(termset, bandwidths, kind),
+            index_union=union,
             coefficients=coefficients,
             regularization=SolverConfig(regularization=obj["lambda"]).regularization,
             iterations=as_integer(diagnostics["iterations"], "iterations"),

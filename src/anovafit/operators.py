@@ -6,8 +6,8 @@ function of that frequency at that node.  Each term's column block is a
 tensor product of 1-d basis tables, so the operator never forms it (the
 grouped transformations of Bartel, Potts & Schmischke, arXiv 2010.10199).
 
-The union states each order's 1-d grid ``g_l`` of ``n_l = N_l - 1``
-frequencies once (``index_union.grids``), and every order-``l`` term
+Each order's grid ``g_l = full_grid_1d(kind, N_l)`` of ``n_l = N_l - 1``
+frequencies is built after the table size check, and every order-``l`` term
 carries ``g_l^l`` in :func:`itertools.product` order.  Terms are sorted by
 (order, lex), so the ``T_l`` terms of order ``l`` own one contiguous
 coefficient block of shape ``(T_l, n_l, ..., n_l)``, laid out once by the
@@ -32,7 +32,7 @@ when it uses all ``v`` variables, else as one gather of it at ``own``: at most
 ``T_l[:, pos[t, k]]`` is that factor of term ``t``; row ``j v_l + p`` of
 ``T_l`` viewed as ``(n_l v_l, M)`` is frequency ``j`` of variable ``p``.
 A table of more bytes than :func:`physical_memory` is a
-:class:`~anovafit.errors.ConfigError`, raised before any table is built.
+:class:`~anovafit.errors.ConfigError`, raised before any grid or table is built.
 
 **Apply.**  Each order works on ``T_l`` viewed as ``(n_l v_l, M)``.  Order 1
 takes one BLAS call each way; orders 2 and up run over node blocks, column
@@ -226,7 +226,7 @@ class DesignOperator:
         table = table.reshape(len(grid), len(variables), self.rows)
         self._stacks = []
         for order, (block, _, own, pos) in index_union.layout.items():
-            g = index_union.grids[order]
+            g = full_grid_1d(kind, dict(index_union.bandwidths)[order])
             start = int(np.searchsorted(grid, g[0]))
             sub = table[start:start + len(g)]
             if len(own) < len(variables):

@@ -85,6 +85,8 @@ def direct_solve(F: np.ndarray, y, regularization: float) -> LsqrResult:
     residual ``sqrt(||y - F g||^2 + lam ||g||^2) / ||y||``.
     """
     F = as_array(F, "design matrix", real=False)
+    if F.ndim != 2:
+        raise DataError(f"design matrix must be a 2-d array, got shape {F.shape}")
     y = _check_system(F.shape, y, np.iscomplexobj(F)).astype(F.dtype, copy=False)
     Fh = F.conj().T
     gram = Fh @ F

@@ -170,19 +170,19 @@ class BandwidthProfile:
 class FrequencyIndexUnion:
     """Union of the per-term embedded frequency grids, enumerated by term.
 
-    ``grids[l]`` is the 1-d grid shared by every term of order ``l``; such
-    a term carries the ``len(grids[l]) ** l`` frequencies of
-    ``itertools.product(grids[l], repeat=l)`` on its own coordinates, all
-    off-term coordinates being zero, so the support of each frequency
-    equals its owning term.  ``terms`` follow :class:`TermSet` order: the
-    empty term (the zero frequency) is index 0, and the ``T_l`` terms of
-    order ``l`` own the range ``block`` of ``layout[l] = (block, factors,
-    own, pos)``, a C-ordered ``(T_l, n_l, ..., n_l)`` array (terms, then one
-    axis per factor over ``grids[l]``); ``factors`` holds their ``(T_l, l)``
-    variables, ``own`` the positions of the order's variables in
-    ``variables`` (all terms', ascending) and ``pos`` the position of each
-    factor among those.  Equality and hashing leave out the fields after
-    ``size``, which follow from the others; ``bandwidths`` holds ``(l, N_l)``.
+    Every term of order ``l`` carries the ``(N_l - 1) ** l`` frequencies of
+    ``itertools.product(full_grid_1d(kind, N_l), repeat=l)`` on its own
+    coordinates, all off-term coordinates being zero, so the support of each
+    frequency equals its owning term.  The union is a layout only and builds
+    no grid.  ``terms`` follow :class:`TermSet` order: the empty term (the
+    zero frequency) is index 0, and the ``T_l`` terms of order ``l`` own the
+    range ``block`` of ``layout[l] = (block, factors, own, pos)``, a C-ordered
+    ``(T_l, n_l, ..., n_l)`` array (terms, then one axis per factor over that
+    grid); ``factors`` holds their ``(T_l, l)`` variables, ``own`` the
+    positions of the order's variables in ``variables`` (all terms',
+    ascending) and ``pos`` the position of each factor among those.  Equality
+    and hashing leave out the fields after ``size``, which follow from the
+    others; ``bandwidths`` holds ``(l, N_l)``.
     """
 
     dimension: int
@@ -190,7 +190,6 @@ class FrequencyIndexUnion:
     terms: tuple[Term, ...]
     bandwidths: tuple[tuple[int, int], ...]
     size: int
-    grids: dict[int, np.ndarray] = field(compare=False)
     variables: np.ndarray = field(compare=False)
     layout: dict[int, tuple[slice, np.ndarray, np.ndarray, np.ndarray]] = field(compare=False)
 
@@ -201,35 +200,35 @@ class FrequencyIndexUnion:
         if not term:
             return slice(0, 1)
         block, factors, _, _ = self.layout[len(term)]
-        width = len(self.grids[len(term)]) ** len(term)
+        width = (block.stop - block.start) // len(factors)
         start = block.start + width * factors.tolist().index(list(term))
         return slice(start, start + width)
 
     def frequencies_full(self) -> np.ndarray:
         """All frequencies as ``(size, dimension)`` integer vectors in ``Z^d``."""
         full = np.zeros((self.size, self.dimension), dtype=np.int64)
-        for term in self.terms[1:]:
-            grid = list(itertools.product(self.grids[len(term)], repeat=len(term)))
-            full[self.slice_for(term), np.asarray(term) - 1] = grid
+        for (order, n), (block, factors, _, _) in zip(self.bandwidths, self.layout.values()):
+            grid = list(itertools.product(full_grid_1d(self.kind, n), repeat=order))
+            for rows, term in zip(full[block].reshape(len(factors), -1, self.dimension), factors):
+                rows[:, term - 1] = grid
         return full
 
 
 def build_index_union(
     termset: TermSet, bandwidths: BandwidthProfile, kind: BasisKind
 ) -> FrequencyIndexUnion:
-    """The full grid and the layout of every order."""
+    """The layout of every order; no frequency grid is built."""
     variables = np.array(sorted({i for u in termset for i in u}), dtype=np.intp)
     layout, size = {}, 1
     for order, group in itertools.groupby(termset.nonempty_terms, key=len):
         factors = np.array(list(group), dtype=np.intp)
-        own = np.searchsorted(variables, np.flatnonzero(np.bincount(factors.ravel())))
+        own = np.searchsorted(variables, np.unique(factors))
         block = slice(size, size + len(factors) * bandwidths.term_size(order))
         layout[order] = (block, factors, own, np.searchsorted(variables[own], factors))
         size = block.stop
     pairs = tuple((order, bandwidths.for_order(order)) for order in layout)
-    grids = {order: full_grid_1d(kind, n) for order, n in pairs}
     return FrequencyIndexUnion(
-        termset.dimension, kind, termset.terms, pairs, size, grids, variables, layout
+        termset.dimension, kind, termset.terms, pairs, size, variables, layout
     )
 
 

@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from anovafit import (
@@ -10,10 +11,31 @@ from anovafit import (
     BasisKind,
     DesignOperator,
     TermSet,
+    basis,
     build_index_union,
     eval_1d,
+    operators,
     superposition_terms,
+    terms,
 )
+
+
+@pytest.fixture()
+def small_grids_only(monkeypatch):
+    """Make ``full_grid_1d`` refuse bandwidths above 64.
+
+    Patched in every module that looks it up, so a test of a huge bandwidth
+    fails instead of allocating that bandwidth's grid.
+    """
+    build = basis.full_grid_1d
+
+    def refusing(kind, bandwidth):
+        if bandwidth > 64:
+            raise AssertionError(f"a grid of bandwidth {bandwidth} was requested")
+        return build(kind, bandwidth)
+
+    for module in (basis, terms, operators):
+        monkeypatch.setattr(module, "full_grid_1d", refusing)
 
 
 def gauss_legendre(n: int, lo: float, hi: float):

@@ -164,6 +164,36 @@ class TestFit:
         assert "configuration error: a basis table of 15984000 bytes exceeds" in err
         assert out == "" and not out_path.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--bandwidths", "1000000000,2", "a basis table of "),
+        ("--bandwidths", "3,2", "bandwidth for order 1 must be even and >= 2, got 3"),
+        ("--bandwidths", "6.5,2", "--bandwidths expects comma-separated integers"),
+        ("--bandwidths", ",2", "--bandwidths has an empty item"),
+        ("--bandwidths", "6", "no bandwidth configured for term order 2"),
+        ("--bandwidths", f"{2**63},2", f"bandwidth for order 1 {2**63} exceeds the 64-bit"),
+        ("--ds", "0", "superposition threshold 0 out of range"),
+        ("--ds", "11", "superposition threshold 11 out of range"),
+        ("--split", "0:10", "train_size and test_size must both be >= 1"),
+        ("--split", "1.5", "train_fraction must lie in (0, 1)"),
+    ])
+    def test_hostile_flags_exit_2(self, capsys, tmp_path, small_grids_only, flag, value,
+                                  message):
+        # no grid above bandwidth 64 may be built: a huge bandwidth meets the table guard first
+        argv = {"--ds": "2", "--bandwidths": "4,2", flag: value}
+        out_path = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "fit", "--friedman", "1", *itertools.chain(*argv.items()),
+                                 "--out", str(out_path))
+        assert code == 2
+        assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+        assert out == "" and not out_path.exists()
+
+    def test_negative_bandwidth_is_an_argparse_error(self, capsys, tmp_path):
+        # "-2,2" reads as a flag, so --bandwidths has no value
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--friedman", "1", "--ds", "2", "--bandwidths", "-2,2",
+                  "--out", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("flags, message", [
         (["--friedman", "1", "--ds", "1", "--lambda", "inf"],
          "regularization must be finite and >= 0"),
@@ -349,6 +379,17 @@ class TestRankRefineRoundTrip:
         assert diff["removed"] == []
         assert load_termset(terms_path).superposition_threshold == 3
 
+    def test_expand_at_theta_zero_pools_every_ranked_variable(self, friedman2_model, tmp_path,
+                                                               capsys):
+        # --theta reads the ranking threshold rule of --drop-below: [0, 1)
+        model_path, _ = friedman2_model
+        pool = analyze(load_model(model_path)).ranked_above(0.0)
+        code, out, _ = run_cli(capsys, "refine", "--model", str(model_path),
+                               "--expand", "3", "--theta", "0", "--out",
+                               str(tmp_path / "terms.json"))
+        assert code == 0
+        assert json.loads(out)["added"] == [list(u) for u in itertools.combinations(pool, 3)]
+
     def test_drop_below_keeps_friedman1_informative_variables(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         run_cli(
@@ -523,6 +564,24 @@ class TestPredict:
         assert code == 3
         assert out == ""
         assert "3 feature columns" in err and "over 2 variables" in err
+
+    def test_model_over_a_huge_variable_index_predict_exits_3(self, friedman2_model, tmp_path,
+                                                              capsys):
+        # the model loads without a variable-sized allocation; the CSV then has too few columns
+        model_path, _ = friedman2_model
+        obj = read_json(model_path) | {
+            "dimension": 10**15, "superposition_threshold": 1, "terms": [[], [10**15]],
+            "bandwidths": {"1": 2}, "coefficients": [0.0, 1.0],
+        }
+        huge_path = tmp_path / "huge.json"
+        huge_path.write_text(json.dumps(obj))
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("a,b\n0.1,0.2\n")
+        code, out, err = run_cli(capsys, "predict", "--model", str(huge_path),
+                                 "--csv", str(csv_path))
+        assert code == 3
+        assert out == ""
+        assert "2 feature columns, but the model is over 1000000000000000 variables" in err
 
 
 class TestPlots:

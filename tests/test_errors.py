@@ -152,6 +152,7 @@ CASES = {
     "direct value shape": (
         DataError, lambda: direct_solve(_operator().dense(), np.ones(7), 1.0)
     ),
+    "1-d design matrix": (DataError, lambda: direct_solve(np.ones(3), np.ones(3), 1.0)),
     "duplicate term": (ConfigError, lambda: TermSet(3, ((1,), (1,)))),
     "mse lengths": (DataError, lambda: mse([1.0, 2.0], [1.0])),
     "too many thresholds": (
@@ -357,6 +358,15 @@ def test_boundary_raises_typed_error(case):
     with pytest.raises(expected) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+def test_model_file_over_a_huge_variable_index_loads():
+    # the union holds nothing sized by a variable index: one term over variable 10**15
+    obj = _model_obj(dimension=10**15, terms=[[], [10**15]], bandwidths={"1": 2},
+                     coefficients=[0.0, 1.0])
+    model = model_from_obj(obj)
+    assert model.coefficients.shape == (model.index_union.size,) == (2,)
+    assert model.index_union.variables.tolist() == [10**15]
 
 
 def test_model_file_with_a_constant_column_loads():

@@ -11,6 +11,22 @@ Measured before pinning (d=4, ds=2, N=(6, 4), 75 columns, lam=1, seeds
 (300 rows) and 3.9e-16 on the LSQR path (2000 rows, equal iteration
 counts).  Unregularized fits of 300 rows amplify the tables' rounding up to
 5e-11, so the relation is pinned on regularized fits only.
+
+Periodic shift.  A ``per`` basis function of frequency ``k`` at ``x - s`` is
+``exp(-2 pi i k.s)`` times the one at ``x``, a unitary column scaling, so a
+``per`` fit on ``(x - s) mod 1`` equals the fit on ``x`` with coefficient
+``k`` multiplied by ``exp(2 pi i k.s)``.  Measured before pinning (same term
+set and bandwidths, seeds 0-49): a largest relative coefficient gap of
+1.5e-15 on the direct path and 1.0e-15 on the LSQR path, with equal
+iteration counts.
+
+Variable permutation.  Permuting the columns of the nodes and relabelling
+the terms to match permutes the union's blocks and the axes within them,
+so each term keeps its sensitivity index.  Measured before pinning (d=5, a
+term set with gaps up to order 3, N=(6, 4, 4), seeds 0-49, ``cos`` and
+``per``): a largest index gap of 6.7e-16 on the direct path and 2.2e-16 on
+the LSQR path.  ``cheb`` is left out: on the LSQR path its two fits took
+different iteration counts for some seeds (54 against 56).
 """
 
 import numpy as np
@@ -20,8 +36,10 @@ from anovafit import (
     BandwidthProfile,
     BasisKind,
     SolverConfig,
+    TermSet,
     build_index_union,
     fit,
+    gsi,
     superposition_terms,
 )
 
@@ -47,3 +65,60 @@ def test_chebyshev_fit_is_the_sign_flipped_cosine_fit(rows, path, seed):
     flipped = (-1.0) ** frequencies.sum(axis=1) * cos.coefficients
     gap = np.max(np.abs(cheb.coefficients - flipped)) / np.max(np.abs(cos.coefficients))
     assert gap <= BAND
+
+
+# 20x the largest gaps measured over 50 seeds
+SHIFT_BAND = 3e-14
+PERMUTATION_BAND = 1.5e-14
+
+
+@pytest.mark.parametrize("rows, path", [(300, "direct"), (2000, "tolerance")])
+@pytest.mark.parametrize("seed", range(3))
+def test_shifted_periodic_fit_is_the_phase_rotated_fit(rows, path, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.5, 0.5, (rows, 4))
+    y = np.sin(2 * np.pi * x[:, 0]) * x[:, 1] + np.cos(2 * np.pi * x[:, 2])
+    y += 0.1 * rng.standard_normal(rows)
+    s = rng.random(4)
+    config = SolverConfig(regularization=1.0)
+    fitted = fit(x, y, TERMS, BANDWIDTHS, BasisKind.EXPONENTIAL, config)
+    # the operator wraps x - s onto the torus
+    shifted = fit(x - s, y, TERMS, BANDWIDTHS, BasisKind.EXPONENTIAL, config)
+    assert fitted.stop_reason == shifted.stop_reason == path
+    assert fitted.iterations == shifted.iterations
+    frequencies = build_index_union(TERMS, BANDWIDTHS, BasisKind.EXPONENTIAL).frequencies_full()
+    rotated = np.exp(2j * np.pi * (frequencies @ s)) * fitted.coefficients
+    gap = np.max(np.abs(shifted.coefficients - rotated)) / np.max(np.abs(fitted.coefficients))
+    assert gap <= SHIFT_BAND
+
+
+GAPPED_TERMS = TermSet(
+    5, ((1,), (2,), (3,), (4,), (5,), (1, 2), (1, 3), (2, 4), (3, 5), (1, 2, 3))
+)
+GAPPED_BANDWIDTHS = BandwidthProfile.from_list([6, 4, 4])
+
+
+@pytest.mark.parametrize("kind", [BasisKind.COSINE, BasisKind.EXPONENTIAL])
+@pytest.mark.parametrize("rows, path", [(300, "direct"), (2000, "tolerance")])
+@pytest.mark.parametrize("seed", range(3))
+def test_permuted_variables_keep_their_indices(kind, rows, path, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = kind.domain
+    x = rng.uniform(lo, hi, (rows, 5))
+    t = x - lo
+    y = np.sin(np.pi * t[:, 0] * t[:, 1]) + t[:, 2] ** 2 + t[:, 4]
+    y += 0.1 * rng.standard_normal(rows)
+    # new column j holds old variable perm[j] + 1, so old variable i is new variable inv[i - 1] + 1
+    perm = rng.permutation(5)
+    inv = np.argsort(perm)
+    relabel = {u: tuple(sorted(int(inv[i - 1]) + 1 for i in u)) for u in GAPPED_TERMS}
+    relabelled = TermSet(5, tuple(relabel.values()))
+    config = SolverConfig(regularization=1.0)
+    fitted = fit(x, y, GAPPED_TERMS, GAPPED_BANDWIDTHS, kind, config)
+    permuted = fit(x[:, perm], y, relabelled, GAPPED_BANDWIDTHS, kind, config)
+    assert fitted.stop_reason == permuted.stop_reason == path
+    assert fitted.iterations == permuted.iterations
+    rho, rho_permuted = dict(gsi(fitted).indices), dict(gsi(permuted).indices)
+    assert rho.keys() == set(GAPPED_TERMS.nonempty_terms)
+    gap = max(abs(rho[u] - rho_permuted[relabel[u]]) for u in rho)
+    assert gap <= PERMUTATION_BAND

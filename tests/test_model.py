@@ -687,6 +687,12 @@ class TestRefinement:
         added = set(expanded.terms) - set(termset.terms)
         assert added == {(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)}
 
+    def test_expand_at_zero_threshold_pools_every_positively_ranked_variable(self):
+        termset = superposition_terms(5, 1)
+        report = SensitivityReport(5, 1.0, (), ranking=np.array([0.5, 0.0, 0.25, 0.25, 0.0]))
+        expanded = incremental_expand(report, termset, 0.0, 2)
+        assert set(expanded.terms) - set(termset.terms) == {(1, 3), (1, 4), (3, 4)}
+
     def test_expand_without_qualifying_variable_warns(self):
         termset = superposition_terms(5, 1)
         report = SensitivityReport(
@@ -722,9 +728,11 @@ class TestRefinement:
     def test_expand_threshold_validation(self):
         termset = superposition_terms(5, 1)
         report = SensitivityReport(5, 1.0, (), ranking=np.full(5, 0.2))
-        for threshold in (0.0, 1.0, -0.5):
-            with pytest.raises(ConfigError, match="ranking threshold"):
+        # one rule, SensitivityReport.ranked_above's: [0, 1)
+        for threshold in (1.0, -0.5, float("nan")):
+            with pytest.raises(ConfigError, match=r"ranking threshold must lie in \[0, 1\)"):
                 incremental_expand(report, termset, threshold, 2)
+        assert incremental_expand(report, termset, 0.0, 2).superposition_threshold == 2
         with pytest.raises(ConfigError, match="expansion order"):
             incremental_expand(report, termset, 0.1, 0)
 

@@ -22,7 +22,7 @@ from anovafit import (
     superposition_terms,
 )
 from anovafit import operators
-from anovafit.basis import eval_1d_table
+from anovafit.basis import eval_1d_table, full_grid_1d
 from anovafit.operators import DENSE_ORACLE_MAX_ENTRIES, NODE_BLOCK
 
 from conftest import random_instance, term_sets
@@ -151,10 +151,11 @@ def test_order_tables_equal_their_own_evaluation(kind):
     for _ in range(20):
         op = random_instance(rng, kind)
         union = op.index_union
-        longest = max(map(len, union.grids.values()), default=0)
+        grids = {order: full_grid_1d(kind, bandwidth) for order, bandwidth in union.bandwidths}
+        longest = max(map(len, grids.values()), default=0)
         every = np.unique(np.concatenate([f.ravel() for _, f, _, _ in union.layout.values()]))
         for stack in op._stacks:
-            grid = union.grids[stack.order]
+            grid = grids[stack.order]
             variables = np.unique(union.layout[stack.order][1])
             bandwidth = dict(union.bandwidths)[stack.order]
             want = eval_1d_table(kind, bandwidth, op.nodes.T[variables - 1].ravel())
@@ -442,6 +443,18 @@ def test_table_beyond_physical_memory_is_refused_before_any_table(kind, monkeypa
     monkeypatch.setattr(operators, "eval_1d_table", _unreachable)
     with pytest.raises(ConfigError, match=f"a basis table of {nbytes} bytes exceeds"):
         DesignOperator(nodes, union)
+
+
+def test_fit_with_a_huge_bandwidth_meets_the_table_guard_before_any_grid(
+    small_grids_only, monkeypatch
+):
+    # the union builds no grid, so 1e9 - 1 frequencies of 3 variables at 40 nodes
+    # (960 GB of table) are refused by the operator's guard, not allocated
+    monkeypatch.setattr(operators, "physical_memory", lambda: 2**33)
+    rng = np.random.default_rng(3)
+    with pytest.raises(ConfigError, match="a basis table of 959999999040 bytes exceeds"):
+        fit(rng.random((40, 3)), rng.random(40), superposition_terms(3, 2),
+            BandwidthProfile.from_list([10**9, 2]), BasisKind.COSINE)
 
 
 def test_fit_and_predict_refuse_a_table_beyond_physical_memory(monkeypatch):

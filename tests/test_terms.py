@@ -156,10 +156,11 @@ class TestIndexUnion:
     )
     def test_order_blocks_tile_the_union(self, termset, kind, n):
         union = build_index_union(termset, BandwidthProfile.from_list([n, n, n]), kind)
-        assert list(union.layout) == sorted(union.grids)
+        grids = {order: full_grid_1d(kind, bandwidth) for order, bandwidth in union.bandwidths}
+        assert list(union.layout) == sorted(grids)
         assert union.variables.tolist() == sorted({i for u in union.terms for i in u})
         stop = 1
-        for order in sorted(union.grids):
+        for order in sorted(grids):
             block, factors, own, pos = union.layout[order]
             owned = [u for u in union.terms if len(u) == order]
             assert block.start == stop == union.slice_for(owned[0]).start
