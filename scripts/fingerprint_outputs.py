@@ -32,6 +32,9 @@ array, a ``float.hex`` of a scalar, or an exact count.  The script covers
 * the Friedman-1 ranking-stage fit (200 rows, 76 columns, lam=3) with
   ``max_iterations=5``: its stop reason, iteration count and coefficients,
   which show whether an iteration cap chooses the solver;
+* the Friedman-2 first-stage fit (200 rows, 19 columns, lam=0), which
+  runs LSQR through the operator's dense matrix: its stop reason,
+  iteration count and coefficients;
 * ``run_real_benchmark`` (10 repetitions, seed 0) on a seeded 400-row
   Friedman-1 table: median, quartiles and median active-term count for the
   ``enc`` and ``ch`` presets, ``asn`` restricted by ``keep=(1, ..., 5)``,
@@ -363,6 +366,19 @@ def capped_fit_lines() -> list[str]:
     ]
 
 
+def small_lsqr_fit_lines() -> list[str]:
+    """The Friedman-2 first-stage fit (200 x 19, lam=0): LSQR within the direct-size rule."""
+    train = friedman_sample(FriedmanSpec(2), 200, 0)
+    model = fit(
+        train.nodes, train.targets, superposition_terms(4, 2), BandwidthProfile.from_list([4, 2]),
+        BasisKind.COSINE, SolverConfig(),
+    )
+    return [
+        f"fit.small_lsqr.stop {model.stop_reason}:{model.iterations}",
+        hashed("fit.small_lsqr.coefficients", model.coefficients),
+    ]
+
+
 def real_lines() -> list[str]:
     table = friedman_sample(FriedmanSpec(1), 400, 11)
     configs = {
@@ -586,7 +602,8 @@ def main() -> int:
     print(machine_line(), flush=True)
     lines = (
         table_lines() + union_lines() + operator_lines() + block_lines() + friedman_lines()
-        + wide_fit_lines() + order3_fit_lines() + capped_fit_lines() + real_lines()
+        + wide_fit_lines() + order3_fit_lines() + capped_fit_lines() + small_lsqr_fit_lines()
+        + real_lines()
     )
     for line in lines + cli_lines() + normalized_lines() + error_lines() + help_lines():
         print(line, flush=True)

@@ -16,6 +16,7 @@ Usage:
 """
 
 import argparse
+import copy
 import time
 import warnings
 
@@ -86,7 +87,10 @@ def main() -> None:
                 warnings.simplefilter("ignore")  # the 200-row cases are underdetermined
                 op = DesignOperator(u[:, :dimension], union)
             t_lsqr, lsqr = median_time(lambda: lsqr_solve(op, y, config))
-            t_direct, direct = median_time(lambda: direct_solve(op.dense(), y, args.lam))
+            # dense() keeps its matrix, so each run gathers it on a fresh shallow copy
+            t_direct, direct = median_time(
+                lambda: direct_solve(copy.copy(op).dense(), y, args.lam)
+            )
             work = rows * op.cols**2
             diff = np.linalg.norm(direct.coefficients - lsqr.coefficients)
             print(

@@ -173,41 +173,42 @@ def eval_1d_table(kind: BasisKind, bandwidth: int, x: np.ndarray) -> np.ndarray:
     (Chebyshev, ``c = 2x - 1`` clipped to [-1, 1]) or ``z = exp(2 pi i x)``
     (exponential).  Degrees ``k = 1 .. max|g|`` then follow from the
     recurrence ``T_k = 2c T_{k-1} - T_{k-2}`` (``T_k(c)`` is ``cos(k pi x)``,
-    respectively ``cos(k arccos(2x - 1))``), or from ``z^k = z^{k-1} z``;
-    each block gathers the degrees ``|g|``, then scales them by ``sqrt(2)``
-    (real kinds) or conjugates the rows of ``g < 0``.  The recurrence runs
-    over blocks of ``_TABLE_BLOCK`` points, so its scratch stays in cache and
+    respectively ``cos(k arccos(2x - 1))``, and ``T_0 = 1``), or from
+    ``z^k = z^{k-1} z``, each written straight into its own row of the
+    table.  The real kinds hold degree ``j + 1`` in row ``j`` and are scaled
+    by ``sqrt(2)`` once the recurrence is done.  The exponential grid
+    ``-h .. -1, 1 .. h - 1`` (``h = N / 2``) holds ``z^1 .. z^{h-1}`` in its
+    positive rows and ``z^h`` in its first row; the negative rows are then the
+    conjugates of the positive ones, and the first row is conjugated in place.
+    The recurrence runs over blocks of ``_TABLE_BLOCK`` points, so that its
+    rows stay in cache, and it needs no scratch beyond ``2c`` of one block:
     the only large allocation is the returned table, written frequency-major
     (its ``.T`` is C-contiguous, one contiguous run per frequency and block).
     Its error grows like ``k^2 eps`` (about ``3e-14`` at ``|k| = 11``)
     against direct evaluation, which :func:`eval_1d` keeps as the reference.
     """
     grid = full_grid_1d(kind, bandwidth)
-    degrees = np.abs(grid)
     table = np.empty((grid.size, x.size), dtype=kind.dtype)
-    # powers[k] holds degree k at the points of the current block
-    powers = np.empty((degrees.max() + 1, min(x.size, _TABLE_BLOCK)), dtype=kind.dtype)
-    powers[0] = 1.0
+    h = (grid.size + 1) // 2
     for start in range(0, x.size, _TABLE_BLOCK):
         xb = x[start:start + _TABLE_BLOCK]
-        p = powers[:, :xb.size]
+        block = table[:, start:start + xb.size]
         if kind is BasisKind.EXPONENTIAL:
-            np.exp(2j * np.pi * xb, out=p[1])
-            for k in range(2, len(p)):
-                np.multiply(p[k - 1], p[1], out=p[k])
+            # degree k in rows[k - 1]: the positive rows, then the first row
+            rows = [*block[h:], block[0]]
+            np.exp(2j * np.pi * xb, out=rows[0])
+            for k in range(1, h):
+                np.multiply(rows[k - 1], rows[0], out=rows[k])
+            np.conjugate(block[h:][::-1], out=block[1:h])
+            np.conjugate(block[0], out=block[0])
         else:
             if kind is BasisKind.COSINE:
-                np.cos(np.pi * xb, out=p[1])
+                np.cos(np.pi * xb, out=block[0])
             else:
-                np.clip(2.0 * xb - 1.0, -1.0, 1.0, out=p[1])
-            twice = 2.0 * p[1]
-            for k in range(2, len(p)):
-                np.multiply(twice, p[k - 1], out=p[k])
-                np.subtract(p[k], p[k - 2], out=p[k])
-        block = table[:, start:start + xb.size]
-        np.take(p, degrees, axis=0, out=block, mode="clip")  # "raise" copies via a buffer
-        if kind.is_complex:
-            np.conjugate(block, out=block, where=grid[:, None] < 0)
-        else:
+                np.clip(2.0 * xb - 1.0, -1.0, 1.0, out=block[0])
+            twice = 2.0 * block[0]
+            for k in range(1, len(block)):
+                np.multiply(twice, block[k - 1], out=block[k])
+                np.subtract(block[k], block[k - 2] if k > 1 else 1.0, out=block[k])
             block *= SQRT2
     return table.T

@@ -41,7 +41,7 @@ import numpy as np
 from .basis import BasisKind
 from .datasets import Normalization
 from .errors import ConfigError, DataError, DegenerateModelError, as_array, as_integer, as_real
-from .operators import NODE_BLOCK, DesignOperator
+from .operators import NODE_BLOCK, DesignOperator, physical_memory
 from .solver import LsqrResult, SolverConfig, direct_solve, lsqr_solve
 from .terms import (
     BandwidthProfile,
@@ -134,7 +134,9 @@ def fit(
     ``op.dense()``, reporting 0 iterations and stop reason ``"direct"``) when
     ``regularization > 0``, ``rows * cols**2 <= DIRECT_SOLVE_MAX_WORK`` (the
     measured crossover) and ``(||F||_F^2 + lam) / lam * eps <= tolerance`` (so
-    the squared condition number costs no accuracy); otherwise by LSQR.
+    the squared condition number costs no accuracy); otherwise by LSQR.  Every
+    fit within that size rule, at any ``lam``, builds ``op.dense()``, so an
+    LSQR fit there applies through the dense matrix (one GEMV each way).
     """
     cfg = config if config is not None else SolverConfig()
     union = build_index_union(termset, bandwidths, kind)
@@ -163,10 +165,12 @@ def fit(
 
 def _solve(op: DesignOperator, values, cfg: SolverConfig) -> LsqrResult:
     lam = cfg.regularization
-    if lam > 0.0 and op.rows * op.cols**2 <= DIRECT_SOLVE_MAX_WORK:
+    if op.rows * op.cols**2 <= DIRECT_SOLVE_MAX_WORK:
+        # kept by the operator: an LSQR fit below then applies through it
         F = op.dense()
         # dense() fills F^T, so F.T is contiguous and vdot reads it without a copy
-        if (np.vdot(F.T, F.T).real + lam) / lam * np.finfo(np.float64).eps <= cfg.tolerance:
+        eps = np.finfo(np.float64).eps
+        if lam > 0.0 and (np.vdot(F.T, F.T).real + lam) / lam * eps <= cfg.tolerance:
             return direct_solve(F, values, lam)
     return lsqr_solve(op, values, cfg)
 
@@ -239,7 +243,16 @@ def attribute_ranking(report: SensitivityReport) -> np.ndarray:
     Each term's sensitivity index is credited to each of its variables with
     weight ``1 / #{same-order terms of the report containing that variable}``;
     the scores are then normalized.  Variables absent from every term score 0.
+    A ranking of more bytes than :func:`~anovafit.operators.physical_memory`
+    is a :class:`~anovafit.errors.DataError`, raised before it is allocated.
     """
+    nbytes = report.dimension * np.dtype(np.float64).itemsize
+    memory = physical_memory()
+    if nbytes > memory:
+        raise DataError(
+            f"a ranking of {report.dimension} variables takes {nbytes} bytes, more than "
+            f"the {memory} bytes of physical memory"
+        )
     counts = Counter((len(u), i) for u, _ in report.indices for i in u)
     scores = np.zeros(report.dimension)
     for u, rho in report.indices:

@@ -71,7 +71,12 @@ order, the first one taken as is.  For a fixed BLAS thread count, repeated
 applications of the same operator are therefore bitwise-identical.  An
 operator whose nodes fit in each order's node step applies in exactly one
 product per step, as if there were no blocks; one of more nodes differs from
-that single product only in the last bits.
+that single product only in the last bits.  Once :meth:`DesignOperator.dense`
+has run, the operator keeps that read-only matrix and each apply is one GEMV
+on it, which differs from the structured apply in the last bits.
+:func:`~anovafit.model.fit` builds it for every fit within its direct-size
+rule, so the coefficients of an LSQR fit there can differ in the last bits
+from those of an LSQR run on the structured applies.
 """
 
 from __future__ import annotations
@@ -232,6 +237,7 @@ class DesignOperator:
             if len(own) < len(variables):
                 sub = np.take(sub, own, axis=1)
             self._stacks.append(_OrderStack(order, block, pos, sub, kind.is_complex))
+        self._dense = None  # set by dense(): the applies then read it
 
     @property
     def oversampling(self) -> float:
@@ -243,25 +249,45 @@ class DesignOperator:
         return v.astype(self.kind.dtype, copy=False)
 
     def matvec(self, coeffs) -> np.ndarray:
-        """Values ``sum_k coeffs[k] * phi_k(x_m)`` at every node."""
+        """Values ``sum_k coeffs[k] * phi_k(x_m)`` at every node.
+
+        Once :meth:`dense` has run, one GEMV on its matrix (last bits may differ).
+        """
         c = self._coerce(coeffs, self.cols, "coefficient vector")
+        if self._dense is not None:
+            return self._dense @ c
         out = np.full(self.rows, c[0], dtype=self.kind.dtype)
         for stack in self._stacks:
             out += stack.matvec(c)
         return out
 
     def dense(self) -> np.ndarray:
-        """Dense design matrix from the tables; the oracle is :func:`dense_design_matrix`."""
-        # filled as F^T, so that every write is a copy of contiguous rows
-        out = np.empty((self.cols, self.rows), dtype=self.kind.dtype)
-        out[0] = 1.0
-        for stack in self._stacks:
-            stack.dense_transposed(out)
-        return out.T
+        """Dense design matrix from the tables; the oracle is :func:`dense_design_matrix`.
+
+        Built once and kept, read-only: from then on :meth:`matvec` and
+        :meth:`adjoint_matvec` are each one GEMV on it, not the structured apply.
+        """
+        if self._dense is None:
+            # filled as F^T, so that every write is a copy of contiguous rows
+            out = np.empty((self.cols, self.rows), dtype=self.kind.dtype)
+            out[0] = 1.0
+            for stack in self._stacks:
+                stack.dense_transposed(out)
+            out.setflags(write=False)
+            self._dense = out.T
+        return self._dense
 
     def adjoint_matvec(self, values) -> np.ndarray:
-        """Adjoint application ``sum_m conj(phi_k(x_m)) * values[m]`` per frequency."""
+        """Adjoint application ``sum_m conj(phi_k(x_m)) * values[m]`` per frequency.
+
+        Once :meth:`dense` has run, one GEMV on its matrix (last bits may differ).
+        """
         r = self._coerce(values, self.rows, "value vector")
+        if self._dense is not None:
+            # conj(F)^T r == conj(F^T conj(r)): conjugate the vector, not the matrix
+            if self.kind.is_complex:
+                return (self._dense.T @ r.conj()).conj()
+            return self._dense.T @ r
         out = np.empty(self.cols, dtype=self.kind.dtype)
         out[0] = r.sum()
         for stack in self._stacks:

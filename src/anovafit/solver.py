@@ -88,7 +88,7 @@ def direct_solve(F: np.ndarray, y, regularization: float) -> LsqrResult:
     if F.ndim != 2:
         raise DataError(f"design matrix must be a 2-d array, got shape {F.shape}")
     y = _check_system(F.shape, y, np.iscomplexobj(F)).astype(F.dtype, copy=False)
-    Fh = F.conj().T
+    Fh = F.conj().T  # a real array's conj() is the array itself, not a copy
     gram = Fh @ F
     gram.flat[:: gram.shape[0] + 1] += regularization
     x = np.linalg.solve(gram, Fh @ y)

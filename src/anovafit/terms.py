@@ -19,9 +19,12 @@ elements, with no duplicates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import sys
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +34,8 @@ from .basis import BasisKind, as_bandwidth, full_grid_1d
 from .errors import ConfigError, DataError, as_integer
 
 Term = tuple[int, ...]
+# distinct arguments whose term set or index union is kept (each a few small arrays)
+_CACHE_SIZE = 128
 
 
 def normalize_term(u) -> Term:
@@ -108,9 +113,14 @@ class TermSet:
 
 
 def superposition_terms(dimension: int, threshold: int) -> TermSet:
-    """All variable subsets of order at most ``threshold``."""
-    dimension = as_integer(dimension, "dimension")
-    threshold = as_integer(threshold, "superposition threshold")
+    """All variable subsets of order at most ``threshold``; equal arguments share one term set."""
+    return _superposition_terms(
+        as_integer(dimension, "dimension"), as_integer(threshold, "superposition threshold")
+    )
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _superposition_terms(dimension: int, threshold: int) -> TermSet:
     if not 1 <= threshold <= dimension:
         raise ConfigError(
             f"superposition threshold {threshold} out of range [1, {dimension}]"
@@ -191,7 +201,7 @@ class FrequencyIndexUnion:
     bandwidths: tuple[tuple[int, int], ...]
     size: int
     variables: np.ndarray = field(compare=False)
-    layout: dict[int, tuple[slice, np.ndarray, np.ndarray, np.ndarray]] = field(compare=False)
+    layout: Mapping[int, tuple[slice, np.ndarray, np.ndarray, np.ndarray]] = field(compare=False)
 
     def slice_for(self, term) -> slice:
         term = normalize_term(term)
@@ -217,7 +227,17 @@ class FrequencyIndexUnion:
 def build_index_union(
     termset: TermSet, bandwidths: BandwidthProfile, kind: BasisKind
 ) -> FrequencyIndexUnion:
-    """The layout of every order; no frequency grid is built."""
+    """The layout of every order; no frequency grid is built.
+
+    Equal arguments give the same union, kept in a bounded cache, so its
+    layout and arrays are read-only.
+    """
+    return _index_union(termset, tuple(bandwidths.by_order.items()), kind)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _index_union(termset: TermSet, by_order, kind: BasisKind) -> FrequencyIndexUnion:
+    bandwidths = BandwidthProfile(dict(by_order))
     variables = np.array(sorted({i for u in termset for i in u}), dtype=np.intp)
     layout, size = {}, 1
     for order, group in itertools.groupby(termset.nonempty_terms, key=len):
@@ -227,8 +247,11 @@ def build_index_union(
         layout[order] = (block, factors, own, np.searchsorted(variables[own], factors))
         size = block.stop
     pairs = tuple((order, bandwidths.for_order(order)) for order in layout)
+    for array in (variables, *(a for _, *arrays in layout.values() for a in arrays)):
+        array.setflags(write=False)
     return FrequencyIndexUnion(
-        termset.dimension, kind, termset.terms, pairs, size, variables, layout
+        termset.dimension, kind, termset.terms, pairs, size, variables,
+        types.MappingProxyType(layout),
     )
 
 

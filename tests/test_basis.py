@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anovafit import BasisKind, DomainError, eval_1d, eval_tensor, full_grid_1d
-from anovafit.basis import _TABLE_BLOCK, eval_1d_table, wrap_periodic
+from anovafit.basis import _TABLE_BLOCK, check_domain, eval_1d_table, wrap_periodic
 
 from conftest import orthonormality_defect
 
@@ -164,3 +164,37 @@ def test_table_of_empty_inputs(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_orthonormality_under_natural_measure(kind):
     assert orthonormality_defect(kind, kmax=8) < 1e-8
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_domain_names_non_finite_coordinates(kind, bad):
+    # a non-finite entry outranks an out-of-domain one, as it always has
+    x = np.array([[0.25, bad], [7.0, -3.0]])
+    with pytest.raises(DomainError, match=r"^node is not finite \(nan or inf\)$"):
+        check_domain(kind, x, what="node")
+
+
+@pytest.mark.parametrize("kind", [BasisKind.COSINE, BasisKind.CHEBYSHEV])
+@pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, -5.0, 5.0])
+def test_check_domain_names_coordinates_outside_the_domain(kind, bad):
+    x = np.array([0.0, 0.5, 1.0, bad])
+    with pytest.raises(DomainError, match=rf"^node outside \[0, 1\] for basis '{kind.token}'$"):
+        check_domain(kind, x, what="node")
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_check_domain_accepts_an_empty_array(kind, shape):
+    out = check_domain(kind, np.empty(shape))
+    assert out.shape == shape and out.dtype == np.float64
+
+
+def test_check_domain_wraps_periodic_coordinates():
+    x = np.array([-0.5, 0.5, 1.25, -0.75, 1e6 + 0.25])
+    np.testing.assert_allclose(
+        check_domain(BasisKind.EXPONENTIAL, x), [-0.5, -0.5, 0.25, 0.25, 0.25], atol=1e-9
+    )
+    inside = np.array([0.0, 1.0])
+    for kind in (BasisKind.COSINE, BasisKind.CHEBYSHEV):
+        np.testing.assert_array_equal(check_domain(kind, inside), inside)

@@ -426,6 +426,22 @@ class TestRankRefineRoundTrip:
         assert code == 4
         assert "variance" in err
 
+    def test_rank_of_a_model_over_a_huge_dimension_exits_3(self, friedman2_model, tmp_path,
+                                                          capsys):
+        # one score per variable would take 8e15 bytes: refused before it is allocated
+        model_path, _ = friedman2_model
+        obj = read_json(model_path) | {
+            "dimension": 10**15, "superposition_threshold": 1, "terms": [[], [10**15]],
+            "bandwidths": {"1": 2}, "coefficients": [0.0, 1.0],
+        }
+        huge_path = tmp_path / "huge.json"
+        huge_path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "rank", "--model", str(huge_path))
+        assert code == 3
+        assert out == ""
+        assert "a ranking of 1000000000000000 variables" in err
+        assert "Traceback" not in err
+
 
 class TestPredict:
     def test_predictions_with_metrics(self, friedman2_model, tmp_path, capsys):

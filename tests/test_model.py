@@ -190,9 +190,23 @@ class TestSolvePath:
         assert first.stop_reason == "direct"
         assert np.array_equal(first.coefficients, second.coefficients)
 
-    def test_zero_regularization_runs_lsqr(self):
+    def test_zero_regularization_runs_lsqr(self, monkeypatch):
+        # within the size rule: LSQR applies through the operator's dense matrix
+        assert 200 * 76**2 <= model_module.DIRECT_SOLVE_MAX_WORK
+        built = []
+
+        def recording(*args):
+            built.append(DesignOperator(*args))
+            return built[-1]
+
+        monkeypatch.setattr(model_module, "DesignOperator", recording)
         model = self._fit()
         assert model.stop_reason == "tolerance" and model.iterations > 0
+        assert built[0]._dense is not None
+        train = self._train()
+        structured = lsqr_solve(DesignOperator(train.nodes, self._union()), train.targets)
+        gap = np.linalg.norm(model.coefficients - structured.coefficients)
+        assert gap <= 1e-10 * np.linalg.norm(structured.coefficients)  # 2.3e-13 measured
 
     def test_size_rule(self, monkeypatch):
         work = 200 * 76**2

@@ -72,21 +72,21 @@ def test_matvec_and_adjoint_match_dense(kind):
 
 
 def _check_dense(op, rng):
-    """``op.dense()`` against the oracle and against both applies."""
-    F = op.dense()
-    assert F.shape == op.shape and F.dtype == op.kind.dtype
-    np.testing.assert_allclose(
-        F, dense_design_matrix(op.nodes, op.index_union), rtol=1e-12, atol=1e-12
-    )
+    """``op.dense()`` against the oracle and against both structured applies."""
     coeffs = rng.standard_normal(op.cols)
     values = rng.standard_normal(op.rows)
     if op.kind.is_complex:
         coeffs = coeffs + 1j * rng.standard_normal(op.cols)
         values = values + 1j * rng.standard_normal(op.rows)
-    np.testing.assert_allclose(F @ coeffs, op.matvec(coeffs), rtol=1e-12, atol=1e-12)
+    # applied before dense(), after which the operator applies through its matrix
+    matvec, adjoint = op.matvec(coeffs), op.adjoint_matvec(values)
+    F = op.dense()
+    assert F.shape == op.shape and F.dtype == op.kind.dtype
     np.testing.assert_allclose(
-        F.conj().T @ values, op.adjoint_matvec(values), rtol=1e-12, atol=1e-12
+        F, dense_design_matrix(op.nodes, op.index_union), rtol=1e-12, atol=1e-12
     )
+    np.testing.assert_allclose(F @ coeffs, matvec, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(F.conj().T @ values, adjoint, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV])
@@ -115,8 +115,7 @@ def test_dense_matches_oracle_property(kind, termset, n1, n_higher, rows, seed):
     union = build_index_union(termset, bandwidths, kind)
     lo, hi = kind.domain
     op = DesignOperator(rng.uniform(lo, hi, size=(rows, termset.dimension)), union)
-    _check_dense(op, rng)
-    # <F c, r> == <c, F^H r>
+    # <F c, r> == <c, F^H r>, on the structured applies (before dense())
     coeffs = rng.standard_normal(op.cols)
     values = rng.standard_normal(op.rows)
     if kind.is_complex:
@@ -125,6 +124,7 @@ def test_dense_matches_oracle_property(kind, termset, n1, n_higher, rows, seed):
     lhs = np.vdot(values, op.matvec(coeffs))
     rhs = np.vdot(op.adjoint_matvec(values), coeffs)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-30)
+    _check_dense(op, rng)
 
 
 @pytest.mark.parametrize("kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV])
@@ -277,13 +277,14 @@ def test_node_blocks_equal_one_product(kind, order, monkeypatch):
     if kind.is_complex:
         coeffs = coeffs + 1j * rng.standard_normal(op.cols)
         values = values + 1j * rng.standard_normal(op.rows)
-    F = op.dense()
     matvec, adjoint = op.matvec(coeffs), op.adjoint_matvec(values)
-    assert _relative_gap(matvec, F @ coeffs) <= 1e-13
-    assert _relative_gap(adjoint, F.conj().T @ values) <= 1e-13
     # blocks sum in a fixed order, so a repeated apply is bitwise the same
     assert np.array_equal(matvec, op.matvec(coeffs))
     assert np.array_equal(adjoint, op.adjoint_matvec(values))
+    # applied before dense(), after which the operator applies through its matrix
+    F = op.dense()
+    assert _relative_gap(matvec, F @ coeffs) <= 1e-13
+    assert _relative_gap(adjoint, F.conj().T @ values) <= 1e-13
     # the same operator in one block: an order's node step is at least
     # NODE_BLOCK * n v / (rows of its prefix), and a prefix has at most op.cols rows
     monkeypatch.setattr(operators, "NODE_BLOCK", rows * op.cols)
@@ -471,3 +472,29 @@ def test_fit_and_predict_refuse_a_table_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(operators, "physical_memory", lambda: 2**18)
     with pytest.raises(ConfigError, match="physical memory"):
         predict(model, rng.random((5000, 3)))
+
+
+@pytest.mark.parametrize("kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_applies_after_dense_run_through_the_kept_matrix(kind, order):
+    rng = np.random.default_rng(50 + order)
+    union = build_index_union(
+        superposition_terms(4, order), BandwidthProfile.from_list([6, 4, 4][:order]), kind
+    )
+    lo, hi = kind.domain
+    nodes = rng.uniform(lo, hi, size=(60, 4))
+    op = DesignOperator(nodes, union)
+    coeffs = rng.standard_normal(op.cols)
+    values = rng.standard_normal(op.rows)
+    if kind.is_complex:
+        coeffs = coeffs + 1j * rng.standard_normal(op.cols)
+        values = values + 1j * rng.standard_normal(op.rows)
+    structured = op.matvec(coeffs), op.adjoint_matvec(values)
+    F = op.dense()
+    assert op.dense() is F and not F.flags.writeable
+    matvec, adjoint = op.matvec(coeffs), op.adjoint_matvec(values)
+    np.testing.assert_array_equal(matvec, F @ coeffs)
+    oracle = dense_design_matrix(nodes, union)
+    for got, want in ((matvec, structured[0]), (matvec, oracle @ coeffs),
+                      (adjoint, structured[1]), (adjoint, oracle.conj().T @ values)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

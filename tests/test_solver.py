@@ -172,10 +172,11 @@ def test_direct_matches_dense_oracle_and_lsqr(kind):
         y = rng.standard_normal(op.rows)
         if kind.is_complex:
             y = y + 1j * rng.standard_normal(op.rows)
+        # LSQR first: after dense() the operator applies through the kept matrix
+        lsqr = lsqr_solve(op, y, SolverConfig(regularization=lam, tolerance=1e-13))
         got = direct_solve(op.dense(), y, lam)
         want = normal_equations_oracle(op, y, lam)
         assert np.linalg.norm(got.coefficients - want) / np.linalg.norm(want) < 1e-10
-        lsqr = lsqr_solve(op, y, SolverConfig(regularization=lam, tolerance=1e-13))
         rel = np.linalg.norm(got.coefficients - lsqr.coefficients) / np.linalg.norm(want)
         assert rel < 1e-8
         # LSQR's damped relative residual, from the oracle's matrix
@@ -217,8 +218,9 @@ def test_direct_solve_matches_tight_lsqr(kind, termset, n1, n_higher, rows, lam,
     y = rng.standard_normal(rows)
     if kind.is_complex:
         y = y + 1j * rng.standard_normal(rows)
-    direct = direct_solve(op.dense(), y, lam).coefficients
+    # LSQR first: after dense() the operator applies through the kept matrix
     iterative = lsqr_solve(op, y, SolverConfig(regularization=lam, tolerance=1e-12))
+    direct = direct_solve(op.dense(), y, lam).coefficients
     assert iterative.stop_reason == "tolerance"
     gap = np.linalg.norm(direct - iterative.coefficients)
     assert gap <= 1e-8 * np.linalg.norm(direct)

@@ -15,6 +15,7 @@ from anovafit import (
     load_termset,
     save_termset,
     superposition_terms,
+    terms,
 )
 
 from conftest import term_sets
@@ -211,3 +212,48 @@ class TestIndexUnion:
         np.testing.assert_array_equal(block[:, 1], [1, 2, 3])
         with pytest.raises(ValueError):
             union.slice_for((1, 2, 3))
+
+
+class TestCaches:
+    def test_equal_arguments_share_one_read_only_union(self):
+        union = build_index_union(
+            superposition_terms(5, 2), BandwidthProfile.from_list([4, 2]), BasisKind.COSINE
+        )
+        equal = build_index_union(
+            TermSet(5, tuple(reversed(superposition_terms(5, 2).terms)), 2),
+            BandwidthProfile({2: 2, 1: 4}),
+            BasisKind.COSINE,
+        )
+        assert equal is union
+        other = build_index_union(
+            superposition_terms(5, 2), BandwidthProfile.from_list([4, 2]), BasisKind.CHEBYSHEV
+        )
+        assert other is not union and other.kind is BasisKind.CHEBYSHEV
+        arrays = [union.variables]
+        for _, *order_arrays in union.layout.values():
+            arrays += order_arrays
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        with pytest.raises(TypeError):
+            union.layout[1] = union.layout[2]
+
+    def test_missing_bandwidth_raises_cold_and_warm(self):
+        ts = superposition_terms(3, 2)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="no bandwidth configured for term order 2"):
+                build_index_union(ts, BandwidthProfile.from_list([4]), BasisKind.COSINE)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("args", [(True, 1), (1, True), ([10], 2), (10, [2]), (2.0, 1)])
+    def test_superposition_terms_rejects_non_integers(self, args, warm):
+        terms._superposition_terms.cache_clear()
+        if warm:
+            superposition_terms(1, 1)
+            superposition_terms(10, 2)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            superposition_terms(*args)
+
+    def test_superposition_terms_share_one_term_set(self):
+        assert superposition_terms(6, 2) is superposition_terms(np.int64(6), 2)
+        assert superposition_terms(6, 2) is not superposition_terms(6, 3)
