@@ -66,8 +66,10 @@ The first line records the BLAS thread variables (or ``unset``) and
 ``os.cpu_count()``.
 
 The script imports ``anovafit`` from the ``src/`` directory of its own
-checkout.  To check a change, run it in the parent's checkout and in the
-change's, on the same machine, and diff the two outputs:
+checkout.  ``tests/test_fingerprint.py`` runs it at one BLAS thread and
+compares its output with ``tests/data/fingerprint.txt`` line by line.  To
+compare two checkouts by hand, run it in each, on the same machine, and
+diff the two outputs:
 
     python3 scripts/fingerprint_outputs.py > after.txt
     diff before.txt after.txt
@@ -507,7 +509,7 @@ def refusing_large_grids():
         return full_grid_1d(kind, bandwidth)
 
     stack = contextlib.ExitStack()
-    for module in ("basis", "terms", "operators"):
+    for module in ("basis", "terms"):
         stack.enter_context(mock.patch(f"anovafit.{module}.full_grid_1d", refusing))
     return stack
 

@@ -168,6 +168,8 @@ def eval_1d_table(kind: BasisKind, bandwidth: int, x: np.ndarray) -> np.ndarray:
 
     Returns the ``(len(x), N - 1)`` table whose column ``j`` holds
     ``eta_{g[j]}``; ``x`` is a 1-d float64 array that passed :func:`check_domain`.
+    The grid of every even ``N' < N`` is one run of its ``N' - 1`` columns,
+    from column ``(N - N') / 2`` for ``per`` and from column 0 otherwise.
 
     Each point costs one transcendental: ``c = cos(pi x)`` (cosine), none
     (Chebyshev, ``c = 2x - 1`` clipped to [-1, 1]) or ``z = exp(2 pi i x)``
@@ -187,9 +189,9 @@ def eval_1d_table(kind: BasisKind, bandwidth: int, x: np.ndarray) -> np.ndarray:
     Its error grows like ``k^2 eps`` (about ``3e-14`` at ``|k| = 11``)
     against direct evaluation, which :func:`eval_1d` keeps as the reference.
     """
-    grid = full_grid_1d(kind, bandwidth)
-    table = np.empty((grid.size, x.size), dtype=kind.dtype)
-    h = (grid.size + 1) // 2
+    n = as_bandwidth(bandwidth)
+    table = np.empty((n - 1, x.size), dtype=kind.dtype)
+    h = n // 2
     for start in range(0, x.size, _TABLE_BLOCK):
         xb = x[start:start + _TABLE_BLOCK]
         block = table[:, start:start + xb.size]

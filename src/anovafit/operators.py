@@ -6,9 +6,9 @@ function of that frequency at that node.  Each term's column block is a
 tensor product of 1-d basis tables, so the operator never forms it (the
 grouped transformations of Bartel, Potts & Schmischke, arXiv 2010.10199).
 
-Each order's grid ``g_l = full_grid_1d(kind, N_l)`` of ``n_l = N_l - 1``
-frequencies is built after the table size check, and every order-``l`` term
-carries ``g_l^l`` in :func:`itertools.product` order.  Terms are sorted by
+Each order-``l`` term carries the ``l``-fold product of the ``n_l = N_l - 1``
+frequencies of ``full_grid_1d(kind, N_l)`` in :func:`itertools.product`
+order, yet no grid is built (see Tables).  Terms are sorted by
 (order, lex), so the ``T_l`` terms of order ``l`` own one contiguous
 coefficient block of shape ``(T_l, n_l, ..., n_l)``, laid out once by the
 union with ``own`` and ``pos`` below (``index_union.layout``); the operator
@@ -20,19 +20,19 @@ float64, or the wrapping of ``per`` nodes), and the tables below are fixed
 at construction, so a later change to the caller's array changes no apply.
 The operator calls :func:`~anovafit.basis.eval_1d_table` once, on the
 ``v`` variables of all terms (points in (variable, node) order) and the
-largest bandwidth, whose grid ``g`` is the longest: every order's grid is a
-contiguous run of ``g`` (a prefix for ``cos`` and ``cheb``).  The
-result's transpose is the operator's one table, C-contiguous and read-only,
-of shape ``(|g|, v, M)``: ``[j, p]`` is frequency ``g[j]`` of variable
-number ``p`` (ascending) at all ``M`` nodes.  Order ``l`` reads its
-``(n_l, v_l, M)`` table ``T_l`` from it as the row range of ``g_l``, a view,
+largest bandwidth ``N``.  The result's transpose is the operator's one
+table, C-contiguous and read-only, of shape ``(N - 1, v, M)``: ``[j, p]`` is
+frequency ``full_grid_1d(kind, N)[j]`` of variable number ``p`` (ascending)
+at all ``M`` nodes.  Order ``l``'s grid is the run of ``n_l`` rows that starts
+at row ``(N - N_l) / 2`` for ``per`` and at row 0 for ``cos`` and ``cheb``,
+so order ``l`` reads its ``(n_l, v_l, M)`` table ``T_l`` as that run, a view,
 when it uses all ``v`` variables, else as one gather of it at ``own``: at most
-``M * (v |g| + sum_l n_l v_l)`` entries, whatever the number of terms.
+``M * (v (N - 1) + sum_l n_l v_l)`` entries, whatever the number of terms.
 ``pos[t, k]`` is the position ``p`` of term ``t``'s ``k``-th variable, so
 ``T_l[:, pos[t, k]]`` is that factor of term ``t``; row ``j v_l + p`` of
 ``T_l`` viewed as ``(n_l v_l, M)`` is frequency ``j`` of variable ``p``.
 A table of more bytes than :func:`physical_memory` is a
-:class:`~anovafit.errors.ConfigError`, raised before any grid or table is built.
+:class:`~anovafit.errors.ConfigError`, raised before the table is built.
 
 **Apply.**  Each order works on ``T_l`` viewed as ``(n_l v_l, M)``.  Order 1
 takes one BLAS call each way; orders 2 and up run over node blocks, column
@@ -87,7 +87,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .basis import check_domain, eval_1d_table, eval_tensor, full_grid_1d
+from .basis import check_domain, eval_1d_table, eval_tensor
 from .errors import ConfigError, DataError, as_array
 from .terms import FrequencyIndexUnion
 
@@ -105,7 +105,7 @@ def physical_memory() -> int:
 class _OrderStack:
     """One term order's ``(n, v, M)`` table and that order's coefficient block."""
 
-    def __init__(self, order, block, pos, table, conj):
+    def __init__(self, order, block, pos, table):
         self.order = order
         self.block = block
         self.pos = pos
@@ -113,7 +113,6 @@ class _OrderStack:
         table.setflags(write=False)
         self.table = table
         self.flat = table.reshape(self.n * self.v, M)
-        self.conj = conj
 
     def term_rows(self, pos, nodes=slice(None)):
         """Rows of ``F^T`` of ``k``-factor terms ``pos`` on ``nodes``, ``(n**k, len(pos), m)``."""
@@ -177,19 +176,17 @@ class _OrderStack:
         out[self.block].reshape(rows.shape)[:] = rows
 
     def adjoint_matvec(self, r, out):
-        """Write ``F_l^H r`` into this order's coefficient block of ``out``."""
+        """Write ``F_l^T r`` into this order's coefficient block of ``out``."""
         T, n, v = self.flat, self.n, self.v
-        # conj(T)^H r == conj(T^T conj(r)): conjugate the vector, not the table
-        rc = r.conj() if self.conj else r
         if self.order == 1:
-            G = (T @ rc).reshape(n, v).T.ravel()
+            G = (T @ r).reshape(n, v).T.ravel()
         else:
             # the first block's product is the sum's start, in place of zeros
             G = reduce(operator.iadd, (
-                self._leading_rows(b, Tb, rc[b]) @ Tb.T for b, Tb in self._parts
+                self._leading_rows(b, Tb, r[b]) @ Tb.T for b, Tb in self._parts
             ))
             G = G.ravel()[self._form[2]]
-        out[self.block] = G.conj() if self.conj else G
+        out[self.block] = G
 
 
 class DesignOperator:
@@ -225,18 +222,17 @@ class DesignOperator:
             raise ConfigError(
                 f"a basis table of {nbytes} bytes exceeds the {memory} bytes of physical memory"
             )
-        grid = full_grid_1d(kind, bandwidth)
-        # points over (variable, node) pairs: the transposed table is (|g|, v, M)
+        # points over (variable, node) pairs: the transposed table is (N - 1, v, M)
         table = eval_1d_table(kind, bandwidth, X.T[variables - 1].ravel()).T
-        table = table.reshape(len(grid), len(variables), self.rows)
+        table = table.reshape(bandwidth - 1, len(variables), self.rows)
         self._stacks = []
-        for order, (block, _, own, pos) in index_union.layout.items():
-            g = full_grid_1d(kind, dict(index_union.bandwidths)[order])
-            start = int(np.searchsorted(grid, g[0]))
-            sub = table[start:start + len(g)]
+        layout = zip(index_union.bandwidths, index_union.layout.values())
+        for (order, n), (block, _, own, pos) in layout:
+            start = (bandwidth - n) // 2 if kind.is_complex else 0
+            sub = table[start:start + n - 1]
             if len(own) < len(variables):
                 sub = np.take(sub, own, axis=1)
-            self._stacks.append(_OrderStack(order, block, pos, sub, kind.is_complex))
+            self._stacks.append(_OrderStack(order, block, pos, sub))
         self._dense = None  # set by dense(): the applies then read it
 
     @property
@@ -283,16 +279,16 @@ class DesignOperator:
         Once :meth:`dense` has run, one GEMV on its matrix (last bits may differ).
         """
         r = self._coerce(values, self.rows, "value vector")
+        # conj(F)^T r == conj(F^T conj(r)): conjugate the vector and the result, not F
+        r = r.conj() if self.kind.is_complex else r
         if self._dense is not None:
-            # conj(F)^T r == conj(F^T conj(r)): conjugate the vector, not the matrix
-            if self.kind.is_complex:
-                return (self._dense.T @ r.conj()).conj()
-            return self._dense.T @ r
-        out = np.empty(self.cols, dtype=self.kind.dtype)
-        out[0] = r.sum()
-        for stack in self._stacks:
-            stack.adjoint_matvec(r, out)
-        return out
+            out = self._dense.T @ r
+        else:
+            out = np.empty(self.cols, dtype=self.kind.dtype)
+            out[0] = r.sum()
+            for stack in self._stacks:
+                stack.adjoint_matvec(r, out)
+        return np.conjugate(out, out=out) if self.kind.is_complex else out
 
 
 def dense_design_matrix(nodes, index_union: FrequencyIndexUnion) -> np.ndarray:

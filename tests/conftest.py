@@ -14,7 +14,6 @@ from anovafit import (
     basis,
     build_index_union,
     eval_1d,
-    operators,
     superposition_terms,
     terms,
 )
@@ -34,7 +33,7 @@ def small_grids_only(monkeypatch):
             raise AssertionError(f"a grid of bandwidth {bandwidth} was requested")
         return build(kind, bandwidth)
 
-    for module in (basis, terms, operators):
+    for module in (basis, terms):
         monkeypatch.setattr(module, "full_grid_1d", refusing)
 
 

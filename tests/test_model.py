@@ -1,5 +1,6 @@
 """Tests for fitting, prediction, interpretation, and refinement."""
 
+import functools
 import tracemalloc
 import warnings
 
@@ -43,9 +44,10 @@ from anovafit import (
     threshold_active_set,
     variance,
 )
+from anovafit import basis, terms
 from anovafit import model as model_module
 from anovafit.datasets import FriedmanSpec, rng_stream
-from anovafit.operators import NODE_BLOCK
+from anovafit.operators import NODE_BLOCK, dense_design_matrix
 
 from conftest import gauss_legendre, random_termset, term_sets
 
@@ -224,6 +226,66 @@ class TestSolvePath:
         below = self._fit(regularization=self.LAM, tolerance=0.999 * bound)
         assert below.stop_reason != "direct" and below.iterations > 0
         assert self._fit(regularization=1e-9).stop_reason != "direct"
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_free_problem(kind, bandwidths, rows):
+    """Nodes, targets and the dense oracle of ``TestNoFrequencyGrid``'s term set."""
+    rng = np.random.default_rng(rows)
+    X = rng.uniform(*kind.domain, size=(rows, 4))
+    y = rng.normal(size=rows)
+    profile = BandwidthProfile(dict(bandwidths))
+    union = build_index_union(TestNoFrequencyGrid.TERMS, profile, kind)
+    return X, y, dense_design_matrix(X, union)
+
+
+class TestNoFrequencyGrid:
+    """``fit`` and ``predict`` read bandwidths and variable positions, and build no grid."""
+
+    # orders 1 and 3 of d = 4, order 2 skipped
+    TERMS = TermSet(4, ((1,), (2,), (4,), (1, 2, 4), (2, 3, 4)))
+    # bandwidths, rows, lam, stop reason, bound on the coefficients' relative gap to
+    # the oracle's solution (largest over the bases measured: 2.1e-14, 2.7e-7,
+    # 5.4e-10).  70 columns on 100 rows lie within the size rule (solved directly
+    # at lam > 0, by LSQR through the dense matrix at lam = 0); 714 columns on 20
+    # rows lie above it (LSQR on the structured applies)
+    CASES = {
+        "direct": (((1, 6), (3, 4)), 100, 1.0, "direct", 1e-12),
+        "lsqr_within_rule": (((1, 6), (3, 4)), 100, 0.0, "tolerance", 1e-5),
+        "lsqr_above_rule": (((1, 10), (3, 8)), 20, 1.0, "tolerance", 1e-8),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_fit_and_predict_match_the_dense_oracle(self, kind, case, monkeypatch):
+        bandwidths, rows, lam, stop, bound = self.CASES[case]
+        X, y, F = _grid_free_problem(kind, bandwidths, rows)
+        assert (rows * F.shape[1] ** 2 <= model_module.DIRECT_SOLVE_MAX_WORK) == (
+            case != "lsqr_above_rule"
+        )
+
+        def refusing(*args):
+            raise AssertionError("a frequency grid was built")
+
+        with monkeypatch.context() as patch:
+            for module in (basis, terms):
+                patch.setattr(module, "full_grid_1d", refusing)
+            with warnings.catch_warnings():
+                # 20 rows under 714 columns: the oversampling warning, as intended
+                warnings.simplefilter("ignore", UserWarning)
+                model = fit(X, y, self.TERMS, BandwidthProfile(dict(bandwidths)), kind,
+                            SolverConfig(regularization=lam))
+            values = predict(model, X)
+        assert model.stop_reason == stop
+        if lam:
+            # (F^H F + lam I)^-1 F^H y, through the rows x rows system
+            expected = F.conj().T @ np.linalg.solve(F @ F.conj().T + lam * np.eye(rows), y)
+        else:
+            expected = np.linalg.lstsq(F, y, rcond=None)[0]
+        gap = np.linalg.norm(model.coefficients - expected) / np.linalg.norm(expected)
+        assert gap < bound
+        # 8.1e-15 measured
+        assert np.allclose(values, (F @ model.coefficients).real, rtol=0.0, atol=1e-12)
 
 
 class TestPredict:
