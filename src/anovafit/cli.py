@@ -319,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="LSQR iteration cap (default %(default)s: 10x columns); it "
                             "limits LSQR iterations and does not choose the solver")
     p_fit.add_argument("--tol", type=float, default=SolverConfig.tolerance,
-                       help="solver relative tolerance (default %(default)s)")
+                       help="LSQR relative tolerance; pass 1e-8 for noise-free data; "
+                            "less than 1e-8 does not tighten a small fit with --lambda "
+                            "> 0, which is solved directly (default %(default)s)")
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="evaluate a saved model on a CSV")

@@ -55,6 +55,9 @@ from .terms import (
 
 # rows * cols**2 up to which a fit may be solved directly (scripts/solver_crossover.py)
 DIRECT_SOLVE_MAX_WORK = 10_000_000
+# largest (||F||_F^2 + lam) / lam * eps, a bound on the accuracy that the normal
+# equations' squared condition number costs, at which a fit may be solved directly
+DIRECT_SOLVE_MAX_ERROR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,10 +136,12 @@ def fit(
     The system is solved directly (:func:`~anovafit.solver.direct_solve` on
     ``op.dense()``, reporting 0 iterations and stop reason ``"direct"``) when
     ``regularization > 0``, ``rows * cols**2 <= DIRECT_SOLVE_MAX_WORK`` (the
-    measured crossover) and ``(||F||_F^2 + lam) / lam * eps <= tolerance`` (so
-    the squared condition number costs no accuracy); otherwise by LSQR.  Every
-    fit within that size rule, at any ``lam``, builds ``op.dense()``, so an
-    LSQR fit there applies through the dense matrix (one GEMV each way).
+    measured crossover) and ``(||F||_F^2 + lam) / lam * eps <=
+    DIRECT_SOLVE_MAX_ERROR`` (so the squared condition number costs no
+    accuracy); otherwise by LSQR, so ``tolerance`` and ``max_iterations`` steer
+    LSQR alone.  Every fit within that size rule, at any ``lam``, builds
+    ``op.dense()``, so an LSQR fit there applies through the dense matrix (one
+    GEMV each way).
     """
     cfg = config if config is not None else SolverConfig()
     union = build_index_union(termset, bandwidths, kind)
@@ -170,7 +175,7 @@ def _solve(op: DesignOperator, values, cfg: SolverConfig) -> LsqrResult:
         F = op.dense()
         # dense() fills F^T, so F.T is contiguous and vdot reads it without a copy
         eps = np.finfo(np.float64).eps
-        if lam > 0.0 and (np.vdot(F.T, F.T).real + lam) / lam * eps <= cfg.tolerance:
+        if lam > 0.0 and (np.vdot(F.T, F.T).real + lam) / lam * eps <= DIRECT_SOLVE_MAX_ERROR:
             return direct_solve(F, values, lam)
     return lsqr_solve(op, values, cfg)
 

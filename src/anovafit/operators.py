@@ -87,7 +87,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .basis import check_domain, eval_1d_table, eval_tensor
+from .basis import check_domain, eval_1d, eval_1d_table
 from .errors import ConfigError, DataError, as_array
 from .terms import FrequencyIndexUnion
 
@@ -292,23 +292,28 @@ class DesignOperator:
 
 
 def dense_design_matrix(nodes, index_union: FrequencyIndexUnion) -> np.ndarray:
-    """Entry-by-entry dense design matrix, as an independent test oracle.
+    """Column-by-column dense design matrix, as an independent test oracle.
 
-    Built directly from :func:`eval_tensor` per (node, frequency) pair, so it
-    shares no code path with the grouped operator.  Restricted to
-    ``DENSE_ORACLE_MAX_ENTRIES`` entries; production code must use
-    :class:`DesignOperator`.
+    Column ``j`` is the product, over the nonzero coordinates ``i`` of
+    frequency ``j``, of :func:`eval_1d` of that frequency at all nodes'
+    coordinate ``i``: direct evaluation, sharing no code path with the
+    grouped operator.  Restricted to ``DENSE_ORACLE_MAX_ENTRIES`` entries;
+    production code must use :class:`DesignOperator`.
     """
     kind = index_union.kind
     X = check_domain(kind, nodes)
+    if X.ndim != 2 or X.shape[1] != index_union.dimension:
+        raise DataError(
+            f"nodes must have shape (M, {index_union.dimension}), got {X.shape}"
+        )
     full = index_union.frequencies_full()
     if X.shape[0] * len(full) > DENSE_ORACLE_MAX_ENTRIES:
         raise ConfigError(
             f"dense oracle limited to {DENSE_ORACLE_MAX_ENTRIES} entries, "
             f"requested {X.shape[0] * len(full)}"
         )
-    out = np.empty((X.shape[0], len(full)), dtype=kind.dtype)
-    for m in range(X.shape[0]):
-        for j, k in enumerate(full):
-            out[m, j] = eval_tensor(kind, k, X[m])
+    out = np.ones((X.shape[0], len(full)), dtype=kind.dtype)
+    for j, k in enumerate(full):
+        for i in np.flatnonzero(k):
+            out[:, j] *= eval_1d(kind, int(k[i]), X[:, i])
     return out

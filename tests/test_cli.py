@@ -942,4 +942,4 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["fit", "--help"])
         text = capsys.readouterr().out
-        assert "(default 0.0)" in text and "(default 1e-08)" in text
+        assert "(default 0.0)" in text and "(default 1e-06)" in text

@@ -175,7 +175,7 @@ class TestSolvePath:
         assert (direct.stop_reason, direct.iterations) == ("direct", 0)
         train = self._train()
         lsqr = lsqr_solve(DesignOperator(train.nodes, self._union()), train.targets,
-                          SolverConfig(regularization=self.LAM))
+                          SolverConfig(regularization=self.LAM, tolerance=1e-8))
         assert lsqr.stop_reason == "tolerance" and lsqr.iterations > 0
         rel = np.linalg.norm(direct.coefficients - lsqr.coefficients)
         assert rel / np.linalg.norm(direct.coefficients) < 1e-6
@@ -217,15 +217,48 @@ class TestSolvePath:
         monkeypatch.setattr(model_module, "DIRECT_SOLVE_MAX_WORK", work - 1)
         assert self._fit(regularization=self.LAM).stop_reason == "tolerance"
 
-    def test_conditioning_guard(self):
+    def test_conditioning_guard(self, monkeypatch):
         dense = DesignOperator(self._train().nodes, self._union()).dense()
-        # the rule: (||F||_F^2 + lam) / lam * eps <= tolerance
+        # the rule: (||F||_F^2 + lam) / lam * eps <= DIRECT_SOLVE_MAX_ERROR
         bound = (np.sum(dense**2) + self.LAM) / self.LAM * np.finfo(np.float64).eps
-        above = self._fit(regularization=self.LAM, tolerance=1.001 * bound)
-        assert above.stop_reason == "direct"
-        below = self._fit(regularization=self.LAM, tolerance=0.999 * bound)
+        monkeypatch.setattr(model_module, "DIRECT_SOLVE_MAX_ERROR", 1.001 * bound)
+        assert self._fit(regularization=self.LAM).stop_reason == "direct"
+        monkeypatch.setattr(model_module, "DIRECT_SOLVE_MAX_ERROR", 0.999 * bound)
+        below = self._fit(regularization=self.LAM)
         assert below.stop_reason != "direct" and below.iterations > 0
+        monkeypatch.undo()
         assert self._fit(regularization=1e-9).stop_reason != "direct"
+
+    def test_tolerance_does_not_choose_the_solver(self):
+        # tolerances below (||F||_F^2 + lam) / lam * eps at lam = 3 (1.1e-12) and
+        # above it at lam = 1e-9 (3.3e-3): the path follows the guard's constant alone
+        tight = self._fit(regularization=self.LAM, tolerance=1e-13)
+        assert (tight.stop_reason, tight.iterations) == ("direct", 0)
+        assert self._fit(regularization=1e-9, tolerance=0.5).stop_reason != "direct"
+
+
+def test_default_tolerance_costs_no_accuracy():
+    """The default tolerance (1e-6) against 1e-8 on a noisy fit above the size rule.
+
+    A d=10, ds=2, N=(6,4) cosine fit (456 columns) to 2000 rows of Friedman-1
+    plus unit noise at lam = 1, scored on 2000 fresh rows.  Over seeds 0-49 the
+    default took 20-21 iterations against 26-28, both stopping on the
+    tolerance, and its held-out MSE lay within [-6.9e-7, +1.2e-6] relative of
+    the 1e-8 fit's (-4.5e-7 at seed 0); the band below is 2.5 times the widest.
+    """
+    rng = np.random.default_rng(0)
+    train, test = (friedman_sample(FriedmanSpec(1), 2000, rng) for _ in range(2))
+    termset, profile = superposition_terms(10, 2), BandwidthProfile.from_list([6, 4])
+    assert 2000 * 456**2 > model_module.DIRECT_SOLVE_MAX_WORK
+    default, tight = (
+        fit(train.nodes, train.targets, termset, profile, BasisKind.COSINE, config)
+        for config in (SolverConfig(regularization=1.0),
+                       SolverConfig(regularization=1.0, tolerance=1e-8))
+    )
+    assert default.stop_reason == tight.stop_reason == "tolerance"
+    assert default.iterations < tight.iterations
+    mse_default, mse_tight = (mse(test.targets, predict(m, test.nodes)) for m in (default, tight))
+    assert abs(mse_default - mse_tight) <= 3e-6 * mse_tight
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,7 +307,7 @@ class TestNoFrequencyGrid:
                 # 20 rows under 714 columns: the oversampling warning, as intended
                 warnings.simplefilter("ignore", UserWarning)
                 model = fit(X, y, self.TERMS, BandwidthProfile(dict(bandwidths)), kind,
-                            SolverConfig(regularization=lam))
+                            SolverConfig(regularization=lam, tolerance=1e-8))
             values = predict(model, X)
         assert model.stop_reason == stop
         if lam:
