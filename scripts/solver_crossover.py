@@ -2,13 +2,15 @@
 """Time LSQR against the direct damped solve over a ladder of system sizes.
 
 For each cosine term set (13 to 1000 columns) and each row count, fits a
-noisy Friedman-1-like target with ``lam > 0`` both ways from the same
-design operator: ``lsqr_solve(op, y)`` and ``direct_solve(op.dense(), y)``
-(the dense gather is charged to the direct path).  Prints one table with
-the median time of each path, the faster one, ``rows * cols**2``, the
-path that :func:`anovafit.fit`'s size rule picks (its accuracy guard,
-which small ``--lam`` can fail, is not applied here), and the relative
-coefficient difference ``||g_direct - g_lsqr|| / ||g_direct||``.  The
+noisy Friedman-1-like target with ``lam > 0`` three ways, the paths of
+:func:`anovafit.fit`: ``lsqr_solve(op, y)`` on the structured operator,
+``lsqr_solve`` on a fresh operator after ``_apply_dense()`` (one GEMV
+each way), and ``direct_solve(op.dense(), y)``.  The dense gather is
+charged to both dense paths.  Prints one table with the median time and
+LSQR iterations of each path, the fastest one, ``rows * cols**2``, the
+path that fit's size rule picks (its accuracy guard, which small ``--lam``
+can fail, is not applied here), and the relative coefficient difference
+``||g_direct - g_lsqr|| / ||g_direct||`` of the structured LSQR.  The
 crossover sets ``anovafit.model.DIRECT_SOLVE_MAX_WORK``.
 
 Usage:
@@ -16,9 +18,7 @@ Usage:
 """
 
 import argparse
-import copy
 import time
-import warnings
 
 import numpy as np
 
@@ -70,8 +70,9 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
 
     print(
-        f"{'cols':>5} {'rows':>6} {'lsqr_ms':>9} {'iters':>5} {'direct_ms':>9} "
-        f"{'faster':>6} {'rows*cols^2':>11} {'size_rule':>9} {'rel_diff':>8}"
+        f"{'cols':>5} {'rows':>6} {'lsqr_ms':>9} {'iters':>5} {'dense_lsqr_ms':>13} "
+        f"{'iters':>5} {'direct_ms':>9} {'fastest':>10} {'rows*cols^2':>11} "
+        f"{'size_rule':>9} {'rel_diff':>8}"
     )
     for dimension, bandwidths in TERM_SETS:
         union = build_index_union(
@@ -83,20 +84,22 @@ def main() -> None:
             # the target reads five columns; a smaller term set sees the rest as noise
             u = rng.random((rows, max(dimension, 5)))
             y = friedman1_like(u) + NOISE * rng.standard_normal(rows)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # the 200-row cases are underdetermined
-                op = DesignOperator(u[:, :dimension], union)
+            op = DesignOperator(u[:, :dimension], union)
+            switched = DesignOperator(u[:, :dimension], union)
+            switched._apply_dense()
             t_lsqr, lsqr = median_time(lambda: lsqr_solve(op, y, config))
-            # dense() keeps its matrix, so each run gathers it on a fresh shallow copy
-            t_direct, direct = median_time(
-                lambda: direct_solve(copy.copy(op).dense(), y, args.lam)
-            )
+            t_gather, _ = median_time(op.dense)
+            t_dense, dense = median_time(lambda: lsqr_solve(switched, y, config))
+            t_dense += t_gather
+            t_direct, direct = median_time(lambda: direct_solve(op.dense(), y, args.lam))
+            times = {"lsqr": t_lsqr, "dense_lsqr": t_dense, "direct": t_direct}
             work = rows * op.cols**2
             diff = np.linalg.norm(direct.coefficients - lsqr.coefficients)
             print(
                 f"{op.cols:>5} {rows:>6} {1e3 * t_lsqr:>9.2f} {lsqr.iterations:>5} "
-                f"{1e3 * t_direct:>9.2f} {'direct' if t_direct < t_lsqr else 'lsqr':>6} "
-                f"{work:>11.2e} {'direct' if work <= DIRECT_SOLVE_MAX_WORK else 'lsqr':>9} "
+                f"{1e3 * t_dense:>13.2f} {dense.iterations:>5} {1e3 * t_direct:>9.2f} "
+                f"{min(times, key=times.get):>10} {work:>11.2e} "
+                f"{'direct' if work <= DIRECT_SOLVE_MAX_WORK else 'lsqr':>9} "
                 f"{diff / np.linalg.norm(direct.coefficients):>8.1e}"
             )
 

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError, as_array, as_integer, as_real
+from .errors import ConfigError, DataError, as_array, as_integer, as_real, json_reader
 
 _PURPOSE_CODES = {"train": 0, "test": 1, "split": 2}
 
@@ -87,7 +87,10 @@ class Normalization:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Normalization":
-        return cls(obj["feature_min"], obj["feature_max"], obj["target_min"], obj["target_max"])
+        with json_reader():
+            return cls(
+                obj["feature_min"], obj["feature_max"], obj["target_min"], obj["target_max"]
+            )
 
     def check_width(self, columns: int) -> None:
         """Raise a :class:`DataError` unless the extrema hold one value per column."""
@@ -235,12 +238,15 @@ def load_csv(path, target_column: str | None) -> Dataset:
     column or the line and, for a cell, its column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            header = next(csv.reader(fh))
+            header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:  # such as a cell beyond csv.field_size_limit()
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
         header = [name.strip() for name in header]
         repeated = [name for i, name in enumerate(header) if name in header[:i]]
         if repeated:
@@ -305,24 +311,27 @@ def _diagnose_csv(path, header, problem: str) -> DataError:
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                return DataError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            for name, cell in zip(header, row):
-                try:
-                    value = _csv_cell(cell)
-                except ValueError:
+        try:
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
                     return DataError(
-                        f"{path}:{line_no}: column {name!r}: non-numeric cell {cell!r}"
+                        f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
                     )
-                if not math.isfinite(value):
-                    return DataError(
-                        f"{path}:{line_no}: column {name!r}: non-finite cell {cell!r}"
-                    )
+                for name, cell in zip(header, row):
+                    try:
+                        value = _csv_cell(cell)
+                    except ValueError:
+                        return DataError(
+                            f"{path}:{line_no}: column {name!r}: non-numeric cell {cell!r}"
+                        )
+                    if not math.isfinite(value):
+                        return DataError(
+                            f"{path}:{line_no}: column {name!r}: non-finite cell {cell!r}"
+                        )
+        except csv.Error as exc:  # such as a cell beyond csv.field_size_limit()
+            return DataError(f"{path}:{reader.line_num}: {exc}")
     return DataError(f"{path}: {problem}")
 
 

@@ -11,6 +11,7 @@ argument of the library by :func:`as_array`, so a wrong type or length is a
 typed error at the boundary and never a bare numpy error or a silent cast.
 """
 
+import contextlib
 import numbers
 import operator
 
@@ -39,6 +40,17 @@ class NumericalError(AnovaFitError):
 
 class DegenerateModelError(NumericalError):
     """Model variance is zero; sensitivity indices are undefined."""
+
+
+@contextlib.contextmanager
+def json_reader():
+    """Re-raise a JSON object reader's bare error (a missing key, a wrong type) as a DataError."""
+    try:
+        yield
+    except AnovaFitError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(str(exc)) from exc
 
 
 def as_integer(value, what: str) -> int:

@@ -133,15 +133,19 @@ def fit(
 ) -> Model:
     """Fit expansion coefficients by damped least squares on scattered data.
 
-    The system is solved directly (:func:`~anovafit.solver.direct_solve` on
-    ``op.dense()``, reporting 0 iterations and stop reason ``"direct"``) when
-    ``regularization > 0``, ``rows * cols**2 <= DIRECT_SOLVE_MAX_WORK`` (the
-    measured crossover) and ``(||F||_F^2 + lam) / lam * eps <=
-    DIRECT_SOLVE_MAX_ERROR`` (so the squared condition number costs no
-    accuracy); otherwise by LSQR, so ``tolerance`` and ``max_iterations`` steer
-    LSQR alone.  Every fit within that size rule, at any ``lam``, builds
-    ``op.dense()``, so an LSQR fit there applies through the dense matrix (one
-    GEMV each way).
+    The solve takes one of three paths:
+
+    1. above the size rule ``rows * cols**2 <= DIRECT_SOLVE_MAX_WORK`` (the
+       measured crossover), LSQR on the structured operator;
+    2. otherwise, when ``regularization > 0`` and ``(||F||_F^2 + lam) / lam *
+       eps <= DIRECT_SOLVE_MAX_ERROR`` (so the squared condition number costs
+       no accuracy), :func:`~anovafit.solver.direct_solve` on the dense
+       matrix, reporting 0 iterations and stop reason ``"direct"``;
+    3. otherwise LSQR on the operator switched to that dense matrix (one GEMV
+       each way, so its coefficients can differ in the last bits from LSQR's
+       on the structured applies).
+
+    ``tolerance`` and ``max_iterations`` steer LSQR alone.
     """
     cfg = config if config is not None else SolverConfig()
     union = build_index_union(termset, bandwidths, kind)
@@ -169,14 +173,15 @@ def fit(
 
 
 def _solve(op: DesignOperator, values, cfg: SolverConfig) -> LsqrResult:
+    """The three paths of :func:`fit`, in order."""
     lam = cfg.regularization
-    if op.rows * op.cols**2 <= DIRECT_SOLVE_MAX_WORK:
-        # kept by the operator: an LSQR fit below then applies through it
-        F = op.dense()
-        # dense() fills F^T, so F.T is contiguous and vdot reads it without a copy
-        eps = np.finfo(np.float64).eps
-        if lam > 0.0 and (np.vdot(F.T, F.T).real + lam) / lam * eps <= DIRECT_SOLVE_MAX_ERROR:
-            return direct_solve(F, values, lam)
+    if op.rows * op.cols**2 > DIRECT_SOLVE_MAX_WORK:
+        return lsqr_solve(op, values, cfg)
+    F = op._apply_dense()
+    # dense() fills F^T, so F.T is contiguous and vdot reads it without a copy
+    eps = np.finfo(np.float64).eps
+    if lam > 0.0 and (np.vdot(F.T, F.T).real + lam) / lam * eps <= DIRECT_SOLVE_MAX_ERROR:
+        return direct_solve(F, values, lam)
     return lsqr_solve(op, values, cfg)
 
 
@@ -473,6 +478,6 @@ def load_model(path) -> Model:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except ValueError as exc:  # a decode error, or an integer too long to convert
+        except (RecursionError, ValueError) as exc:  # bad JSON, a too-long integer, deep nesting
             raise DataError(f"{path}: not a JSON file: {exc}") from None
     return model_from_obj(obj)

@@ -71,12 +71,9 @@ order, the first one taken as is.  For a fixed BLAS thread count, repeated
 applications of the same operator are therefore bitwise-identical.  An
 operator whose nodes fit in each order's node step applies in exactly one
 product per step, as if there were no blocks; one of more nodes differs from
-that single product only in the last bits.  Once :meth:`DesignOperator.dense`
-has run, the operator keeps that read-only matrix and each apply is one GEMV
-on it, which differs from the structured apply in the last bits.
-:func:`~anovafit.model.fit` builds it for every fit within its direct-size
-rule, so the coefficients of an LSQR fit there can differ in the last bits
-from those of an LSQR run on the structured applies.
+that single product only in the last bits.  After ``DesignOperator._apply_dense``
+each apply is one GEMV on the dense matrix, which differs from the structured
+apply in the last bits; :meth:`DesignOperator.dense` keeps nothing.
 """
 
 from __future__ import annotations
@@ -233,7 +230,7 @@ class DesignOperator:
             if len(own) < len(variables):
                 sub = np.take(sub, own, axis=1)
             self._stacks.append(_OrderStack(order, block, pos, sub))
-        self._dense = None  # set by dense(): the applies then read it
+        self._dense = None  # set by _apply_dense(): the applies then read it
 
     @property
     def oversampling(self) -> float:
@@ -245,10 +242,7 @@ class DesignOperator:
         return v.astype(self.kind.dtype, copy=False)
 
     def matvec(self, coeffs) -> np.ndarray:
-        """Values ``sum_k coeffs[k] * phi_k(x_m)`` at every node.
-
-        Once :meth:`dense` has run, one GEMV on its matrix (last bits may differ).
-        """
+        """Values ``sum_k coeffs[k] * phi_k(x_m)`` at every node."""
         c = self._coerce(coeffs, self.cols, "coefficient vector")
         if self._dense is not None:
             return self._dense @ c
@@ -258,26 +252,25 @@ class DesignOperator:
         return out
 
     def dense(self) -> np.ndarray:
-        """Dense design matrix from the tables; the oracle is :func:`dense_design_matrix`.
+        """A fresh read-only dense design matrix from the tables; the operator keeps nothing.
 
-        Built once and kept, read-only: from then on :meth:`matvec` and
-        :meth:`adjoint_matvec` are each one GEMV on it, not the structured apply.
+        The oracle is :func:`dense_design_matrix`.
         """
-        if self._dense is None:
-            # filled as F^T, so that every write is a copy of contiguous rows
-            out = np.empty((self.cols, self.rows), dtype=self.kind.dtype)
-            out[0] = 1.0
-            for stack in self._stacks:
-                stack.dense_transposed(out)
-            out.setflags(write=False)
-            self._dense = out.T
+        # filled as F^T, so that every write is a copy of contiguous rows
+        out = np.empty((self.cols, self.rows), dtype=self.kind.dtype)
+        out[0] = 1.0
+        for stack in self._stacks:
+            stack.dense_transposed(out)
+        out.setflags(write=False)
+        return out.T
+
+    def _apply_dense(self) -> np.ndarray:
+        """Build :meth:`dense`, make each later apply one GEMV on it, and return it."""
+        self._dense = self.dense()
         return self._dense
 
     def adjoint_matvec(self, values) -> np.ndarray:
-        """Adjoint application ``sum_m conj(phi_k(x_m)) * values[m]`` per frequency.
-
-        Once :meth:`dense` has run, one GEMV on its matrix (last bits may differ).
-        """
+        """Adjoint application ``sum_m conj(phi_k(x_m)) * values[m]`` per frequency."""
         r = self._coerce(values, self.rows, "value vector")
         # conj(F)^T r == conj(F^T conj(r)): conjugate the vector and the result, not F
         r = r.conj() if self.kind.is_complex else r

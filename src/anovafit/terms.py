@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisKind, as_bandwidth, full_grid_1d
-from .errors import ConfigError, DataError, as_integer
+from .errors import ConfigError, DataError, as_integer, json_reader
 
 Term = tuple[int, ...]
 # distinct arguments whose term set or index union is kept (each a few small arrays)
@@ -108,8 +108,9 @@ class TermSet:
 
     @classmethod
     def from_json_obj(cls, obj) -> "TermSet":
-        terms = tuple(tuple(u) for u in obj["terms"])
-        return cls(obj["dimension"], terms, obj["superposition_threshold"])
+        with json_reader():
+            terms = tuple(tuple(u) for u in obj["terms"])
+            return cls(obj["dimension"], terms, obj["superposition_threshold"])
 
 
 def superposition_terms(dimension: int, threshold: int) -> TermSet:
@@ -173,7 +174,8 @@ class BandwidthProfile:
 
     @classmethod
     def from_json_obj(cls, obj) -> "BandwidthProfile":
-        return cls({int(order): n for order, n in obj.items()})  # JSON keys are strings
+        with json_reader():
+            return cls({int(order): n for order, n in obj.items()})  # JSON keys are strings
 
 
 @dataclass(frozen=True)
@@ -273,5 +275,5 @@ def load_termset(path) -> TermSet:
     try:
         with open(path, encoding="utf-8") as fh:
             return TermSet.from_json_obj(json.load(fh))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deep
         raise DataError(f"{path}: malformed term set file: {exc}") from exc

@@ -914,6 +914,41 @@ class TestErrorBoundary:
         assert code == 3
         assert message in err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("rank", ["--model", "{deep}"]),
+        ("refine", ["--model", "{deep}", "--gsi-threshold", "0.02", "--out", "{out}"]),
+        ("predict", ["--model", "{deep}", "--csv", "{csv}"]),
+        ("fit", ["--csv", "{csv}", "--target", "y", "--terms", "{deep}",
+                 "--bandwidths", "4", "--out", "{out}"]),
+    ])
+    def test_deeply_nested_json_exits_3(self, tmp_path, capsys, command, flags):
+        # json.load raises RecursionError on nesting this deep
+        deep_path = tmp_path / "deep.json"
+        deep_path.write_text("[" * 200000 + "]" * 200000)
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("a,b,y\n0.1,0.2,1.0\n0.3,0.4,2.0\n0.5,0.6,3.0\n")
+        flags = [f.format(deep=deep_path, csv=csv_path, out=tmp_path / "o.json") for f in flags]
+        code, out, err = run_cli(capsys, command, *flags)
+        assert code == 3
+        assert out == ""
+        assert "data error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("header, row, line", [
+        ("a," + "b" * 131073 + ",y", "0.1,0.2,1.0", 1),
+        ("a,b,y", "0.1," + "c" * 131073 + ",1.0", 3),
+    ], ids=["header", "body"])
+    def test_csv_cell_beyond_the_field_limit_exits_3(self, tmp_path, capsys, header, row, line):
+        # 131073 characters: one more than the csv module's default field limit
+        csv_path = tmp_path / "wide.csv"
+        csv_path.write_text(f"{header}\n0.1,0.2,1.0\n{row}\n")
+        code, out, err = run_cli(capsys, "fit", "--csv", str(csv_path), "--target", "y",
+                                 "--ds", "1", "--bandwidths", "4",
+                                 "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert out == ""
+        assert f"data error: {csv_path}:{line}: field larger than field limit" in err
+        assert "Traceback" not in err
+
 
 class TestParser:
     def test_no_subcommand_prints_help(self, capsys):

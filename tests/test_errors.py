@@ -349,6 +349,14 @@ CASES = {
     "ragged tensor frequencies": (
         DataError, lambda: eval_tensor(BasisKind.COSINE, [[1], [2, 3]], [0.3, 0.5])
     ),
+    "term-set object without keys": (DataError, lambda: TermSet.from_json_obj({})),
+    "term-set object as a list": (DataError, lambda: TermSet.from_json_obj([])),
+    "bandwidth object as a list": (DataError, lambda: BandwidthProfile.from_json_obj([])),
+    "non-integer bandwidth order key": (
+        DataError, lambda: BandwidthProfile.from_json_obj({"x": 4})
+    ),
+    "normalization object without keys": (DataError, lambda: Normalization.from_json_obj({})),
+    "normalization object as a list": (DataError, lambda: Normalization.from_json_obj([])),
 }
 
 

@@ -78,7 +78,6 @@ def _check_dense(op, rng):
     if op.kind.is_complex:
         coeffs = coeffs + 1j * rng.standard_normal(op.cols)
         values = values + 1j * rng.standard_normal(op.rows)
-    # applied before dense(), after which the operator applies through its matrix
     matvec, adjoint = op.matvec(coeffs), op.adjoint_matvec(values)
     F = op.dense()
     assert F.shape == op.shape and F.dtype == op.kind.dtype
@@ -115,7 +114,7 @@ def test_dense_matches_oracle_property(kind, termset, n1, n_higher, rows, seed):
     union = build_index_union(termset, bandwidths, kind)
     lo, hi = kind.domain
     op = DesignOperator(rng.uniform(lo, hi, size=(rows, termset.dimension)), union)
-    # <F c, r> == <c, F^H r>, on the structured applies (before dense())
+    # <F c, r> == <c, F^H r>
     coeffs = rng.standard_normal(op.cols)
     values = rng.standard_normal(op.rows)
     if kind.is_complex:
@@ -281,7 +280,6 @@ def test_node_blocks_equal_one_product(kind, order, monkeypatch):
     # blocks sum in a fixed order, so a repeated apply is bitwise the same
     assert np.array_equal(matvec, op.matvec(coeffs))
     assert np.array_equal(adjoint, op.adjoint_matvec(values))
-    # applied before dense(), after which the operator applies through its matrix
     F = op.dense()
     assert _relative_gap(matvec, F @ coeffs) <= 1e-13
     assert _relative_gap(adjoint, F.conj().T @ values) <= 1e-13
@@ -474,9 +472,8 @@ def test_fit_and_predict_refuse_a_table_beyond_physical_memory(monkeypatch):
         predict(model, rng.random((5000, 3)))
 
 
-@pytest.mark.parametrize("kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV])
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_applies_after_dense_run_through_the_kept_matrix(kind, order):
+def _apply_case(kind, order):
+    """An operator of highest order ``order`` on 60 nodes, with a coefficient and a value vector."""
     rng = np.random.default_rng(50 + order)
     union = build_index_union(
         superposition_terms(4, order), BandwidthProfile.from_list([6, 4, 4][:order]), kind
@@ -489,12 +486,32 @@ def test_applies_after_dense_run_through_the_kept_matrix(kind, order):
     if kind.is_complex:
         coeffs = coeffs + 1j * rng.standard_normal(op.cols)
         values = values + 1j * rng.standard_normal(op.rows)
-    structured = op.matvec(coeffs), op.adjoint_matvec(values)
+    return op, coeffs, values
+
+
+@pytest.mark.parametrize("kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_dense_keeps_nothing(kind, order):
+    op, coeffs, values = _apply_case(kind, order)
     F = op.dense()
-    assert op.dense() is F and not F.flags.writeable
+    G = op.dense()
+    assert F is not G and not np.shares_memory(F, G)
+    assert np.array_equal(F, G) and not F.flags.writeable and not G.flags.writeable
+    fresh = DesignOperator(op.nodes, op.index_union)
+    assert np.array_equal(op.matvec(coeffs), fresh.matvec(coeffs))
+    assert np.array_equal(op.adjoint_matvec(values), fresh.adjoint_matvec(values))
+
+
+@pytest.mark.parametrize("kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_applies_after_dense_run_through_the_kept_matrix(kind, order):
+    op, coeffs, values = _apply_case(kind, order)
+    structured = op.matvec(coeffs), op.adjoint_matvec(values)
+    F = op._apply_dense()
+    assert not F.flags.writeable
     matvec, adjoint = op.matvec(coeffs), op.adjoint_matvec(values)
     np.testing.assert_array_equal(matvec, F @ coeffs)
-    oracle = dense_design_matrix(nodes, union)
+    oracle = dense_design_matrix(op.nodes, op.index_union)
     for got, want in ((matvec, structured[0]), (matvec, oracle @ coeffs),
                       (adjoint, structured[1]), (adjoint, oracle.conj().T @ values)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

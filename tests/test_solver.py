@@ -172,7 +172,6 @@ def test_direct_matches_dense_oracle_and_lsqr(kind):
         y = rng.standard_normal(op.rows)
         if kind.is_complex:
             y = y + 1j * rng.standard_normal(op.rows)
-        # LSQR first: after dense() the operator applies through the kept matrix
         lsqr = lsqr_solve(op, y, SolverConfig(regularization=lam, tolerance=1e-13))
         got = direct_solve(op.dense(), y, lam)
         want = normal_equations_oracle(op, y, lam)
@@ -218,7 +217,6 @@ def test_direct_solve_matches_tight_lsqr(kind, termset, n1, n_higher, rows, lam,
     y = rng.standard_normal(rows)
     if kind.is_complex:
         y = y + 1j * rng.standard_normal(rows)
-    # LSQR first: after dense() the operator applies through the kept matrix
     iterative = lsqr_solve(op, y, SolverConfig(regularization=lam, tolerance=1e-12))
     direct = direct_solve(op.dense(), y, lam).coefficients
     assert iterative.stop_reason == "tolerance"
