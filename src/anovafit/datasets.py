@@ -21,7 +21,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError, as_array, as_integer, as_real, json_reader
+from .errors import (ConfigError, DataError, as_array, as_integer, as_real, check_memory,
+                     json_reader)
 
 _PURPOSE_CODES = {"train": 0, "test": 1, "split": 2}
 
@@ -209,11 +210,13 @@ def friedman_sample(
 ) -> Dataset:
     """Uniform i.i.d. nodes on [0,1]^d with noisy evaluations.
 
-    The noise is drawn from the same generator after the nodes.
+    The noise is drawn from the same generator after the nodes.  The
+    sample's ``(d + 1) size`` floats pass :func:`~anovafit.errors.check_memory` first.
     """
     size = as_integer(size, "sample size")
     if size < 1:
         raise ConfigError("sample size must be >= 1")
+    check_memory((spec.dimension + 1) * size * 8, f"a sample of {size} rows")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(_seed(rng))
     nodes = gen.uniform(0.0, 1.0, size=(size, spec.dimension))
     targets = friedman_eval(spec, nodes) + spec.noise_scale * gen.standard_normal(size)

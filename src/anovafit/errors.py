@@ -9,11 +9,13 @@ reaches the CLI's ``main`` is a bug and shows its traceback.
 A setting is read by :func:`as_integer` or :func:`as_real`, and every array
 argument of the library by :func:`as_array`, so a wrong type or length is a
 typed error at the boundary and never a bare numpy error or a silent cast.
+Each allocation sized by outside input passes :func:`check_memory` before it is made.
 """
 
 import contextlib
 import numbers
 import operator
+import os
 
 import numpy as np
 
@@ -51,6 +53,18 @@ def json_reader():
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(str(exc)) from exc
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory, the limit of :func:`check_memory`."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(nbytes: int, what: str, error: type[AnovaFitError] = ConfigError) -> None:
+    """Raise ``error`` if ``what``, of at least ``nbytes`` bytes, would not fit in memory."""
+    memory = physical_memory()
+    if nbytes > memory:
+        raise error(f"{what} of {nbytes} bytes exceeds the {memory} bytes of physical memory")
 
 
 def as_integer(value, what: str) -> int:

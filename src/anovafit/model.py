@@ -40,8 +40,9 @@ import numpy as np
 
 from .basis import BasisKind
 from .datasets import Normalization
-from .errors import ConfigError, DataError, DegenerateModelError, as_array, as_integer, as_real
-from .operators import NODE_BLOCK, DesignOperator, physical_memory
+from .errors import (ConfigError, DataError, DegenerateModelError, as_array, as_integer,
+                     as_real, check_memory)
+from .operators import NODE_BLOCK, DesignOperator
 from .solver import LsqrResult, SolverConfig, direct_solve, lsqr_solve
 from .terms import (
     BandwidthProfile,
@@ -49,6 +50,7 @@ from .terms import (
     Term,
     TermSet,
     build_index_union,
+    check_subsets,
     write_json,
 )
 
@@ -150,6 +152,7 @@ def fit(
     cfg = config if config is not None else SolverConfig()
     union = build_index_union(termset, bandwidths, kind)
     op = DesignOperator(nodes, union)
+    check_memory(op.cols * kind.dtype.itemsize, f"a coefficient vector of {op.cols} entries")
     result: LsqrResult = _solve(op, values, cfg)
     if op.oversampling <= 1.0:
         warnings.warn(
@@ -253,16 +256,11 @@ def attribute_ranking(report: SensitivityReport) -> np.ndarray:
     Each term's sensitivity index is credited to each of its variables with
     weight ``1 / #{same-order terms of the report containing that variable}``;
     the scores are then normalized.  Variables absent from every term score 0.
-    A ranking of more bytes than :func:`~anovafit.operators.physical_memory`
-    is a :class:`~anovafit.errors.DataError`, raised before it is allocated.
+    The scores pass :func:`~anovafit.errors.check_memory` as a
+    :class:`~anovafit.errors.DataError` before they are allocated.
     """
-    nbytes = report.dimension * np.dtype(np.float64).itemsize
-    memory = physical_memory()
-    if nbytes > memory:
-        raise DataError(
-            f"a ranking of {report.dimension} variables takes {nbytes} bytes, more than "
-            f"the {memory} bytes of physical memory"
-        )
+    check_memory(report.dimension * np.dtype(np.float64).itemsize,
+                 f"a ranking of {report.dimension} variables", DataError)
     counts = Counter((len(u), i) for u, _ in report.indices for i in u)
     scores = np.zeros(report.dimension)
     for u, rho in report.indices:
@@ -334,7 +332,7 @@ def incremental_expand(
     ``[0, 1)``, see :meth:`SensitivityReport.ranked_above`) form a pool
     ``v``; all subsets of ``v`` with order between the current superposition
     threshold (exclusive) and ``expansion_order`` (inclusive, below the
-    dimension) are added.
+    dimension) are added, after :func:`~anovafit.terms.check_subsets`.
     """
     expansion_order = as_integer(expansion_order, "expansion order")
     pool = report.ranked_above(ranking_threshold)
@@ -350,6 +348,7 @@ def incremental_expand(
             stacklevel=2,
         )
         return termset
+    check_subsets(len(pool), range(current + 1, expansion_order + 1), "an expansion")
     additions = {
         u
         for order in range(current + 1, expansion_order + 1)

@@ -31,8 +31,7 @@ when it uses all ``v`` variables, else as one gather of it at ``own``: at most
 ``pos[t, k]`` is the position ``p`` of term ``t``'s ``k``-th variable, so
 ``T_l[:, pos[t, k]]`` is that factor of term ``t``; row ``j v_l + p`` of
 ``T_l`` viewed as ``(n_l v_l, M)`` is frequency ``j`` of variable ``p``.
-A table of more bytes than :func:`physical_memory` is a
-:class:`~anovafit.errors.ConfigError`, raised before the table is built.
+The table passes :func:`~anovafit.errors.check_memory` before it is built.
 
 **Apply.**  Each order works on ``T_l`` viewed as ``(n_l v_l, M)``.  Order 1
 takes one BLAS call each way; orders 2 and up run over node blocks, column
@@ -79,24 +78,18 @@ apply in the last bits; :meth:`DesignOperator.dense` keeps nothing.
 from __future__ import annotations
 
 import operator
-import os
 from functools import cached_property, reduce
 
 import numpy as np
 
 from .basis import check_domain, eval_1d, eval_1d_table
-from .errors import ConfigError, DataError, as_array
+from .errors import ConfigError, DataError, as_array, check_memory
 from .terms import FrequencyIndexUnion
 
 # matrix entries allowed for the dense test oracle
 DENSE_ORACLE_MAX_ENTRIES = 2_000_000
 # nodes per block of an order-2 apply (higher orders take fewer), and per operator in model.predict
 NODE_BLOCK = 4096
-
-
-def physical_memory() -> int:
-    """Bytes of physical memory: no operator builds a basis table larger than this."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class _OrderStack:
@@ -213,12 +206,8 @@ class DesignOperator:
         variables = index_union.variables
         bandwidth = max((n for _, n in index_union.bandwidths), default=2)
         # the table holds N - 1 frequencies of v variables at M nodes
-        nbytes = (bandwidth - 1) * len(variables) * self.rows * kind.dtype.itemsize
-        memory = physical_memory()
-        if nbytes > memory:
-            raise ConfigError(
-                f"a basis table of {nbytes} bytes exceeds the {memory} bytes of physical memory"
-            )
+        check_memory((bandwidth - 1) * len(variables) * self.rows * kind.dtype.itemsize,
+                     "a basis table")
         # points over (variable, node) pairs: the transposed table is (N - 1, v, M)
         table = eval_1d_table(kind, bandwidth, X.T[variables - 1].ravel()).T
         table = table.reshape(bandwidth - 1, len(variables), self.rows)

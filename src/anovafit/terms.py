@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import sys
 import types
 from collections.abc import Mapping
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisKind, as_bandwidth, full_grid_1d
-from .errors import ConfigError, DataError, as_integer, json_reader
+from .errors import ConfigError, DataError, as_integer, check_memory, json_reader
 
 Term = tuple[int, ...]
 # distinct arguments whose term set or index union is kept (each a few small arrays)
@@ -113,6 +114,23 @@ class TermSet:
             return cls(obj["dimension"], terms, obj["superposition_threshold"])
 
 
+def check_subsets(n: int, orders: range, what: str) -> None:
+    """Refuse to list the subsets of ``orders`` of ``n`` variables if they cannot fit in memory.
+
+    Counted with :func:`math.comb`, each subset as ``sys.getsizeof`` of a
+    tuple of its order: a lower bound of what a list of them holds, so only
+    what cannot fit is refused (by :func:`~anovafit.errors.check_memory`).
+    The running total is checked order by order, so a hostile count stops
+    at the first order past the limit.
+    """
+    count = nbytes = 0
+    for order in orders:
+        subsets = math.comb(n, order)
+        count += subsets
+        nbytes += subsets * sys.getsizeof(tuple(range(order)))
+        check_memory(nbytes, f"{what} of {count} terms up to order {order}")
+
+
 def superposition_terms(dimension: int, threshold: int) -> TermSet:
     """All variable subsets of order at most ``threshold``; equal arguments share one term set."""
     return _superposition_terms(
@@ -126,6 +144,7 @@ def _superposition_terms(dimension: int, threshold: int) -> TermSet:
         raise ConfigError(
             f"superposition threshold {threshold} out of range [1, {dimension}]"
         )
+    check_subsets(dimension, range(threshold + 1), "a term set")
     terms = [
         u
         for order in range(threshold + 1)

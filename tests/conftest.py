@@ -37,6 +37,25 @@ def small_grids_only(monkeypatch):
         monkeypatch.setattr(module, "full_grid_1d", refusing)
 
 
+@pytest.fixture()
+def no_enumeration(monkeypatch):
+    """Make ``itertools.combinations`` fail, so a test shows that no term list was built.
+
+    ``terms`` and ``model`` look it up at call time, so one patch covers both.
+    """
+    def refusing(*args):
+        raise AssertionError("itertools.combinations was reached")
+
+    monkeypatch.setattr(itertools, "combinations", refusing)
+
+
+class NoDraws(np.random.Generator):
+    """A generator that fails if it is asked for nodes."""
+
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("the generator drew a sample")
+
+
 def gauss_legendre(n: int, lo: float, hi: float):
     """Gauss-Legendre nodes and weights mapped onto [lo, hi]."""
     t, w = np.polynomial.legendre.leggauss(n)

@@ -3,7 +3,9 @@
 ``perfbench/spans.py`` times library calls by replacing module attributes
 listed in its ``PATCHES`` table.  A renamed or removed name passes every
 other test and only breaks the traced benchmark run, so the first test
-checks the table against the package.  Likewise a name deleted from a
+checks the table against the package, and one test runs the traced
+benchmark on each workload and checks that every layer the workload expects
+recorded spans.  Likewise a name deleted from a
 module can stay in ``anovafit.__all__`` or in a script under ``scripts/``
 that no test runs, so two tests resolve ``__all__`` and import each script.
 
@@ -18,6 +20,9 @@ tests, so the last three tests read the source.
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +51,21 @@ def _patches():
 def test_patched_name_resolves(module_name, attr, span):
     module = importlib.import_module(module_name)
     assert hasattr(module, attr), f"{module_name}.{attr} (span {span}) is missing"
+
+
+@pytest.mark.parametrize("workload", ["friedman", "wide", "cli_pipeline"])
+def test_traced_benchmark_records_every_expected_span(workload):
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    if run.returncode == 3 and run.stderr.startswith("perfbench: MemAvailable"):
+        pytest.skip(run.stderr.strip())
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert json.loads(lines[-1])["correct"] is True, run.stdout
+    assert "  [ok] every layer expected on this workload recorded spans" in lines, run.stdout
 
 
 def test_all_resolves_and_lists_every_imported_name():

@@ -23,10 +23,12 @@ from anovafit import (
     save_termset,
     superposition_terms,
 )
-from anovafit import operators
+from anovafit import errors, operators
 from anovafit.bench import REAL_PRESETS, RealBenchConfig
 from anovafit.cli import build_parser, main
 from anovafit.plots import HEIGHT, MARGIN_BOTTOM, MARGIN_TOP, svg_bar_chart
+
+from conftest import NoDraws
 
 
 def run_cli(capsys, *argv):
@@ -155,13 +157,59 @@ class TestFit:
         def unreachable(*args):
             raise AssertionError("eval_1d_table was reached")
 
-        monkeypatch.setattr(operators, "physical_memory", lambda: 2**20)
+        monkeypatch.setattr(errors, "physical_memory", lambda: 2**20)
         monkeypatch.setattr(operators, "eval_1d_table", unreachable)
         out_path = tmp_path / "m.json"
         code, out, err = run_cli(capsys, "fit", "--friedman", "1", "--ds", "2",
                                  "--bandwidths", "1000,2", "--out", str(out_path))
         assert code == 2
         assert "configuration error: a basis table of 15984000 bytes exceeds" in err
+        assert out == "" and not out_path.exists()
+
+    def test_sample_beyond_physical_memory_exits_2(self, capsys, tmp_path, monkeypatch):
+        # 1e11 Friedman-1 rows take 8.8e12 bytes: refused before the generator draws
+        monkeypatch.setattr("anovafit.bench.rng_stream",
+                            lambda *args: NoDraws(np.random.PCG64(0)))
+        out_path = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "fit", "--friedman", "1", "--ds", "1",
+                                 "--bandwidths", "2", "--split", "100000000000:1",
+                                 "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("configuration error: a sample of 100000000000 rows of "
+                              "8800000000000 bytes exceeds") and err.count("\n") == 1
+        assert out == "" and not out_path.exists()
+
+    def test_coefficient_vector_beyond_physical_memory_exits_2(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # 6e10 coefficients take 4.8e11 bytes; the table of 2 rows takes 6.4 MB
+        def unreachable(*args):
+            raise AssertionError("the solve was reached")
+
+        monkeypatch.setattr("anovafit.model._solve", unreachable)
+        out_path = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "fit", "--friedman", "2", "--ds", "2",
+                                 "--bandwidths", "4,100000", "--split", "2:1",
+                                 "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("configuration error: a coefficient vector of 59998800019 "
+                              "entries of 479990400152 bytes exceeds") and err.count("\n") == 1
+        assert out == "" and not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "bench-real"])
+    def test_term_set_beyond_physical_memory_exits_2(self, capsys, tmp_path, no_enumeration,
+                                                     command):
+        # 40 columns at --ds 20: 6.19e11 terms, refused before any is listed
+        csv_path = tmp_path / "wide.csv"
+        rows = np.random.default_rng(0).random((10, 41))
+        csv_path.write_text(",".join(f"x{i}" for i in range(1, 41)) + ",y\n"
+                            + "".join(",".join(map(str, row.tolist())) + "\n" for row in rows))
+        out_path = tmp_path / "o.json"
+        argv = {"fit": ["fit", "--csv", str(csv_path), "--target", "y", "--bandwidths", "4"],
+                "bench-real": ["bench-real", "custom", "--csv", str(csv_path), "--target", "y",
+                               "--split", "0.7"]}[command]
+        code, out, err = run_cli(capsys, *argv, "--ds", "20", "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("configuration error: a term set of ") and err.count("\n") == 1
         assert out == "" and not out_path.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -441,6 +489,24 @@ class TestRankRefineRoundTrip:
         assert out == ""
         assert "a ranking of 1000000000000000 variables" in err
         assert "Traceback" not in err
+
+    def test_expansion_beyond_physical_memory_exits_2(self, friedman2_model, tmp_path,
+                                                      capsys, no_enumeration):
+        # all 40 variables rank above 0: orders 3 to 20 hold 6.2e11 subsets
+        model_path, _ = friedman2_model
+        obj = read_json(model_path) | {
+            "dimension": 40, "superposition_threshold": 2,
+            "terms": [[]] + [[i] for i in range(1, 41)],
+            "bandwidths": {"1": 2}, "coefficients": [0.0] + [1.0] * 40,
+        }
+        wide_path = tmp_path / "wide.json"
+        wide_path.write_text(json.dumps(obj))
+        out_path = tmp_path / "t.json"
+        code, out, err = run_cli(capsys, "refine", "--model", str(wide_path), "--expand", "20",
+                                 "--theta", "0", "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("configuration error: an expansion of ") and err.count("\n") == 1
+        assert out == "" and not out_path.exists()
 
 
 class TestPredict:

@@ -21,7 +21,10 @@ from anovafit import (
     rng_stream,
     split,
 )
+from anovafit import errors
 from anovafit.datasets import Normalization, apply_normalization
+
+from conftest import NoDraws
 
 
 def reference_friedman(which, x):
@@ -128,6 +131,19 @@ class TestFriedmanSample:
         ds = friedman_sample(FriedmanSpec(1), 100, 5)
         assert ds.dimension == 10
         assert np.all(ds.nodes >= 0.0) and np.all(ds.nodes <= 1.0)
+
+    def test_sample_beyond_physical_memory_is_refused_before_any_draw(self, monkeypatch):
+        # Friedman-1 rows hold 10 coordinates and a target: 5 rows take 440 bytes
+        monkeypatch.setattr(errors, "physical_memory", lambda: 440)
+        assert friedman_sample(FriedmanSpec(1), 5, 0).size == 5
+        monkeypatch.setattr(errors, "physical_memory", lambda: 439)
+        with pytest.raises(ConfigError, match="a sample of 5 rows of 440 bytes exceeds the 439"):
+            friedman_sample(FriedmanSpec(1), 5, NoDraws(np.random.PCG64(0)))
+
+    def test_hostile_sample_size_is_a_config_error(self):
+        # 8.8e15 bytes, beyond any machine's memory
+        with pytest.raises(ConfigError, match=f"a sample of {10**15} rows of {88 * 10**15} bytes"):
+            friedman_sample(FriedmanSpec(1), 10**15, NoDraws(np.random.PCG64(0)))
 
 
 class TestRngStream:

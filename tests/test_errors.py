@@ -293,6 +293,9 @@ CASES = {
     "complex oracle node": (
         DataError, lambda: dense_design_matrix(np.full((4, 3), 0.5j), _operator().index_union)
     ),
+    "oracle nodes of the wrong width": (
+        DataError, lambda: dense_design_matrix(np.full((4, 2), 0.5), _operator().index_union)
+    ),
     "string coefficient": (DataError, lambda: _operator().matvec(np.full(_operator().cols, "1"))),
     "string lsqr value": (DataError, lambda: lsqr_solve(_operator(), ["1"] * 8)),
     "string design matrix": (

@@ -16,7 +16,7 @@ rule:
 * ``machine``: its thread variables are compared, its ``cpu_count`` is not
   (at one BLAS thread no output depends on it);
 * ``errors.fit_bandwidth_1e9``: its message quotes
-  :func:`~anovafit.operators.physical_memory`, so the running machine's
+  :func:`~anovafit.errors.physical_memory`, so the running machine's
   value is put in place of the number quoted there before the comparison.
 
 Every other line is compared exactly while the recorded numpy, BLAS and CPU
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from anovafit.operators import physical_memory
+from anovafit.errors import physical_memory
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "fingerprint_outputs.py"

@@ -834,6 +834,13 @@ class TestRefinement:
                 2,
             )
 
+    def test_expand_beyond_physical_memory_is_refused_before_listing(self, no_enumeration):
+        # all 40 variables pooled: orders 3 to 20 hold 6.2e11 subsets, over 1e14 bytes
+        termset = TermSet(40, tuple((i,) for i in range(1, 41)), 2)
+        report = SensitivityReport(40, 1.0, (), ranking=np.full(40, 1 / 40))
+        with pytest.raises(ConfigError, match=r"an expansion of \d+ terms up to order \d+ of"):
+            incremental_expand(report, termset, 0.0, 20)
+
     def test_expand_threshold_validation(self):
         termset = superposition_terms(5, 1)
         report = SensitivityReport(5, 1.0, (), ranking=np.full(5, 0.2))

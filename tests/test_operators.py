@@ -21,7 +21,7 @@ from anovafit import (
     predict,
     superposition_terms,
 )
-from anovafit import operators
+from anovafit import errors, operators
 from anovafit.basis import eval_1d_table, full_grid_1d
 from anovafit.operators import DENSE_ORACLE_MAX_ENTRIES, NODE_BLOCK
 
@@ -436,9 +436,9 @@ def test_table_beyond_physical_memory_is_refused_before_any_table(kind, monkeypa
     nodes = np.full((7, 5), 0.25)
     # (N - 1) v M entries: 5 frequencies of variables 1, 2 and 3 at 7 nodes
     nbytes = 5 * 3 * 7 * kind.dtype.itemsize
-    monkeypatch.setattr(operators, "physical_memory", lambda: nbytes)
+    monkeypatch.setattr(errors, "physical_memory", lambda: nbytes)
     DesignOperator(nodes, union)
-    monkeypatch.setattr(operators, "physical_memory", lambda: nbytes - 1)
+    monkeypatch.setattr(errors, "physical_memory", lambda: nbytes - 1)
     monkeypatch.setattr(operators, "eval_1d_table", _unreachable)
     with pytest.raises(ConfigError, match=f"a basis table of {nbytes} bytes exceeds"):
         DesignOperator(nodes, union)
@@ -449,7 +449,7 @@ def test_fit_with_a_huge_bandwidth_meets_the_table_guard_before_any_grid(
 ):
     # the union builds no grid, so 1e9 - 1 frequencies of 3 variables at 40 nodes
     # (960 GB of table) are refused by the operator's guard, not allocated
-    monkeypatch.setattr(operators, "physical_memory", lambda: 2**33)
+    monkeypatch.setattr(errors, "physical_memory", lambda: 2**33)
     rng = np.random.default_rng(3)
     with pytest.raises(ConfigError, match="a basis table of 959999999040 bytes exceeds"):
         fit(rng.random((40, 3)), rng.random(40), superposition_terms(3, 2),
@@ -460,16 +460,39 @@ def test_fit_and_predict_refuse_a_table_beyond_physical_memory(monkeypatch):
     rng = np.random.default_rng(3)
     model = fit(rng.random((40, 3)), rng.random(40), superposition_terms(3, 1),
                 BandwidthProfile.from_list([4]), BasisKind.COSINE)
-    monkeypatch.setattr(operators, "physical_memory", lambda: 2**20)
+    monkeypatch.setattr(errors, "physical_memory", lambda: 2**20)
     monkeypatch.setattr(operators, "eval_1d_table", _unreachable)
     # 999 frequencies of 3 variables at 100 nodes take 2.4 MB
     with pytest.raises(ConfigError, match="physical memory"):
         fit(rng.random((100, 3)), rng.random(100), superposition_terms(3, 1),
             BandwidthProfile.from_list([1000]), BasisKind.COSINE)
     # predict's block operators: 3 frequencies of 3 variables at 4096 nodes take 295 kB
-    monkeypatch.setattr(operators, "physical_memory", lambda: 2**18)
+    monkeypatch.setattr(errors, "physical_memory", lambda: 2**18)
     with pytest.raises(ConfigError, match="physical memory"):
         predict(model, rng.random((5000, 3)))
+
+
+def test_fit_refuses_a_coefficient_vector_beyond_physical_memory(monkeypatch):
+    # d = 4, ds = 2, N = (4, 1000): 1 + 4 * 3 + 6 * 999**2 coefficients, from a 160 kB table
+    cols = 1 + 4 * 3 + 6 * 999**2
+
+    class Solved(Exception):
+        pass
+
+    def solve(*args):
+        raise Solved
+
+    monkeypatch.setattr("anovafit.model._solve", solve)
+    rng = np.random.default_rng(3)
+    args = (rng.random((5, 4)), rng.random(5), superposition_terms(4, 2),
+            BandwidthProfile.from_list([4, 1000]), BasisKind.COSINE)
+    monkeypatch.setattr(errors, "physical_memory", lambda: 8 * cols)
+    with pytest.raises(Solved):
+        fit(*args)
+    monkeypatch.setattr(errors, "physical_memory", lambda: 8 * cols - 1)
+    with pytest.raises(ConfigError, match=f"a coefficient vector of {cols} entries of "
+                                          f"{8 * cols} bytes exceeds"):
+        fit(*args)
 
 
 def _apply_case(kind, order):

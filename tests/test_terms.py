@@ -1,5 +1,8 @@
 """Tests for term sets, bandwidth profiles, and frequency index unions."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from anovafit import (
     ConfigError,
     TermSet,
     build_index_union,
+    errors,
     full_grid_1d,
     load_termset,
     save_termset,
@@ -66,6 +70,28 @@ class TestTermSet:
         save_termset(ts, path)
         loaded = load_termset(path)
         assert loaded == ts
+
+
+class TestEnumerationSize:
+    def test_term_set_beyond_physical_memory_is_refused_before_listing(self, no_enumeration):
+        # 6.19e11 terms of 40 variables up to order 20: over 1e14 bytes of tuples
+        with pytest.raises(ConfigError, match=r"a term set of \d+ terms up to order \d+ of"):
+            superposition_terms(40, 20)
+
+    def test_the_bound_is_the_tuples_alone(self, monkeypatch):
+        # orders 3 to 6 of 30 variables: 767746 tuples of 40 + 8 o bytes on CPython 3.11
+        count = sum(math.comb(30, order) for order in range(3, 7))
+        nbytes = sum(math.comb(30, o) * sys.getsizeof(tuple(range(o))) for o in range(3, 7))
+        monkeypatch.setattr(errors, "physical_memory", lambda: nbytes)
+        terms.check_subsets(30, range(3, 7), "an expansion")
+        monkeypatch.setattr(errors, "physical_memory", lambda: nbytes - 1)
+        with pytest.raises(ConfigError, match=f"an expansion of {count} terms up to order 6 "
+                                              f"of {nbytes} bytes exceeds the {nbytes - 1}"):
+            terms.check_subsets(30, range(3, 7), "an expansion")
+
+    def test_what_fits_is_listed(self):
+        terms.check_subsets(30, range(3, 7), "an expansion")  # about 66 MB
+        assert len(superposition_terms(10, 10)) == 1024
 
 
 class TestFullGrid:
