@@ -38,7 +38,7 @@ array, a ``float.hex`` of a scalar, or an exact count.  The script covers
 * ``run_real_benchmark`` (10 repetitions, seed 0) on a seeded 400-row
   Friedman-1 table: median, quartiles and median active-term count for the
   ``enc`` and ``ch`` presets, ``asn`` restricted by ``keep=(1, ..., 5)``,
-  and ``enc`` at superposition threshold 3 with bandwidths (4, 2, 2);
+  and ``enc`` set to order 3 and bandwidths (4, 2, 2) by ``RealPreset.override``;
 * the command line, run in-process in a temporary directory: the stdout,
   stderr and both SVG charts of ``anovafit rank`` on a Friedman-1 model,
   and the JSON of ``anovafit bench-real custom`` with every protocol flag
@@ -383,15 +383,15 @@ def small_lsqr_fit_lines() -> list[str]:
 
 def real_lines() -> list[str]:
     table = friedman_sample(FriedmanSpec(1), 400, 11)
-    configs = {
+    presets = {
         "enc": REAL_PRESETS["enc"],
         "ch": REAL_PRESETS["ch"],
         "asn_keep5": replace(REAL_PRESETS["asn"], keep=(1, 2, 3, 4, 5)),
-        "enc_ds3": replace(REAL_PRESETS["enc"], superposition_threshold=3, bandwidths=(4, 2, 2)),
+        "enc_ds3": REAL_PRESETS["enc"].override(order=3, bandwidths=(4, 2, 2)),
     }
     lines = []
-    for name, cfg in configs.items():
-        result = run_real_benchmark(table, cfg, repetitions=10, seed=0)
+    for name, preset in presets.items():
+        result = run_real_benchmark(table, preset, repetitions=10, seed=0)
         lines += [
             f"real.{name}.{key} {float(result[key]).hex()}"
             for key in ("median", "q1", "q3", "median_active_terms")

@@ -93,12 +93,12 @@ def fit_runs(name: str, seeds: int):
 
 def protocol_runs(name: str, seeds: int):
     """For each seed, a function of the tolerance giving (None, squared median RMSE)."""
-    cfg = REAL_PRESETS[PROTOCOLS[name]]
+    preset = REAL_PRESETS[PROTOCOLS[name]]
 
     def run(table, tolerance):
         config = functools.partial(SolverConfig, tolerance=tolerance)
         with mock.patch("anovafit.bench.SolverConfig", config):
-            return None, float(run_real_benchmark(table, cfg, repetitions=100)["median"]) ** 2
+            return None, float(run_real_benchmark(table, preset, repetitions=100)["median"]) ** 2
 
     for seed in range(seeds):
         yield functools.partial(run, friedman_sample(FriedmanSpec(1), 400, seed))

@@ -8,10 +8,8 @@ records the final fit's test error.  Test targets carry observation noise
 exactly like the training targets; the noise-free error against the
 underlying function is reported alongside as a diagnostic.
 
-``run_real_benchmark`` implements the generic protocol for real tables:
-repeated random splits, min-max normalization by training extrema, a
-two-stage recipe (sensitivity thresholding at a cutoff, then a refit), and
-the median test metric.
+``run_real_benchmark`` runs a :class:`RealPreset`'s recipe on repeated
+random splits of a real table, min-max normalized by training extrema.
 """
 
 from __future__ import annotations
@@ -171,6 +169,8 @@ class Stage:
     def __post_init__(self):
         if self.rank is not None and self.gsi is not None:
             raise ConfigError("a stage selects by rank or by gsi, not both")
+        if self.gsi is not None and not 0.0 < as_real(self.gsi, "gsi cutoff") < 1.0:
+            raise ConfigError("gsi cutoff must lie in (0, 1)")
 
 
 def run_recipe(
@@ -256,72 +256,73 @@ def bench_friedman(which: int, repetitions: int = 100, seed: int = 0) -> dict:
 
 
 @dataclass(frozen=True)
-class RealBenchConfig:
-    """Protocol parameters for one real regression table."""
+class RealPreset:
+    """A real table's ``recipe`` and the protocol settings that a recipe does not hold."""
 
     train_fraction: float
-    superposition_threshold: int = 2
-    bandwidths: tuple[int, ...] = (4, 2)
-    regularization: float = 0.0
-    gsi_cutoff: float = 0.002
+    recipe: tuple[Stage, ...] = (Stage(2, (4, 2), 0.0, gsi=0.002), Stage(2, (4, 2), 0.0))
     metric: str = "rmse"
     normalize_targets: bool = False
     keep: tuple[int, ...] | None = None  # optional variable preselection
 
     def __post_init__(self):
+        if not self.recipe:
+            raise ConfigError("a recipe needs at least one stage")
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}; use one of {sorted(METRICS)}")
-        if not 0.0 < as_real(self.gsi_cutoff, "gsi cutoff") < 1.0:
-            raise ConfigError("gsi cutoff must lie in (0, 1)")
         if self.keep is not None:
             # the upper bound, the dimension, is checked by drop_variables
-            keep = [as_integer(i, "kept variable") for i in self.keep]
-            if not keep or min(keep) < 1:
+            if min((as_integer(i, "kept variable") for i in self.keep), default=0) < 1:
                 raise ConfigError(f"keep set must be nonempty and at least 1, got {self.keep}")
 
+    def override(self, **values) -> RealPreset:
+        """``bench-real``'s override rule: a value that is not None sets ``order``, ``bandwidths``
+        or ``lam`` on every stage, ``gsi`` on the stages that select by it, else the preset's."""
+        values = {k: v for k, v in values.items() if v is not None}
+        stage = {k: values.pop(k) for k in ("order", "bandwidths", "lam", "gsi") if k in values}
+        recipe = tuple(
+            replace(s, **{k: v for k, v in stage.items() if k != "gsi" or s.gsi is not None})
+            for s in self.recipe
+        )
+        return replace(self, recipe=recipe, **values)
 
-REAL_PRESETS: dict[str, RealBenchConfig] = {
-    "enc": RealBenchConfig(train_fraction=0.7, gsi_cutoff=0.002, metric="rmse"),
-    "enh": RealBenchConfig(train_fraction=0.7, gsi_cutoff=0.001, metric="rmse"),
-    "asn": RealBenchConfig(train_fraction=0.8, gsi_cutoff=0.001, metric="relative"),
-    "ch": RealBenchConfig(
-        train_fraction=0.5, gsi_cutoff=0.001, metric="rmse", normalize_targets=True
-    ),
+
+REAL_PRESETS: dict[str, RealPreset] = {
+    "enc": RealPreset(0.7, (Stage(2, (4, 2), 0.0, gsi=0.002), Stage(2, (4, 2), 0.0))),
+    "enh": RealPreset(0.7, (Stage(2, (4, 2), 0.0, gsi=0.001), Stage(2, (4, 2), 0.0))),
+    "asn": RealPreset(0.8, (Stage(2, (4, 2), 0.0, gsi=0.001), Stage(2, (4, 2), 0.0)), "relative"),
+    "ch": RealPreset(0.5, (Stage(2, (4, 2), 0.0, gsi=0.001), Stage(2, (4, 2), 0.0)),
+                     normalize_targets=True),
     # the published ailerons run additionally pre-selects 11 of 40 variables
     # by a ranking pass; supply that list via ``keep``
-    "ailerons": RealBenchConfig(
-        train_fraction=0.5, gsi_cutoff=0.001, metric="rmse", normalize_targets=True
-    ),
+    "ailerons": RealPreset(0.5, (Stage(2, (4, 2), 0.0, gsi=0.001), Stage(2, (4, 2), 0.0)),
+                           normalize_targets=True),
 }
 
 
 def run_real_benchmark(
-    ds: Dataset, cfg: RealBenchConfig, repetitions: int = 100, seed: int = 0
+    ds: Dataset, preset: RealPreset, repetitions: int = 100, seed: int = 0
 ) -> dict:
-    """Median metric of the split/normalize/threshold/refit protocol."""
-    termset = superposition_terms(ds.dimension, cfg.superposition_threshold)
-    if cfg.keep is not None:
-        termset = drop_variables(termset, cfg.keep)
-    final = Stage(cfg.superposition_threshold, cfg.bandwidths, cfg.regularization)
-    stages = (replace(final, gsi=cfg.gsi_cutoff), final)
+    """Median metric of the split/normalize/``preset.recipe`` protocol."""
+    termset = superposition_terms(ds.dimension, preset.recipe[0].order)
+    if preset.keep is not None:
+        termset = drop_variables(termset, preset.keep)
     sizes = []
 
     def recipe(train_raw: Dataset, test_raw: Dataset) -> float:
-        train = normalize(train_raw, include_target=cfg.normalize_targets)
+        train = normalize(train_raw, include_target=preset.normalize_targets)
         test = apply_normalization(test_raw, train.normalization)
-        model, _ = run_recipe(stages, train, termset)
-        value = METRICS[cfg.metric](test.targets, predict(model, test.nodes))
+        model, _ = run_recipe(preset.recipe, train, termset)
+        value = METRICS[preset.metric](test.targets, predict(model, test.nodes))
         # appended last, so it holds exactly the repetitions that succeeded
         sizes.append(len(model.terms))
         return value
 
-    plan = SplitPlan(
-        train_fraction=cfg.train_fraction, repetitions=repetitions, seed=seed
-    )
+    plan = SplitPlan(train_fraction=preset.train_fraction, repetitions=repetitions, seed=seed)
     summary = median_evaluate(recipe, ds, plan)
     return {
         **summary.to_json_obj(),
-        "metric": cfg.metric,
+        "metric": preset.metric,
         "seed": seed,
         "median_active_terms": float(np.median(sizes)),
     }

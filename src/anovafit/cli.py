@@ -25,6 +25,7 @@ from .datasets import (
     Dataset,
     FriedmanSpec,
     SplitPlan,
+    _csv_cell,
     apply_normalization,
     load_csv,
     normalize,
@@ -61,12 +62,20 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _number(cast):
+    """``cast`` as an argparse ``type`` under the rule of :func:`~anovafit.datasets._csv_cell`."""
+    def read(text: str):
+        return _csv_cell(text, cast)
+    read.__name__ = cast.__name__  # argparse reports "invalid int value: ..."
+    return read
+
+
 def _parse_list(text: str, flag: str, cast) -> list:
     parts = text.split(",")
     if any(part.strip() == "" for part in parts):
         raise ConfigError(f"{flag} has an empty item, got {text!r}")
     try:
-        return [cast(part) for part in parts]
+        return [_csv_cell(part, cast) for part in parts]
     except ValueError:
         what = "integers" if cast is int else "numbers"
         raise ConfigError(f"{flag} expects comma-separated {what}, got {text!r}") from None
@@ -78,12 +87,12 @@ def _split_plan(text: str | None, *, synthetic: bool, seed: int) -> SplitPlan:
         text = f"{bench.TRAIN_SIZE}:{bench.TEST_SIZE}" if synthetic else "0.7"
     if ":" in text:
         try:
-            train_size, test_size = (int(part) for part in text.split(":"))
+            train_size, test_size = (_csv_cell(part, int) for part in text.split(":"))
         except ValueError:
             raise ConfigError(f"--split sizes must be M_train:M_test, got {text!r}") from None
         return SplitPlan(train_size=train_size, test_size=test_size, seed=seed)
     try:
-        fraction = float(text)
+        fraction = _csv_cell(text, float)
     except ValueError:
         raise ConfigError(f"--split expects a fraction or M_train:M_test, got {text!r}") from None
     return SplitPlan(train_fraction=fraction, seed=seed)
@@ -243,19 +252,17 @@ def cmd_bench_friedman(args) -> int:
 
 
 def cmd_bench_real(args) -> int:
-    preset = bench.REAL_PRESETS.get(args.name)
-    if preset is None:
-        if args.train_fraction is None:
-            raise ConfigError(
-                f"unknown dataset {args.name!r}: give --split (and other protocol "
-                f"flags) or use one of {sorted(bench.REAL_PRESETS)}"
-            )
-        preset = bench.RealBenchConfig(train_fraction=args.train_fraction)
-    values = {field.name: getattr(args, field.name) for field in dataclasses.fields(preset)}
-    for name in ("bandwidths", "keep"):
-        if values[name] is not None:
-            values[name] = tuple(_parse_list(values[name], f"--{name}", int))
-    config = dataclasses.replace(preset, **{k: v for k, v in values.items() if v is not None})
+    if args.name not in bench.REAL_PRESETS and args.train_fraction is None:
+        raise ConfigError(
+            f"unknown dataset {args.name!r}: give --split (and other protocol "
+            f"flags) or use one of {sorted(bench.REAL_PRESETS)}"
+        )
+    preset = bench.REAL_PRESETS.get(args.name) or bench.RealPreset(args.train_fraction)
+    lists = {name: tuple(_parse_list(getattr(args, name), f"--{name}", int))
+             for name in ("bandwidths", "keep") if getattr(args, name) is not None}
+    preset = preset.override(train_fraction=args.train_fraction, order=args.order, lam=args.lam,
+                             gsi=args.gsi, metric=args.metric,
+                             normalize_targets=args.normalize_targets, **lists)
 
     csv_path = args.csv
     if csv_path is None:
@@ -269,13 +276,12 @@ def cmd_bench_real(args) -> int:
     ds = load_csv(csv_path, args.target)
     if args.target is None:  # the last column is the target
         ds = Dataset(ds.nodes[:, :-1], ds.nodes[:, -1], ds.columns[:-1], ds.columns[-1])
-    target = ds.target_name
 
-    result = bench.run_real_benchmark(ds, config, args.reps, args.seed)
+    result = bench.run_real_benchmark(ds, preset, args.reps, args.seed)
     result["dataset"] = args.name
-    result["target"] = target
+    result["target"] = ds.target_name
     _note(
-        f"{args.name}: median {config.metric} {result['median']:.5g} over "
+        f"{args.name}: median {preset.metric} {result['median']:.5g} over "
         f"{args.reps} splits ({result['failures']} failures)"
     )
     write_json(result, args.out)
@@ -295,30 +301,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a model and report test metrics")
     source = p_fit.add_mutually_exclusive_group(required=True)
     source.add_argument("--csv", help="CSV data file (with --target)")
-    source.add_argument("--friedman", type=int, choices=(1, 2, 3),
+    source.add_argument("--friedman", type=_number(int), choices=(1, 2, 3),
                         help="use a synthetic benchmark generator")
     p_fit.add_argument("--target", help="target column name")
     terms = p_fit.add_mutually_exclusive_group(required=True)
     terms.add_argument("--terms", help="term set JSON file (from refine)")
-    terms.add_argument("--ds", dest="superposition", type=int,
+    terms.add_argument("--ds", dest="superposition", type=_number(int),
                        help="superposition threshold for the initial term set")
     p_fit.add_argument("--basis", default="cos", choices=("per", "cos", "cheb"))
     p_fit.add_argument("--bandwidths", required=True,
                        help="comma-separated N per order, e.g. 6,4")
     p_fit.add_argument("--split", help="train fraction (csv) or M_train:M_test (friedman)")
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=_number(int), default=0)
     p_fit.add_argument("--normalize", action="store_true",
                        help="min-max normalize features by training extrema")
     p_fit.add_argument("--normalize-target", action="store_true",
                        help="also normalize the target into [0,1]")
     p_fit.add_argument("--out", required=True, help="model JSON output path")
     p_fit.add_argument("--metrics-out", help="metrics JSON path (default stdout)")
-    p_fit.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.regularization,
+    p_fit.add_argument("--lambda", dest="lam", type=_number(float),
+                       default=SolverConfig.regularization,
                        help="l2 regularization weight (default %(default)s)")
-    p_fit.add_argument("--max-iter", dest="max_iter", type=int, default=SolverConfig.max_iterations,
+    p_fit.add_argument("--max-iter", dest="max_iter", type=_number(int),
+                       default=SolverConfig.max_iterations,
                        help="LSQR iteration cap (default %(default)s: 10x columns); it "
                             "limits LSQR iterations and does not choose the solver")
-    p_fit.add_argument("--tol", type=float, default=SolverConfig.tolerance,
+    p_fit.add_argument("--tol", type=_number(float), default=SolverConfig.tolerance,
                        help="LSQR relative tolerance; pass 1e-8 for noise-free data; "
                             "less than 1e-8 does not tighten a small fit with --lambda "
                             "> 0, which is solved directly (default %(default)s)")
@@ -342,19 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_ref.add_argument("--model", required=True)
     p_ref.add_argument("--gsi-threshold",
                        help="keep terms with index above this: one value, or one per order")
-    p_ref.add_argument("--drop-below", type=float,
+    p_ref.add_argument("--drop-below", type=_number(float),
                        help="drop variables ranked at or below this, in [0, 1)")
-    p_ref.add_argument("--expand", type=int,
+    p_ref.add_argument("--expand", type=_number(int),
                        help="add interactions of highly ranked variables up to this order")
-    p_ref.add_argument("--theta", type=float,
+    p_ref.add_argument("--theta", type=_number(float),
                        help="ranking threshold selecting variables for --expand")
     p_ref.add_argument("--out", required=True, help="term set JSON output path")
     p_ref.set_defaults(func=cmd_refine)
 
     p_bf = sub.add_parser("bench-friedman", help="reproduce a synthetic benchmark")
-    p_bf.add_argument("which", type=int, choices=(1, 2, 3))
-    p_bf.add_argument("--reps", type=int, default=100)
-    p_bf.add_argument("--seed", type=int, default=0)
+    p_bf.add_argument("which", type=_number(int), choices=(1, 2, 3))
+    p_bf.add_argument("--reps", type=_number(int), default=100)
+    p_bf.add_argument("--seed", type=_number(int), default=0)
     p_bf.add_argument("--out", help="summary JSON path (default stdout)")
     p_bf.set_defaults(func=cmd_bench_friedman)
 
@@ -362,15 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.add_argument("name", help=f"dataset name ({', '.join(sorted(bench.REAL_PRESETS))}) or custom")
     p_br.add_argument("--csv", help="CSV path (default $ANOVA_DATA_DIR/<name>.csv)")
     p_br.add_argument("--target", help="target column (default: last column)")
-    p_br.add_argument("--reps", type=int, default=100)
-    p_br.add_argument("--seed", type=int, default=0)
-    # each protocol flag's dest is the RealBenchConfig field it overrides
-    p_br.add_argument("--split", dest="train_fraction", metavar="SPLIT", type=float,
+    p_br.add_argument("--reps", type=_number(int), default=100)
+    p_br.add_argument("--seed", type=_number(int), default=0)
+    # each protocol flag's dest is the name RealPreset.override sets
+    p_br.add_argument("--split", dest="train_fraction", metavar="SPLIT", type=_number(float),
                       help="train fraction override")
-    p_br.add_argument("--ds", dest="superposition_threshold", metavar="SUPERPOSITION", type=int)
+    p_br.add_argument("--ds", dest="order", metavar="SUPERPOSITION", type=_number(int))
     p_br.add_argument("--bandwidths")
-    p_br.add_argument("--lambda", dest="regularization", metavar="LAM", type=float)
-    p_br.add_argument("--gsi-threshold", dest="gsi_cutoff", metavar="GSI_THRESHOLD", type=float)
+    p_br.add_argument("--lambda", dest="lam", type=_number(float))
+    p_br.add_argument("--gsi-threshold", dest="gsi", metavar="GSI_THRESHOLD", type=_number(float))
     p_br.add_argument("--metric", choices=sorted(bench.METRICS))
     p_br.add_argument("--normalize-target", dest="normalize_targets", action="store_true",
                       default=None)

@@ -297,11 +297,14 @@ def load_csv(path, target_column: str | None) -> Dataset:
     )
 
 
-def _csv_cell(cell: str) -> float:
-    """``float(cell)`` restricted to what :func:`numpy.loadtxt` parses."""
+def _csv_cell(cell: str, cast=float):
+    """``cast(cell)`` for ASCII text without ``_``: what :func:`numpy.loadtxt` parses.
+
+    The one rule for numbers in text: a CSV cell and every number flag of the CLI.
+    """
     if not cell.isascii() or "_" in cell:
         raise ValueError(cell)
-    return float(cell)
+    return cast(cell)
 
 
 def _diagnose_csv(path, header, problem: str) -> DataError:

@@ -26,8 +26,8 @@ import math
 import sys
 import types
 from collections.abc import Mapping
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -279,11 +279,9 @@ def _index_union(termset: TermSet, by_order, kind: BasisKind) -> FrequencyIndexU
 def write_json(obj, path) -> None:
     """Write ``obj`` to the file ``path``, or to stdout if None, in the one JSON format
     of model, term set and CLI output (sorted keys, indent 2, final newline, UTF-8)."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_termset(termset: TermSet, path) -> None:

@@ -24,7 +24,7 @@ from anovafit import (
     superposition_terms,
 )
 from anovafit import errors, operators
-from anovafit.bench import REAL_PRESETS, RealBenchConfig
+from anovafit.bench import REAL_PRESETS, RealPreset, Stage
 from anovafit.cli import build_parser, main
 from anovafit.plots import HEIGHT, MARGIN_BOTTOM, MARGIN_TOP, svg_bar_chart
 
@@ -775,9 +775,13 @@ class TestBench:
         ("custom", ["--split", "0.6", "--ds", "3", "--bandwidths", "4,2,2", "--lambda", "0.5",
                     "--gsi-threshold", "0.01", "--metric", "mse", "--normalize-target",
                     "--keep", "1,3"],
-         RealBenchConfig(0.6, 3, (4, 2, 2), 0.5, 0.01, "mse", True, (1, 3))),
+         RealPreset(0.6, (Stage(3, (4, 2, 2), 0.5, gsi=0.01), Stage(3, (4, 2, 2), 0.5)),
+                    "mse", True, (1, 3))),
         ("ch", ["--ds", "1", "--keep", "2"], dataclasses.replace(
-            REAL_PRESETS["ch"], superposition_threshold=1, keep=(2,))),
+            REAL_PRESETS["ch"], recipe=(Stage(1, (4, 2), 0.0, gsi=0.001), Stage(1, (4, 2), 0.0)),
+            keep=(2,))),
+        ("enh", ["--lambda", "2", "--gsi-threshold", "0.05"], dataclasses.replace(
+            REAL_PRESETS["enh"], recipe=(Stage(2, (4, 2), 2.0, gsi=0.05), Stage(2, (4, 2), 2.0)))),
     ])
     def test_bench_real_flags_set_their_config_fields(self, tmp_path, capsys, monkeypatch,
                                                       name, flags, expected):
@@ -794,10 +798,18 @@ class TestBench:
                                "--reps", "7", "--seed", "4", *flags)
         assert code == 0, err
         assert seen == [(expected, 7, 4)]
+        preset, default = seen[0][0], RealPreset(0.7)
+        # a stage flag sets its field on every stage, and --gsi-threshold only on
+        # the stage that selects by it: the refit's gsi stays None
+        assert len({dataclasses.replace(stage, gsi=None) for stage in preset.recipe}) == 1
+        assert preset.recipe[-1].gsi is None
         if name == "custom":  # every field is set by its flag, none left at its default
-            default = RealBenchConfig(0.7)
-            assert all(getattr(expected, f.name) != getattr(default, f.name)
-                       for f in dataclasses.fields(RealBenchConfig))
+            assert all(getattr(preset, f.name) != getattr(default, f.name)
+                       for f in dataclasses.fields(RealPreset))
+            assert all(getattr(stage, f.name) != getattr(default.recipe[0], f.name)
+                       for stage in preset.recipe for f in dataclasses.fields(Stage)
+                       if f.name not in ("rank", "gsi"))
+            assert preset.recipe[0].gsi != default.recipe[0].gsi
 
     def test_bench_real_bad_bandwidths_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(14)
@@ -1044,3 +1056,60 @@ class TestParser:
             main(["fit", "--help"])
         text = capsys.readouterr().out
         assert "(default 0.0)" in text and "(default 1e-06)" in text
+
+    # one number flag each: its command line with {v}, a value that succeeds, and
+    # the same value with a digit that is not ASCII or with "_"
+    NUMBER_FLAGS = [
+        ("fit --friedman {v} --ds 1 --bandwidths 4", "1", "١"),
+        ("fit --friedman 1 --ds {v} --bandwidths 4", "1", "١"),
+        ("fit --friedman 1 --ds 2 --bandwidths {v}", "4,2", "٤,2"),
+        ("fit --friedman 1 --ds 1 --bandwidths 4 --seed {v}", "10", "1_0"),
+        ("fit --friedman 1 --ds 1 --bandwidths 4 --lambda {v}", "1", "١"),
+        ("fit --friedman 1 --ds 1 --bandwidths 4 --max-iter {v}", "10", "1_0"),
+        ("fit --friedman 1 --ds 1 --bandwidths 4 --tol {v}", "1e-3", "１e-3"),
+        ("fit --friedman 1 --ds 1 --bandwidths 4 --split {v}", "200:100", "2_00:100"),
+        ("fit --csv {csv} --target y --ds 1 --bandwidths 4 --split {v}", "0.5", "0.٥"),
+        ("refine --model {model} --gsi-threshold {v}", "0.01", "0.0١"),
+        ("refine --model {model} --drop-below {v}", "0.1", "0.١"),
+        ("refine --model {model} --expand {v} --theta 0.05", "3", "٣"),
+        ("refine --model {model} --expand 3 --theta {v}", "0.05", "0.0_5"),
+        ("bench-friedman {v} --reps 1", "1", "١"),
+        ("bench-friedman 1 --reps {v}", "1", "١"),
+        ("bench-friedman 1 --reps 1 --seed {v}", "10", "1_0"),
+        ("bench-real custom --csv {csv} --split 0.7 --reps {v}", "2", "٢"),
+        ("bench-real custom --csv {csv} --split 0.7 --reps 2 --seed {v}", "10", "1_0"),
+        ("bench-real custom --csv {csv} --reps 2 --split {v}", "0.7", "0.٧"),
+        ("bench-real custom --csv {csv} --split 0.7 --reps 2 --ds {v}", "2", "٢"),
+        ("bench-real custom --csv {csv} --split 0.7 --reps 2 --lambda {v}", "0.5", "٠.5"),
+        ("bench-real custom --csv {csv} --split 0.7 --reps 2 --gsi-threshold {v}", "0.01",
+         "0.0١"),
+        ("bench-real custom --csv {csv} --split 0.7 --reps 2 --bandwidths {v}", "4,2", "4,٢"),
+        ("bench-real custom --csv {csv} --split 0.7 --reps 2 --keep {v}", "1,2", "1,٢"),
+    ]
+
+    @pytest.mark.parametrize("template, good, bad", NUMBER_FLAGS,
+                             ids=[f"{t.split()[0]}:{t.split('{v}')[0].split()[-1]}"
+                                  for t, _, _ in NUMBER_FLAGS])
+    def test_number_flags_follow_the_csv_cell_rule(self, tmp_path, capsys, friedman2_model,
+                                                   template, good, bad):
+        csv_path = tmp_path / "t.csv"
+        rows = np.random.default_rng(3).uniform(size=(40, 5))
+        csv_path.write_text("a,b,c,d,y\n" + "".join(",".join(f"{v:.6f}" for v in row) + "\n"
+                                                    for row in rows))
+        paths = {"csv": csv_path, "model": friedman2_model[0]}
+
+        def run(value):
+            argv = template.format(v=value, **paths).split() + ["--out", str(tmp_path / "o")]
+            if argv[0] == "fit":
+                argv += ["--metrics-out", str(tmp_path / "metrics.json")]
+            try:
+                return run_cli(capsys, *argv)
+            except SystemExit as exc:  # argparse's type check: usage, then the error line
+                return exc.code, "", capsys.readouterr().err
+
+        assert run(good)[0] == 0
+        code, out, err = run(bad)
+        assert code == 2 and out == ""
+        assert repr(bad) in err.splitlines()[-1]
+        assert err.startswith("configuration error: ") and err.count("\n") == 1 or (
+            err.startswith("usage: ") and ": error: argument " in err)

@@ -45,7 +45,7 @@ from anovafit import (
     superposition_terms,
     threshold_active_set,
 )
-from anovafit.bench import RealBenchConfig, Stage, run_real_benchmark, run_recipe
+from anovafit.bench import RealPreset, Stage, run_real_benchmark, run_recipe
 from anovafit.errors import as_array
 from anovafit.model import model_from_obj, model_to_obj
 from anovafit.plots import svg_bar_chart
@@ -103,7 +103,7 @@ CASES = {
     "string regularization": (ConfigError, lambda: SolverConfig(regularization="1")),
     "string tolerance": (ConfigError, lambda: SolverConfig(tolerance="1e-8")),
     "string train fraction": (ConfigError, lambda: SplitPlan(train_fraction="0.7")),
-    "string real-data gsi cutoff": (ConfigError, lambda: RealBenchConfig(0.7, gsi_cutoff="0.1")),
+    "string real-data gsi cutoff": (ConfigError, lambda: Stage(2, (4, 2), 0.0, gsi="0.1")),
     "string ranking threshold": (ConfigError, lambda: _report().ranked_above("0.02")),
     "string expansion threshold": (
         ConfigError,
@@ -185,11 +185,11 @@ CASES = {
     "fractional real-data kept variable": (
         ConfigError,
         lambda: run_real_benchmark(
-            friedman_sample(FriedmanSpec(1), 20, 0), RealBenchConfig(0.7, keep=(1.5,)), 1
+            friedman_sample(FriedmanSpec(1), 20, 0), RealPreset(0.7, keep=(1.5,)), 1
         ),
     ),
-    "empty real-data keep set": (ConfigError, lambda: RealBenchConfig(0.7, keep=())),
-    "zero real-data kept variable": (ConfigError, lambda: RealBenchConfig(0.7, keep=(0,))),
+    "empty real-data keep set": (ConfigError, lambda: RealPreset(0.7, keep=())),
+    "zero real-data kept variable": (ConfigError, lambda: RealPreset(0.7, keep=(0,))),
     "fractional grid bandwidth": (ConfigError, lambda: full_grid_1d(BasisKind.COSINE, 4.5)),
     "fractional model-file dimension": (
         DataError, lambda: model_from_obj(_model_obj(dimension=2.9))
@@ -203,8 +203,9 @@ CASES = {
     "model-file diagnostics as a list": (
         DataError, lambda: model_from_obj(_model_obj(diagnostics=[]))
     ),
-    "unknown real-data metric": (ConfigError, lambda: RealBenchConfig(0.7, metric="mae")),
-    "real-data gsi cutoff of 1": (ConfigError, lambda: RealBenchConfig(0.7, gsi_cutoff=1.0)),
+    "unknown real-data metric": (ConfigError, lambda: RealPreset(0.7, metric="mae")),
+    "real-data gsi cutoff of 1": (ConfigError, lambda: Stage(2, (4, 2), 0.0, gsi=1.0)),
+    "real-data recipe without stages": (ConfigError, lambda: RealPreset(0.7, ())),
     "stage with two selections": (ConfigError, lambda: Stage(2, (4, 2), 1.0, rank=0.1, gsi=0.1)),
     "fractional repetitions": (
         ConfigError, lambda: SplitPlan(train_size=10, test_size=10, repetitions=2.5)
