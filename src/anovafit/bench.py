@@ -31,7 +31,7 @@ from .datasets import (
     rng_stream,
     split,
 )
-from .errors import ConfigError, DataError, NumericalError, as_integer, as_real
+from .errors import ConfigError, DataError, NumericalError, as_real
 from .model import (
     Model,
     SensitivityReport,
@@ -263,17 +263,13 @@ class RealPreset:
     recipe: tuple[Stage, ...] = (Stage(2, (4, 2), 0.0, gsi=0.002), Stage(2, (4, 2), 0.0))
     metric: str = "rmse"
     normalize_targets: bool = False
-    keep: tuple[int, ...] | None = None  # optional variable preselection
+    keep: tuple[int, ...] | None = None  # optional variable preselection, see drop_variables
 
     def __post_init__(self):
         if not self.recipe:
             raise ConfigError("a recipe needs at least one stage")
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}; use one of {sorted(METRICS)}")
-        if self.keep is not None:
-            # the upper bound, the dimension, is checked by drop_variables
-            if min((as_integer(i, "kept variable") for i in self.keep), default=0) < 1:
-                raise ConfigError(f"keep set must be nonempty and at least 1, got {self.keep}")
 
     def override(self, **values) -> RealPreset:
         """``bench-real``'s override rule: a value that is not None sets ``order``, ``bandwidths``

@@ -13,6 +13,7 @@ in isolation.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -300,11 +301,12 @@ def load_csv(path, target_column: str | None) -> Dataset:
 def _csv_cell(cell: str, cast=float):
     """``cast(cell)`` for ASCII text without ``_``: what :func:`numpy.loadtxt` parses.
 
-    The one rule for numbers in text: a CSV cell and every number flag of the CLI.
+    The one rule for numbers in text, a CSV cell or a number flag of the CLI; else DataError.
     """
-    if not cell.isascii() or "_" in cell:
-        raise ValueError(cell)
-    return cast(cell)
+    if cell.isascii() and "_" not in cell:
+        with contextlib.suppress(ValueError):
+            return cast(cell)
+    raise DataError(f"not a number: {cell!r}")
 
 
 def _diagnose_csv(path, header, problem: str) -> DataError:

@@ -152,7 +152,6 @@ def fit(
     cfg = config if config is not None else SolverConfig()
     union = build_index_union(termset, bandwidths, kind)
     op = DesignOperator(nodes, union)
-    check_memory(op.cols * kind.dtype.itemsize, f"a coefficient vector of {op.cols} entries")
     result: LsqrResult = _solve(op, values, cfg)
     if op.oversampling <= 1.0:
         warnings.warn(
@@ -305,17 +304,16 @@ def threshold_active_set(
 
 
 def drop_variables(termset: TermSet, keep) -> TermSet:
-    """Restrict to terms whose variables all lie in ``keep``.
+    """Restrict to terms whose variables all lie in ``keep``, nonempty integers within ``1..d``.
 
     The dimension is unchanged, so the result still applies to the original
     dataset.
     """
-    keep = sorted({as_integer(i, "kept variable") for i in keep})
-    if not keep:
-        raise ConfigError("keep set must be nonempty")
-    if keep[0] < 1 or keep[-1] > termset.dimension:
-        raise ConfigError(f"keep set {keep} outside 1..{termset.dimension}")
-    keep_set = set(keep)
+    keep, d = tuple(keep), termset.dimension
+    if not keep or not all(not isinstance(i, bool) and hasattr(type(i), "__index__")
+                           and 1 <= i <= d for i in keep):
+        raise ConfigError(f"keep set must be nonempty integers within 1..{d}, got {keep}")
+    keep_set = set(map(int, keep))
     kept = [u for u in termset.terms if set(u) <= keep_set]
     return TermSet(termset.dimension, tuple(kept), termset.superposition_threshold)
 

@@ -31,7 +31,8 @@ when it uses all ``v`` variables, else as one gather of it at ``own``: at most
 ``pos[t, k]`` is the position ``p`` of term ``t``'s ``k``-th variable, so
 ``T_l[:, pos[t, k]]`` is that factor of term ``t``; row ``j v_l + p`` of
 ``T_l`` viewed as ``(n_l v_l, M)`` is frequency ``j`` of variable ``p``.
-The table passes :func:`~anovafit.errors.check_memory` before it is built.
+Before it is built, the table alone and then with the largest scratch of one
+apply (``_OrderStack.scratch``) pass :func:`~anovafit.errors.check_memory`.
 
 **Apply.**  Each order works on ``T_l`` viewed as ``(n_l v_l, M)``.  Order 1
 takes one BLAS call each way; orders 2 and up run over node blocks, column
@@ -93,16 +94,24 @@ NODE_BLOCK = 4096
 
 
 class _OrderStack:
-    """One term order's ``(n, v, M)`` table and that order's coefficient block."""
+    """One term order's layout and, once :meth:`attach` runs, its ``(n, v, M)`` table."""
 
-    def __init__(self, order, block, pos, table):
-        self.order = order
-        self.block = block
-        self.pos = pos
-        self.n, self.v, M = table.shape
+    def __init__(self, order, block, pos, n, v, M):
+        self.order, self.block, self.pos, self.n, self.v = order, block, pos, n, v
+        # the distinct leading tuples (None: R_b = T_b) and each term's row among them
+        self.lead, self.q, P = None, pos[:, 0], v
+        if order > 2:
+            self.lead, self.q = np.unique(pos[:, :-1], axis=0, return_inverse=True)
+            P = len(self.lead)
+        self.shape = h, w = n ** (order - 1) * P, n * v  # B's
+        self.step = step = min(NODE_BLOCK, max(1, NODE_BLOCK * w // h))
+        # an order-2+ adjoint holds G, one block of R_b and, past one block, the product added to G
+        self.scratch = (order > 1) * h * ((1 + (M > step)) * w + min(step, M))
+
+    def attach(self, table):
         table.setflags(write=False)
         self.table = table
-        self.flat = table.reshape(self.n * self.v, M)
+        self.flat = table.reshape(self.n * self.v, table.shape[2])
 
     def term_rows(self, pos, nodes=slice(None)):
         """Rows of ``F^T`` of ``k``-factor terms ``pos`` on ``nodes``, ``(n**k, len(pos), m)``."""
@@ -115,34 +124,24 @@ class _OrderStack:
         return rows
 
     @cached_property
-    def _form(self):
-        """Distinct leading tuples (None: ``R_b = T_b``), ``B``'s shape, the flat index in ``B``."""
+    def _index(self):
+        """Term t's coefficient (a, k) sits at row a P + q_t, column k v + pos[t, -1] of ``B``."""
         n, v, pos = self.n, self.v, self.pos
-        if self.order == 2:
-            lead, q, P = None, pos[:, 0], v
-        else:
-            lead, q = np.unique(pos[:, :-1], axis=0, return_inverse=True)
-            P = len(lead)
         A = n ** (self.order - 1)
-        # term t's coefficient (a, k) sits at row a P + q_t, column k v + pos[t, -1]
-        row = np.arange(A)[:, None] * P + q.ravel()
-        index = (row.T[:, :, None] * (n * v) + np.arange(n) * v + pos[:, -1, None, None]).ravel()
-        return lead, (A * P, n * v), index
+        row = np.arange(A)[:, None] * (self.shape[0] // A) + self.q.ravel()
+        return (row.T[:, :, None] * (n * v) + np.arange(n) * v + pos[:, -1, None, None]).ravel()
 
     @cached_property
     def _parts(self):
         """The node blocks as (slice, view of flat); one empty block for no nodes."""
-        _, (height, width), _ = self._form
-        step = min(NODE_BLOCK, max(1, NODE_BLOCK * width // height))
-        M = self.flat.shape[1]
+        step, M = self.step, self.flat.shape[1]
         return [(slice(s, s + step), self.flat[:, s:s + step]) for s in range(0, max(M, 1), step)]
 
     def _leading_rows(self, b, Tb, weights=None):
         """The leading rows ``R_b``, each node's column times ``weights`` if given."""
-        lead, (height, _), _ = self._form
-        if lead is None:
+        if self.lead is None:
             return Tb if weights is None else Tb * weights
-        R = self.term_rows(lead, b).reshape(height, Tb.shape[1])
+        R = self.term_rows(self.lead, b).reshape(self.shape[0], Tb.shape[1])
         if weights is not None:
             R *= weights  # in place: a second block-sized temporary maps fresh pages per block
         return R
@@ -152,9 +151,8 @@ class _OrderStack:
         C = c[self.block]
         if self.order == 1:
             return C.reshape(v, n).T.ravel() @ T
-        _, shape, index = self._form
-        B = np.zeros(shape, dtype=T.dtype)
-        B.ravel()[index] = C
+        B = np.zeros(self.shape, dtype=T.dtype)
+        B.ravel()[self._index] = C
         out = np.empty(T.shape[1], dtype=T.dtype)
         for b, Tb in self._parts:
             np.einsum("ij,ij->j", B.T @ self._leading_rows(b, Tb), Tb, out=out[b])
@@ -175,7 +173,7 @@ class _OrderStack:
             G = reduce(operator.iadd, (
                 self._leading_rows(b, Tb, r[b]) @ Tb.T for b, Tb in self._parts
             ))
-            G = G.ravel()[self._form[2]]
+            G = G.ravel()[self._index]
         out[self.block] = G
 
 
@@ -205,20 +203,21 @@ class DesignOperator:
         # one table over every order's variables and frequencies (see Tables)
         variables = index_union.variables
         bandwidth = max((n for _, n in index_union.bandwidths), default=2)
-        # the table holds N - 1 frequencies of v variables at M nodes
-        check_memory((bandwidth - 1) * len(variables) * self.rows * kind.dtype.itemsize,
-                     "a basis table")
+        layout = list(zip(index_union.bandwidths, index_union.layout.values()))
+        self._stacks = [_OrderStack(order, block, pos, n - 1, len(own), self.rows)
+                        for (order, n), (block, _, own, pos) in layout]
+        # the table holds N - 1 frequencies of v variables at M nodes; an apply adds its scratch
+        nbytes = (bandwidth - 1) * len(variables) * self.rows * kind.dtype.itemsize
+        check_memory(nbytes, "a basis table")
+        nbytes += max((s.scratch for s in self._stacks), default=0) * kind.dtype.itemsize
+        check_memory(nbytes, "a basis table and one apply's scratch")
         # points over (variable, node) pairs: the transposed table is (N - 1, v, M)
         table = eval_1d_table(kind, bandwidth, X.T[variables - 1].ravel()).T
         table = table.reshape(bandwidth - 1, len(variables), self.rows)
-        self._stacks = []
-        layout = zip(index_union.bandwidths, index_union.layout.values())
-        for (order, n), (block, _, own, pos) in layout:
+        for stack, ((_, n), (_, _, own, _)) in zip(self._stacks, layout):
             start = (bandwidth - n) // 2 if kind.is_complex else 0
             sub = table[start:start + n - 1]
-            if len(own) < len(variables):
-                sub = np.take(sub, own, axis=1)
-            self._stacks.append(_OrderStack(order, block, pos, sub))
+            stack.attach(sub if len(own) == len(variables) else np.take(sub, own, axis=1))
         self._dense = None  # set by _apply_dense(): the applies then read it
 
     @property
@@ -245,6 +244,8 @@ class DesignOperator:
 
         The oracle is :func:`dense_design_matrix`.
         """
+        check_memory(self.rows * self.cols * self.kind.dtype.itemsize,
+                     f"a {self.rows}x{self.cols} dense design matrix")
         # filled as F^T, so that every write is a copy of contiguous rows
         out = np.empty((self.cols, self.rows), dtype=self.kind.dtype)
         out[0] = 1.0

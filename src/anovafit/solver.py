@@ -24,6 +24,8 @@ closely needs a tighter tolerance, such as 1e-8.
 
 :func:`direct_solve` solves the damped normal equations of a dense ``F``
 by one LU factorization; for ``lam > 0`` their matrix is at least ``lam I``.
+Before allocating, both solvers pass :func:`~anovafit.errors.check_memory`: LSQR its
+``LSQR_VECTORS`` coefficient-length vectors, the direct solve its Gram matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, as_array, as_integer, as_real
+from .errors import (ConfigError, DataError, NumericalError, as_array, as_integer, as_real,
+                     check_memory)
+
+LSQR_VECTORS = 5  # coefficient-length vectors in an LSQR step: x, v, w, two update temporaries
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,7 @@ def direct_solve(F: np.ndarray, y, regularization: float) -> LsqrResult:
     if F.ndim != 2:
         raise DataError(f"design matrix must be a 2-d array, got shape {F.shape}")
     y = _check_system(F.shape, y, np.iscomplexobj(F)).astype(F.dtype, copy=False)
+    check_memory(F.shape[1] ** 2 * F.itemsize, f"a {F.shape[1]}x{F.shape[1]} Gram matrix")
     Fh = F.conj().T  # a real array's conj() is the array itself, not a copy
     gram = Fh @ F
     gram.flat[:: gram.shape[0] + 1] += regularization
@@ -117,6 +123,7 @@ def lsqr_solve(op, y, config: SolverConfig | None = None) -> LsqrResult:
     y = _check_system(op.shape, y, op.kind.is_complex)
 
     dtype = op.kind.dtype
+    check_memory(LSQR_VECTORS * n * dtype.itemsize, f"{LSQR_VECTORS} LSQR vectors of {n} entries")
     damp = math.sqrt(cfg.regularization)
     eps = np.finfo(np.float64).eps
     limit = cfg.iteration_limit(n)

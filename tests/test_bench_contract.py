@@ -21,6 +21,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,8 +31,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 PACKAGE = ROOT / "src" / "anovafit"
-# converts a parse failure that load_csv catches internally
-ALLOWED_VALUE_ERRORS = {("datasets", "_csv_cell")}
 # the reader itself
 ALLOWED_FLOAT_CONVERSIONS = {("errors", "as_array")}
 
@@ -121,9 +120,7 @@ def _sites(match):
 
 def test_library_raises_typed_errors():
     found = _sites(lambda node: isinstance(node, ast.Raise) and _is_value_error(node.exc))
-    assert {(module, name) for module, name, _ in found} >= ALLOWED_VALUE_ERRORS
-    stray = [site for site in found if site[:2] not in ALLOWED_VALUE_ERRORS]
-    assert stray == [], f"raise ConfigError or DataError instead of ValueError at {stray}"
+    assert found == [], f"raise ConfigError or DataError instead of ValueError at {found}"
 
 
 def test_arrays_are_read_through_as_array():
@@ -145,3 +142,14 @@ def test_cli_main_has_no_value_error_handler():
         and _is_value_error(node.type)
     ]
     assert handlers == [], f"cli.main catches ValueError at lines {handlers}"
+
+
+def test_console_script_resolves_to_the_cli_main():
+    # read with a regex: Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n|\n)*)", text, re.M)
+    assert section is not None, "pyproject.toml has no [project.scripts]"
+    scripts = re.findall(r'^([\w-]+)\s*=\s*"([\w.]+):(\w+)"', section.group(1), re.M)
+    assert [name for name, _, _ in scripts] == ["anovafit"]
+    _, module, attr = scripts[0]
+    assert callable(getattr(importlib.import_module(module), attr))

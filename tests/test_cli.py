@@ -181,7 +181,8 @@ class TestFit:
 
     def test_coefficient_vector_beyond_physical_memory_exits_2(self, capsys, tmp_path,
                                                                monkeypatch):
-        # 6e10 coefficients take 4.8e11 bytes; the table of 2 rows takes 6.4 MB
+        # 6e10 coefficients take 4.8e11 bytes, but the order-2 apply's B of (n v)^2 =
+        # 399996**2 entries (1.3e12 bytes) is refused first, with the 6.4-MB table of 2 rows
         def unreachable(*args):
             raise AssertionError("the solve was reached")
 
@@ -191,8 +192,24 @@ class TestFit:
                                  "--bandwidths", "4,100000", "--split", "2:1",
                                  "--out", str(out_path))
         assert code == 2
-        assert err.startswith("configuration error: a coefficient vector of 59998800019 "
-                              "entries of 479990400152 bytes exceeds") and err.count("\n") == 1
+        assert err.startswith("configuration error: a basis table and one apply's scratch of "
+                              "1279987200000 bytes exceeds") and err.count("\n") == 1
+        assert out == "" and not out_path.exists()
+
+    def test_order_2_apply_beyond_physical_memory_exits_2(self, capsys, tmp_path, monkeypatch):
+        # 200 rows at N_2 = 10000: a 64-MB table and 4.8-GB coefficient vectors would pass a
+        # one-vector rule against 6e9 bytes, but the apply's B alone takes 12.8 GB
+        def unreachable(*args):
+            raise AssertionError("eval_1d_table was reached")
+
+        monkeypatch.setattr(errors, "physical_memory", lambda: 6 * 10**9)
+        monkeypatch.setattr(operators, "eval_1d_table", unreachable)
+        out_path = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "fit", "--friedman", "2", "--ds", "2",
+                                 "--bandwidths", "4,10000", "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("configuration error: a basis table and one apply's scratch of "
+                              "12925427328 bytes exceeds") and err.count("\n") == 1
         assert out == "" and not out_path.exists()
 
     @pytest.mark.parametrize("command", ["fit", "bench-real"])
@@ -769,6 +786,24 @@ class TestBench:
                                "--split", "0.7", flag, text)
         assert code == 2
         assert f"{flag} has an empty item" in err
+
+    def test_bench_real_keep_outside_the_table_exits_2_before_any_fit(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a fit was reached")
+
+        monkeypatch.setattr("anovafit.bench.fit", unreachable)
+        csv_path = tmp_path / "t.csv"
+        rows = np.random.default_rng(0).random((6, 5))
+        csv_path.write_text("a,b,c,d,y\n" + "".join(",".join(map(str, row)) + "\n"
+                                                   for row in rows.tolist()))
+        out_path = tmp_path / "o.json"
+        code, out, err = run_cli(capsys, "bench-real", "custom", "--csv", str(csv_path),
+                                 "--split", "0.5", "--keep", "0", "--out", str(out_path))
+        assert code == 2
+        assert err == ("configuration error: keep set must be nonempty integers within 1..4, "
+                       "got (0,)\n")
+        assert out == "" and not out_path.exists()
 
     @pytest.mark.parametrize("name, flags, expected", [
         ("enc", [], REAL_PRESETS["enc"]),

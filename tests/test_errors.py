@@ -188,8 +188,18 @@ CASES = {
             friedman_sample(FriedmanSpec(1), 20, 0), RealPreset(0.7, keep=(1.5,)), 1
         ),
     ),
-    "empty real-data keep set": (ConfigError, lambda: RealPreset(0.7, keep=())),
-    "zero real-data kept variable": (ConfigError, lambda: RealPreset(0.7, keep=(0,))),
+    "empty real-data keep set": (
+        ConfigError,
+        lambda: run_real_benchmark(
+            friedman_sample(FriedmanSpec(1), 20, 0), RealPreset(0.7, keep=()), 1
+        ),
+    ),
+    "zero real-data kept variable": (
+        ConfigError,
+        lambda: run_real_benchmark(
+            friedman_sample(FriedmanSpec(1), 20, 0), RealPreset(0.7, keep=(0,)), 1
+        ),
+    ),
     "fractional grid bandwidth": (ConfigError, lambda: full_grid_1d(BasisKind.COSINE, 4.5)),
     "fractional model-file dimension": (
         DataError, lambda: model_from_obj(_model_obj(dimension=2.9))

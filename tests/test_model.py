@@ -770,10 +770,11 @@ class TestRefinement:
         assert len(small) == 7
 
     def test_drop_variables_validation(self):
-        with pytest.raises(ConfigError):
-            drop_variables(self.TERMS, ())
-        with pytest.raises(ConfigError):
-            drop_variables(self.TERMS, (0, 1))
+        # one message, naming the range, for every bad keep set
+        for keep in [(), (0, 1), (0,), (1, 3), (1.0,), (True,), ("1",), [1.7, 2]]:
+            with pytest.raises(ConfigError, match=r"^keep set must be nonempty integers "
+                                                  r"within 1\.\.2, got \("):
+                drop_variables(self.TERMS, keep)
 
     def test_expand_adds_pairs(self):
         termset = superposition_terms(5, 1)

@@ -14,6 +14,7 @@ from anovafit import (
     ConfigError,
     DesignOperator,
     DomainError,
+    SolverConfig,
     TermSet,
     build_index_union,
     dense_design_matrix,
@@ -436,12 +437,68 @@ def test_table_beyond_physical_memory_is_refused_before_any_table(kind, monkeypa
     nodes = np.full((7, 5), 0.25)
     # (N - 1) v M entries: 5 frequencies of variables 1, 2 and 3 at 7 nodes
     nbytes = 5 * 3 * 7 * kind.dtype.itemsize
-    monkeypatch.setattr(errors, "physical_memory", lambda: nbytes)
-    DesignOperator(nodes, union)
-    monkeypatch.setattr(errors, "physical_memory", lambda: nbytes - 1)
     monkeypatch.setattr(operators, "eval_1d_table", _unreachable)
+    # at its bound the table passes, and the table with the apply's scratch is refused
+    monkeypatch.setattr(errors, "physical_memory", lambda: nbytes)
+    with pytest.raises(ConfigError, match="a basis table and one apply's scratch of "):
+        DesignOperator(nodes, union)
+    monkeypatch.setattr(errors, "physical_memory", lambda: nbytes - 1)
     with pytest.raises(ConfigError, match=f"a basis table of {nbytes} bytes exceeds"):
         DesignOperator(nodes, union)
+
+
+# (terms, bandwidths, nodes, table entries, scratch entries), each count by hand:
+# order 2 of (1, 3), N_2 = 4: B is (n v)^2 = 6 x 6, one block of R_b 6 x 7;
+# order 3, N_3 = 4, leading pairs {(1, 2), (2, 3)}: B is n^2 P x n v = 18 x 12, R_b 18 x 5;
+# order 3, N_3 = 10, four triples of 4 variables with P = 3 leading pairs: B is 243 x 36 and
+# the step 4096 * 36 // 243 = 606 < 700 nodes, so the adjoint adds a product to G
+APPLY_CASES = [
+    (TermSet(5, ((1,), (2,), (1, 3))), [6, 4], 7, 5 * 3 * 7, 6 * (6 + 7)),
+    (TermSet(4, ((1, 2, 3), (1, 2, 4), (2, 3, 4))), [2, 2, 4], 5, 3 * 4 * 5, 18 * (12 + 5)),
+    (TermSet(4, tuple(itertools.combinations(range(1, 5), 3))), [2, 2, 10], 700, 9 * 4 * 700,
+     243 * (2 * 36 + 606)),
+]
+
+
+@pytest.mark.parametrize("terms, bandwidths, rows, table, scratch", APPLY_CASES,
+                         ids=["order 2", "order 3", "order 3 in two node blocks"])
+def test_apply_scratch_beyond_physical_memory_is_refused_at_its_bound(
+    terms, bandwidths, rows, table, scratch, monkeypatch
+):
+    union = build_index_union(terms, BandwidthProfile.from_list(bandwidths), BasisKind.COSINE)
+    nodes = np.random.default_rng(4).random((rows, terms.dimension))
+    nbytes = 8 * (table + scratch)
+    monkeypatch.setattr(errors, "physical_memory", lambda: nbytes)
+    op = DesignOperator(nodes, union)
+    r = np.ones(rows)
+    # the count is a lower bound of what the adjoint holds besides the table
+    tracemalloc.start()
+    try:
+        op.adjoint_matvec(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * scratch <= peak
+    np.testing.assert_array_equal(op.matvec(op.adjoint_matvec(r)).shape, (rows,))
+    monkeypatch.setattr(errors, "physical_memory", lambda: nbytes - 1)
+    monkeypatch.setattr(operators, "eval_1d_table", _unreachable)
+    with pytest.raises(ConfigError, match=f"a basis table and one apply's scratch of {nbytes} "
+                                          "bytes exceeds"):
+        DesignOperator(nodes, union)
+
+
+def test_dense_matrix_beyond_physical_memory_is_refused_at_its_bound(monkeypatch):
+    union = build_index_union(superposition_terms(3, 2), BandwidthProfile.from_list([4, 2]),
+                              BasisKind.EXPONENTIAL)
+    op = DesignOperator(np.full((5, 3), 0.25), union)
+    # 5 rows of 1 + 3 * 3 + 3 * 1 columns of 16 bytes
+    nbytes = 5 * 13 * 16
+    monkeypatch.setattr(errors, "physical_memory", lambda: nbytes)
+    np.testing.assert_array_equal(op.dense(), dense_design_matrix(op.nodes, union))
+    monkeypatch.setattr(errors, "physical_memory", lambda: nbytes - 1)
+    monkeypatch.setattr(operators._OrderStack, "dense_transposed", _unreachable)
+    with pytest.raises(ConfigError, match=f"a 5x13 dense design matrix of {nbytes} bytes"):
+        op.dense()
 
 
 def test_fit_with_a_huge_bandwidth_meets_the_table_guard_before_any_grid(
@@ -473,25 +530,19 @@ def test_fit_and_predict_refuse_a_table_beyond_physical_memory(monkeypatch):
 
 
 def test_fit_refuses_a_coefficient_vector_beyond_physical_memory(monkeypatch):
-    # d = 4, ds = 2, N = (4, 1000): 1 + 4 * 3 + 6 * 999**2 coefficients, from a 160 kB table
-    cols = 1 + 4 * 3 + 6 * 999**2
-
-    class Solved(Exception):
-        pass
-
-    def solve(*args):
-        raise Solved
-
-    monkeypatch.setattr("anovafit.model._solve", solve)
+    # order 1, d = 4, N = 1000 on 3 rows: LSQR's 5 vectors of 1 + 4 * 999 entries (160 kB)
+    # bind, above the 96-kB table; 3 * 3997**2 > DIRECT_SOLVE_MAX_WORK, so LSQR runs
+    cols = 1 + 4 * 999
     rng = np.random.default_rng(3)
-    args = (rng.random((5, 4)), rng.random(5), superposition_terms(4, 2),
-            BandwidthProfile.from_list([4, 1000]), BasisKind.COSINE)
-    monkeypatch.setattr(errors, "physical_memory", lambda: 8 * cols)
-    with pytest.raises(Solved):
-        fit(*args)
-    monkeypatch.setattr(errors, "physical_memory", lambda: 8 * cols - 1)
-    with pytest.raises(ConfigError, match=f"a coefficient vector of {cols} entries of "
-                                          f"{8 * cols} bytes exceeds"):
+    args = (rng.random((3, 4)), rng.random(3), superposition_terms(4, 1),
+            BandwidthProfile.from_list([1000]), BasisKind.COSINE, SolverConfig(max_iterations=20))
+    monkeypatch.setattr(errors, "physical_memory", lambda: 5 * 8 * cols)
+    with pytest.warns(UserWarning, match="oversampling"):
+        assert fit(*args).iterations > 0
+    monkeypatch.setattr(errors, "physical_memory", lambda: 5 * 8 * cols - 1)
+    monkeypatch.setattr(DesignOperator, "adjoint_matvec", _unreachable)
+    with pytest.raises(ConfigError, match=f"5 LSQR vectors of {cols} entries of "
+                                          f"{5 * 8 * cols} bytes exceeds"):
         fit(*args)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from anovafit import (
     BandwidthProfile,
     BasisKind,
+    ConfigError,
     DesignOperator,
     NumericalError,
     SolverConfig,
@@ -18,6 +19,9 @@ from anovafit import (
     lsqr_solve,
     superposition_terms,
 )
+
+from anovafit import errors
+from anovafit.solver import LSQR_VECTORS
 
 from conftest import random_instance, term_sets
 
@@ -222,3 +226,39 @@ def test_direct_solve_matches_tight_lsqr(kind, termset, n1, n_higher, rows, lam,
     assert iterative.stop_reason == "tolerance"
     gap = np.linalg.norm(direct - iterative.coefficients)
     assert gap <= 1e-8 * np.linalg.norm(direct)
+
+
+class _NoApplies:
+    """An operator's shape and kind, with applies that fail if reached."""
+
+    def __init__(self, op):
+        self.shape, self.kind = op.shape, op.kind
+
+    def matvec(self, vec):
+        raise AssertionError("an apply was reached")
+
+    adjoint_matvec = matvec
+
+
+@pytest.mark.parametrize("kind", [BasisKind.COSINE, BasisKind.EXPONENTIAL])
+def test_lsqr_vectors_beyond_physical_memory_are_refused_at_their_bound(kind, monkeypatch):
+    # order 1, d = 2, N = 6: 1 + 2 * 5 coefficients
+    union = build_index_union(superposition_terms(2, 1), BandwidthProfile.from_list([6]), kind)
+    op = DesignOperator(np.full((4, 2), 0.25), union)
+    nbytes = LSQR_VECTORS * 11 * kind.dtype.itemsize
+    monkeypatch.setattr(errors, "physical_memory", lambda: nbytes)
+    assert lsqr_solve(op, np.arange(4.0)).iterations > 0
+    monkeypatch.setattr(errors, "physical_memory", lambda: nbytes - 1)
+    with pytest.raises(ConfigError, match=f"{LSQR_VECTORS} LSQR vectors of 11 entries of "
+                                          f"{nbytes} bytes exceeds"):
+        lsqr_solve(_NoApplies(op), np.arange(4.0))
+
+
+def test_gram_matrix_beyond_physical_memory_is_refused_at_its_bound(monkeypatch):
+    F = np.random.default_rng(5).random((6, 4))
+    monkeypatch.setattr(errors, "physical_memory", lambda: 4 * 4 * 8)
+    assert direct_solve(F, np.ones(6), 1.0).stop_reason == "direct"
+    monkeypatch.setattr(errors, "physical_memory", lambda: 4 * 4 * 8 - 1)
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: pytest.fail("solve was reached"))
+    with pytest.raises(ConfigError, match="a 4x4 Gram matrix of 128 bytes exceeds"):
+        direct_solve(F, np.ones(6), 1.0)
