@@ -242,8 +242,8 @@ def gsi(model: Model) -> SensitivityReport:
         )
     # each order's block as (T_l, n_l**l): one row per term, in union order
     mass = np.concatenate([
-        np.sum(np.abs(model.coefficients[block].reshape(len(factors), -1)) ** 2, axis=1)
-        for block, factors, _, _ in model.index_union.layout.values()
+        np.sum(np.abs(model.coefficients[o.block].reshape(len(o.factors), -1)) ** 2, axis=1)
+        for o in model.index_union.layout.values()
     ])
     indices = tuple((u, float(m) / sigma2) for u, m in zip(model.index_union.terms[1:], mass))
     return SensitivityReport(model.terms.dimension, sigma2, indices)

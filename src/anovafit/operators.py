@@ -8,11 +8,10 @@ grouped transformations of Bartel, Potts & Schmischke, arXiv 2010.10199).
 
 Each order-``l`` term carries the ``l``-fold product of the ``n_l = N_l - 1``
 frequencies of ``full_grid_1d(kind, N_l)`` in :func:`itertools.product`
-order, yet no grid is built (see Tables).  Terms are sorted by
-(order, lex), so the ``T_l`` terms of order ``l`` own one contiguous
-coefficient block of shape ``(T_l, n_l, ..., n_l)``, laid out once by the
-union with ``own`` and ``pos`` below (``index_union.layout``); the operator
-reads that layout and checks nothing about it.  Index 0 is the constant column.
+order, yet no grid is built (see Tables).  The union lays out each order once,
+in the :class:`~anovafit.terms.OrderLayout` ``index_union.layout[l]`` whose
+fields are read below; the operator checks nothing about it.  Index 0 is the
+constant column.
 
 **Tables.**  ``nodes`` is a read-only view of the checked nodes (a copy
 only where :func:`~anovafit.basis.check_domain` makes one: a conversion to
@@ -27,41 +26,33 @@ at all ``M`` nodes.  Order ``l``'s grid is the run of ``n_l`` rows that starts
 at row ``(N - N_l) / 2`` for ``per`` and at row 0 for ``cos`` and ``cheb``,
 so order ``l`` reads its ``(n_l, v_l, M)`` table ``T_l`` as that run, a view,
 when it uses all ``v`` variables, else as one gather of it at ``own``: at most
-``M * (v (N - 1) + sum_l n_l v_l)`` entries, whatever the number of terms.
-``pos[t, k]`` is the position ``p`` of term ``t``'s ``k``-th variable, so
-``T_l[:, pos[t, k]]`` is that factor of term ``t``; row ``j v_l + p`` of
-``T_l`` viewed as ``(n_l v_l, M)`` is frequency ``j`` of variable ``p``.
-Before it is built, the table alone and then with the largest scratch of one
-apply (``_OrderStack.scratch``) pass :func:`~anovafit.errors.check_memory`.
+``M * (v (N - 1) + sum_l n_l v_l)`` entries, whatever the number of terms;
+``T_l[:, pos[t, k]]`` is the ``k``-th factor of term ``t``.  The node step and
+scratch of an order's apply are the operator's (``_apply_plan``, from the
+record, ``M`` and ``NODE_BLOCK``); before the table is built, it alone and
+then with the largest scratch pass :func:`~anovafit.errors.check_memory`.
 
-**Apply.**  Each order works on ``T_l`` viewed as ``(n_l v_l, M)``.  Order 1
-takes one BLAS call each way; orders 2 and up run over node blocks, column
-ranges ``s:s + step`` of ``T_l`` (strided views that BLAS reads without a
-copy), so no apply holds scratch for more than one block:
+**Apply.**  Each order works on ``T_l`` viewed as ``(n_l v_l, M)``:
 
 * order 1: the order-1 terms are the sorted variables, so the block viewed
   as ``(v, n)`` and transposed is ordered like the table rows: one GEMV
-  ``c_1 @ T_1``; the adjoint writes ``T_1 r``, transposed back, into the
-  block.  Neither holds node-sized scratch beyond the output;
-* order ``l >= 2``: per node block ``b``, the bilinear form
-  ``colsum((B^T R_b) * T_l[:, b])`` (the column sum by one
-  :func:`numpy.einsum` into the output, with no product temporary) between
-  the *leading rows* ``R_b`` of the first ``l - 1`` factors and the table.
-  Order 2's ``R_b`` is ``T_2[:, b]`` itself, with ``P = v`` and ``q`` the
-  first variable's position; above that, ``R_b`` holds the products of the
-  ``P`` distinct leading ``(l - 1)``-tuples ``q`` of the terms, from the
-  tensor-product kernel that :meth:`DesignOperator.dense` runs on all terms
-  and nodes at once.  Row ``a P + q`` of ``R_b`` is leading frequency ``a``
-  of ``q``, and ``B``, of shape ``(n^(l-1) P, n v)``, holds term ``t``'s
-  coefficient ``(a, k)`` at row ``a P + q_t``, column ``k v + pos[t, -1]``
-  and zeros elsewhere, written through one flat index built on the first
-  apply.  The adjoint sums ``(R_b * r_b) T_l[:, b]^T`` over the blocks and
-  reads the coefficients back through that index.  The node step is
-  ``NODE_BLOCK n v // (n^(l-1) P)``, clipped to ``[1, NODE_BLOCK]``
-  (``NODE_BLOCK`` for order 2), so ``R_b`` is never larger than the
-  ``(n v, NODE_BLOCK)`` table block, and an apply of order ``l >= 2`` holds
-  at most ``3 n_l v_l NODE_BLOCK`` entries of scratch that grow with the
-  nodes, whatever ``M``, beyond its output and a few arrays of ``B``'s size.
+  ``c_1 @ T_1``; the adjoint writes ``T_1 r``, transposed back, into the block;
+* order ``l >= 2``, over node blocks ``b`` (column ranges of ``T_l``, strided
+  views that BLAS reads without a copy): the bilinear form
+  ``colsum((B^T R_b) * T_l[:, b])``, its column sum by one :func:`numpy.einsum`
+  into the output, between the *leading rows* ``R_b`` and the table: the
+  products of the ``P`` tuples ``lead``, from the tensor-product kernel that
+  :meth:`DesignOperator.dense` runs on all terms at once (order 2's ``R_b``
+  is ``T_2[:, b]`` itself).  ``B``, of shape ``(n^(l-1) P, n v)``, holds term
+  ``t``'s coefficient ``(a, k)`` at row ``a P + q_t``, column
+  ``k v + pos[t, -1]``, and zeros elsewhere: its view ``(n^(l-1), P, n, v)``
+  at ``[:, q, :, pos[:, -1]]`` is the block read as ``(T_l, n^(l-1), n)``.
+  The adjoint sums ``(R_b * r_b) T_l[:, b]^T`` over the blocks and gathers
+  the coefficients through the same view.  The node
+  step is ``NODE_BLOCK n v // (n^(l-1) P)``, clipped to ``[1, NODE_BLOCK]``,
+  so ``R_b`` is never larger than the ``(n v, NODE_BLOCK)`` table block, and
+  the apply holds at most ``3 n_l v_l NODE_BLOCK`` entries of scratch that
+  grow with the nodes, beyond its output and a few arrays of ``B``'s size.
 
 **Determinism.**  An apply runs a fixed sequence of numpy operations on
 fixed shapes, writes only to freshly allocated scratch arrays, and never
@@ -79,13 +70,13 @@ apply in the last bits; :meth:`DesignOperator.dense` keeps nothing.
 from __future__ import annotations
 
 import operator
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
 from .basis import check_domain, eval_1d, eval_1d_table
 from .errors import ConfigError, DataError, as_array, check_memory
-from .terms import FrequencyIndexUnion
+from .terms import FrequencyIndexUnion, OrderLayout
 
 # matrix entries allowed for the dense test oracle
 DENSE_ORACLE_MAX_ENTRIES = 2_000_000
@@ -93,25 +84,29 @@ DENSE_ORACLE_MAX_ENTRIES = 2_000_000
 NODE_BLOCK = 4096
 
 
+def _apply_plan(layout: OrderLayout, M: int) -> tuple[tuple[int, int], int, int]:
+    """``B``'s shape, the node step and the scratch entries of an order's apply on ``M`` nodes."""
+    n, v = layout.bandwidth - 1, len(layout.own)
+    h, w = n ** (layout.order - 1) * len(layout.lead), n * v
+    step = min(NODE_BLOCK, max(1, NODE_BLOCK * w // h))
+    # an order-2+ adjoint holds G, one block of R_b and, past one block, the product added to G
+    return (h, w), step, (layout.order > 1) * h * ((1 + (M > step)) * w + min(step, M))
+
+
 class _OrderStack:
-    """One term order's layout and, once :meth:`attach` runs, its ``(n, v, M)`` table."""
+    """One term order's read-only ``(n, v, M)`` table and node blocks, on the union's layout."""
 
-    def __init__(self, order, block, pos, n, v, M):
-        self.order, self.block, self.pos, self.n, self.v = order, block, pos, n, v
-        # the distinct leading tuples (None: R_b = T_b) and each term's row among them
-        self.lead, self.q, P = None, pos[:, 0], v
-        if order > 2:
-            self.lead, self.q = np.unique(pos[:, :-1], axis=0, return_inverse=True)
-            P = len(self.lead)
-        self.shape = h, w = n ** (order - 1) * P, n * v  # B's
-        self.step = step = min(NODE_BLOCK, max(1, NODE_BLOCK * w // h))
-        # an order-2+ adjoint holds G, one block of R_b and, past one block, the product added to G
-        self.scratch = (order > 1) * h * ((1 + (M > step)) * w + min(step, M))
-
-    def attach(self, table):
+    def __init__(self, layout: OrderLayout, table: np.ndarray):
         table.setflags(write=False)
-        self.table = table
-        self.flat = table.reshape(self.n * self.v, table.shape[2])
+        self.layout, self.table = layout, table
+        n, v, M = table.shape
+        T = self.flat = table.reshape(n * v, M)
+        self.shape, step, _ = _apply_plan(layout, M)  # B's
+        # B viewed as (a, q, k, p) and read at ``at`` is the (T, n^(l-1), n) block (see Apply)
+        self.view = (n ** (layout.order - 1), len(layout.lead), n, v)
+        self.at = (slice(None), layout.q, slice(None), layout.pos[:, -1])
+        # the node blocks as (slice, view of flat); one empty block for no nodes
+        self.parts = [(slice(s, s + step), T[:, s:s + step]) for s in range(0, max(M, 1), step)]
 
     def term_rows(self, pos, nodes=slice(None)):
         """Rows of ``F^T`` of ``k``-factor terms ``pos`` on ``nodes``, ``(n**k, len(pos), m)``."""
@@ -123,58 +118,44 @@ class _OrderStack:
             rows = (rows[:, None] * factor).reshape(len(rows) * len(factor), *factor.shape[1:])
         return rows
 
-    @cached_property
-    def _index(self):
-        """Term t's coefficient (a, k) sits at row a P + q_t, column k v + pos[t, -1] of ``B``."""
-        n, v, pos = self.n, self.v, self.pos
-        A = n ** (self.order - 1)
-        row = np.arange(A)[:, None] * (self.shape[0] // A) + self.q.ravel()
-        return (row.T[:, :, None] * (n * v) + np.arange(n) * v + pos[:, -1, None, None]).ravel()
-
-    @cached_property
-    def _parts(self):
-        """The node blocks as (slice, view of flat); one empty block for no nodes."""
-        step, M = self.step, self.flat.shape[1]
-        return [(slice(s, s + step), self.flat[:, s:s + step]) for s in range(0, max(M, 1), step)]
-
     def _leading_rows(self, b, Tb, weights=None):
         """The leading rows ``R_b``, each node's column times ``weights`` if given."""
-        if self.lead is None:
+        if self.layout.order == 2:
             return Tb if weights is None else Tb * weights
-        R = self.term_rows(self.lead, b).reshape(self.shape[0], Tb.shape[1])
+        R = self.term_rows(self.layout.lead, b).reshape(self.shape[0], Tb.shape[1])
         if weights is not None:
             R *= weights  # in place: a second block-sized temporary maps fresh pages per block
         return R
 
     def matvec(self, c):
-        T, n, v = self.flat, self.n, self.v
-        C = c[self.block]
-        if self.order == 1:
+        T, (n, v) = self.flat, self.table.shape[:2]
+        C = c[self.layout.block]
+        if self.layout.order == 1:
             return C.reshape(v, n).T.ravel() @ T
         B = np.zeros(self.shape, dtype=T.dtype)
-        B.ravel()[self._index] = C
+        B.reshape(self.view)[self.at] = C.reshape(len(self.layout.q), -1, n)
         out = np.empty(T.shape[1], dtype=T.dtype)
-        for b, Tb in self._parts:
+        for b, Tb in self.parts:
             np.einsum("ij,ij->j", B.T @ self._leading_rows(b, Tb), Tb, out=out[b])
         return out
 
     def dense_transposed(self, out):
         """Write this order's rows of ``F^T`` into ``out``."""
-        rows = self.term_rows(self.pos).swapaxes(0, 1)
-        out[self.block].reshape(rows.shape)[:] = rows
+        rows = self.term_rows(self.layout.pos).swapaxes(0, 1)
+        out[self.layout.block].reshape(rows.shape)[:] = rows
 
     def adjoint_matvec(self, r, out):
         """Write ``F_l^T r`` into this order's coefficient block of ``out``."""
-        T, n, v = self.flat, self.n, self.v
-        if self.order == 1:
+        T, (n, v) = self.flat, self.table.shape[:2]
+        if self.layout.order == 1:
             G = (T @ r).reshape(n, v).T.ravel()
         else:
             # the first block's product is the sum's start, in place of zeros
             G = reduce(operator.iadd, (
-                self._leading_rows(b, Tb, r[b]) @ Tb.T for b, Tb in self._parts
+                self._leading_rows(b, Tb, r[b]) @ Tb.T for b, Tb in self.parts
             ))
-            G = G.ravel()[self._index]
-        out[self.block] = G
+            G = G.reshape(self.view)[self.at].ravel()
+        out[self.layout.block] = G
 
 
 class DesignOperator:
@@ -201,23 +182,23 @@ class DesignOperator:
         self.cols = index_union.size
         self.shape = (self.rows, self.cols)
         # one table over every order's variables and frequencies (see Tables)
-        variables = index_union.variables
-        bandwidth = max((n for _, n in index_union.bandwidths), default=2)
-        layout = list(zip(index_union.bandwidths, index_union.layout.values()))
-        self._stacks = [_OrderStack(order, block, pos, n - 1, len(own), self.rows)
-                        for (order, n), (block, _, own, pos) in layout]
+        variables, layouts = index_union.variables, index_union.layout.values()
+        bandwidth = max((o.bandwidth for o in layouts), default=2)
         # the table holds N - 1 frequencies of v variables at M nodes; an apply adds its scratch
-        nbytes = (bandwidth - 1) * len(variables) * self.rows * kind.dtype.itemsize
+        itemsize = kind.dtype.itemsize
+        nbytes = (bandwidth - 1) * len(variables) * self.rows * itemsize
         check_memory(nbytes, "a basis table")
-        nbytes += max((s.scratch for s in self._stacks), default=0) * kind.dtype.itemsize
+        nbytes += max((_apply_plan(o, self.rows)[2] for o in layouts), default=0) * itemsize
         check_memory(nbytes, "a basis table and one apply's scratch")
         # points over (variable, node) pairs: the transposed table is (N - 1, v, M)
         table = eval_1d_table(kind, bandwidth, X.T[variables - 1].ravel()).T
         table = table.reshape(bandwidth - 1, len(variables), self.rows)
-        for stack, ((_, n), (_, _, own, _)) in zip(self._stacks, layout):
-            start = (bandwidth - n) // 2 if kind.is_complex else 0
-            sub = table[start:start + n - 1]
-            stack.attach(sub if len(own) == len(variables) else np.take(sub, own, axis=1))
+        self._stacks = []
+        for o in layouts:
+            start = (bandwidth - o.bandwidth) // 2 if kind.is_complex else 0
+            sub = table[start:start + o.bandwidth - 1]
+            whole = len(o.own) == len(variables)
+            self._stacks.append(_OrderStack(o, sub if whole else np.take(sub, o.own, axis=1)))
         self._dense = None  # set by _apply_dense(): the applies then read it
 
     @property

@@ -198,22 +198,32 @@ class BandwidthProfile:
 
 
 @dataclass(frozen=True)
+class OrderLayout:
+    """One term order ``l``'s coefficient layout: read-only arrays, none sized by ``N_l``."""
+
+    order: int
+    bandwidth: int  # N_l
+    block: slice  # the T_l terms' coefficients, C-ordered (T_l, n_l, ..., n_l), n_l = N_l - 1
+    factors: np.ndarray  # (T_l, l): each term's variables
+    own: np.ndarray  # the positions of the order's variables in the union's ``variables``
+    pos: np.ndarray  # (T_l, l): the position of each factor among ``own``
+    lead: np.ndarray  # the distinct leading (l - 1)-tuples of pos: order 2 all v_l, order 1 none
+    q: np.ndarray  # each term's row in lead, so that lead[q] == pos[:, :-1]
+
+
+@dataclass(frozen=True)
 class FrequencyIndexUnion:
     """Union of the per-term embedded frequency grids, enumerated by term.
 
     Every term of order ``l`` carries the ``(N_l - 1) ** l`` frequencies of
     ``itertools.product(full_grid_1d(kind, N_l), repeat=l)`` on its own
-    coordinates, all off-term coordinates being zero, so the support of each
-    frequency equals its owning term.  The union is a layout only and builds
-    no grid.  ``terms`` follow :class:`TermSet` order: the empty term (the
-    zero frequency) is index 0, and the ``T_l`` terms of order ``l`` own the
-    range ``block`` of ``layout[l] = (block, factors, own, pos)``, a C-ordered
-    ``(T_l, n_l, ..., n_l)`` array (terms, then one axis per factor over that
-    grid); ``factors`` holds their ``(T_l, l)`` variables, ``own`` the
-    positions of the order's variables in ``variables`` (all terms',
-    ascending) and ``pos`` the position of each factor among those.  Equality
-    and hashing leave out the fields after ``size``, which follow from the
-    others; ``bandwidths`` holds ``(l, N_l)``.
+    coordinates, all others zero, so the support of each frequency equals its
+    owning term.  The union is a layout only and builds no grid: ``terms``
+    follow :class:`TermSet` order, the empty term (the zero frequency) is
+    index 0, ``bandwidths`` holds ``(l, N_l)`` and ``layout[l]`` is order
+    ``l``'s :class:`OrderLayout` over ``variables`` (all terms', ascending),
+    built once per union.  Equality and hashing leave out these last two,
+    which follow from the others.
     """
 
     dimension: int
@@ -222,7 +232,7 @@ class FrequencyIndexUnion:
     bandwidths: tuple[tuple[int, int], ...]
     size: int
     variables: np.ndarray = field(compare=False)
-    layout: Mapping[int, tuple[slice, np.ndarray, np.ndarray, np.ndarray]] = field(compare=False)
+    layout: Mapping[int, OrderLayout] = field(compare=False)
 
     def slice_for(self, term) -> slice:
         term = normalize_term(term)
@@ -230,17 +240,18 @@ class FrequencyIndexUnion:
             raise ConfigError(f"term {term} is not part of the index union")
         if not term:
             return slice(0, 1)
-        block, factors, _, _ = self.layout[len(term)]
-        width = (block.stop - block.start) // len(factors)
-        start = block.start + width * factors.tolist().index(list(term))
+        o = self.layout[len(term)]
+        width = (o.block.stop - o.block.start) // len(o.factors)
+        start = o.block.start + width * o.factors.tolist().index(list(term))
         return slice(start, start + width)
 
     def frequencies_full(self) -> np.ndarray:
         """All frequencies as ``(size, dimension)`` integer vectors in ``Z^d``."""
         full = np.zeros((self.size, self.dimension), dtype=np.int64)
-        for (order, n), (block, factors, _, _) in zip(self.bandwidths, self.layout.values()):
-            grid = list(itertools.product(full_grid_1d(self.kind, n), repeat=order))
-            for rows, term in zip(full[block].reshape(len(factors), -1, self.dimension), factors):
+        for o in self.layout.values():
+            grid = list(itertools.product(full_grid_1d(self.kind, o.bandwidth), repeat=o.order))
+            for rows, term in zip(full[o.block].reshape(len(o.factors), -1, self.dimension),
+                                  o.factors):
                 rows[:, term - 1] = grid
         return full
 
@@ -264,14 +275,21 @@ def _index_union(termset: TermSet, by_order, kind: BasisKind) -> FrequencyIndexU
     for order, group in itertools.groupby(termset.nonempty_terms, key=len):
         factors = np.array(list(group), dtype=np.intp)
         own = np.searchsorted(variables, np.unique(factors))
+        pos = np.searchsorted(variables[own], factors)
+        if order > 2:
+            lead, q = np.unique(pos[:, :-1], axis=0, return_inverse=True)
+        else:  # order 2 leads with every variable of the order, order 1 with none
+            lead, q = np.arange(len(own))[:, None][:, :order - 1], pos[:, 0]
         block = slice(size, size + len(factors) * bandwidths.term_size(order))
-        layout[order] = (block, factors, own, np.searchsorted(variables[own], factors))
+        arrays = factors, own, pos, lead, q.reshape(-1)  # q's shape varies with numpy 2.0.x
+        for array in arrays:
+            array.setflags(write=False)
+        layout[order] = OrderLayout(order, bandwidths.for_order(order), block, *arrays)
         size = block.stop
-    pairs = tuple((order, bandwidths.for_order(order)) for order in layout)
-    for array in (variables, *(a for _, *arrays in layout.values() for a in arrays)):
-        array.setflags(write=False)
+    variables.setflags(write=False)
     return FrequencyIndexUnion(
-        termset.dimension, kind, termset.terms, pairs, size, variables,
+        termset.dimension, kind, termset.terms,
+        tuple((order, o.bandwidth) for order, o in layout.items()), size, variables,
         types.MappingProxyType(layout),
     )
 

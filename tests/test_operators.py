@@ -153,11 +153,11 @@ def test_order_tables_equal_their_own_evaluation(kind):
         union = op.index_union
         grids = {order: full_grid_1d(kind, bandwidth) for order, bandwidth in union.bandwidths}
         longest = max(map(len, grids.values()), default=0)
-        every = np.unique(np.concatenate([f.ravel() for _, f, _, _ in union.layout.values()]))
+        every = np.unique(np.concatenate([o.factors.ravel() for o in union.layout.values()]))
         for stack in op._stacks:
-            grid = grids[stack.order]
-            variables = np.unique(union.layout[stack.order][1])
-            bandwidth = dict(union.bandwidths)[stack.order]
+            grid = grids[stack.layout.order]
+            variables = np.unique(union.layout[stack.layout.order].factors)
+            bandwidth = dict(union.bandwidths)[stack.layout.order]
             want = eval_1d_table(kind, bandwidth, op.nodes.T[variables - 1].ravel())
             np.testing.assert_array_equal(
                 stack.table, want.T.reshape(len(grid), len(variables), op.rows)
@@ -290,6 +290,46 @@ def test_node_blocks_equal_one_product(kind, order, monkeypatch):
     one = DesignOperator(nodes, union)
     assert _relative_gap(matvec, one.matvec(coeffs)) <= 1e-14
     assert _relative_gap(adjoint, one.adjoint_matvec(values)) <= 1e-14
+
+
+# order 4 on six variables: four of the twenty leading triples, one of them led twice
+ORDER_4_TERMS = ((1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 6), (1, 3, 4, 5), (2, 3, 5, 6))
+
+
+@pytest.mark.parametrize("kind", [BasisKind.EXPONENTIAL, BasisKind.COSINE, BasisKind.CHEBYSHEV])
+@pytest.mark.parametrize("node_block", [NODE_BLOCK, 16])
+def test_sparse_order_4_matches_dense(kind, node_block, monkeypatch):
+    union = build_index_union(TermSet(6, ORDER_4_TERMS), BandwidthProfile({4: 4}), kind)
+    layout = union.layout[4]
+    assert len(layout.lead) == 4 and layout.q.tolist() == [0, 0, 1, 2, 3]
+    monkeypatch.setattr(operators, "NODE_BLOCK", node_block)
+    rng = np.random.default_rng(41)
+    lo, hi = kind.domain
+    op = DesignOperator(rng.uniform(lo, hi, size=(60, 6)), union)
+    # the step is NODE_BLOCK * n v // (n^3 P) = NODE_BLOCK * 18 // 108 nodes
+    (stack,) = op._stacks
+    assert len(stack.parts) == (1 if node_block == NODE_BLOCK else 30)
+    dense = dense_design_matrix(op.nodes, union)
+    coeffs = rng.standard_normal(op.cols)
+    values = rng.standard_normal(op.rows)
+    if kind.is_complex:
+        coeffs = coeffs + 1j * rng.standard_normal(op.cols)
+        values = values + 1j * rng.standard_normal(op.rows)
+    np.testing.assert_allclose(op.matvec(coeffs), dense @ coeffs, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        op.adjoint_matvec(values), dense.conj().T @ values, rtol=1e-12, atol=1e-12
+    )
+
+
+def test_operators_on_one_union_read_its_order_layouts():
+    union = build_index_union(
+        superposition_terms(4, 3), BandwidthProfile.from_list([4, 4, 2]), BasisKind.COSINE
+    )
+    rng = np.random.default_rng(42)
+    first, second = (DesignOperator(rng.random((rows, 4)), union) for rows in (10, 30))
+    assert len(first._stacks) == len(second._stacks) == len(union.layout)
+    for layout, a, b in zip(union.layout.values(), first._stacks, second._stacks):
+        assert a.layout is b.layout is layout
 
 
 def test_node_blocks_bound_apply_scratch():

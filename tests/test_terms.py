@@ -188,7 +188,8 @@ class TestIndexUnion:
         assert union.variables.tolist() == sorted({i for u in union.terms for i in u})
         stop = 1
         for order in sorted(grids):
-            block, factors, own, pos = union.layout[order]
+            layout = union.layout[order]
+            block, factors, own, pos = layout.block, layout.factors, layout.own, layout.pos
             owned = [u for u in union.terms if len(u) == order]
             assert block.start == stop == union.slice_for(owned[0]).start
             assert block.stop == union.slice_for(owned[-1]).stop
@@ -196,6 +197,7 @@ class TestIndexUnion:
             assert factors.tolist() == [list(u) for u in owned]
             assert union.variables[own].tolist() == sorted(set(factors.ravel().tolist()))
             np.testing.assert_array_equal(union.variables[own][pos], factors)
+            np.testing.assert_array_equal(layout.lead[layout.q], pos[:, :-1])
             stop = block.stop
         assert stop == union.size
 
@@ -256,8 +258,8 @@ class TestCaches:
         )
         assert other is not union and other.kind is BasisKind.CHEBYSHEV
         arrays = [union.variables]
-        for _, *order_arrays in union.layout.values():
-            arrays += order_arrays
+        for layout in union.layout.values():
+            arrays += [layout.factors, layout.own, layout.pos, layout.lead, layout.q]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
