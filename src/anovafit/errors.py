@@ -6,9 +6,10 @@ ConfigError and DataError are also ValueErrors, so ``except ValueError``
 still catches bad settings and bad arrays.  Any other exception that
 reaches the CLI's ``main`` is a bug and shows its traceback.
 
-A setting is read by :func:`as_integer` or :func:`as_real`, and every array
-argument of the library by :func:`as_array`, so a wrong type or length is a
-typed error at the boundary and never a bare numpy error or a silent cast.
+A setting is read by :func:`as_integer` or :func:`as_real`, every array
+argument of the library by :func:`as_array` and every record argument by
+:func:`check_type`, so a wrong type or length is a typed error at the boundary
+and never a bare Python or numpy error or a silent cast.
 Each allocation sized by outside input passes :func:`check_memory` before it is made.
 """
 
@@ -75,6 +76,12 @@ def as_integer(value, what: str) -> int:
         except TypeError:
             pass
     raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def check_type(value, cls: type, what: str) -> None:
+    """Raise a ConfigError if ``value`` is not a ``cls``: a record argument is never converted."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def as_real(value, what: str) -> float:

@@ -41,7 +41,7 @@ import numpy as np
 from .basis import BasisKind
 from .datasets import Normalization
 from .errors import (ConfigError, DataError, DegenerateModelError, as_array, as_integer,
-                     as_real, check_memory)
+                     as_real, check_memory, check_type)
 from .operators import NODE_BLOCK, DesignOperator
 from .solver import LsqrResult, SolverConfig, direct_solve, lsqr_solve
 from .terms import (
@@ -150,6 +150,7 @@ def fit(
     ``tolerance`` and ``max_iterations`` steer LSQR alone.
     """
     cfg = config if config is not None else SolverConfig()
+    check_type(cfg, SolverConfig, "solver config")
     union = build_index_union(termset, bandwidths, kind)
     op = DesignOperator(nodes, union)
     result: LsqrResult = _solve(op, values, cfg)
@@ -245,8 +246,9 @@ def gsi(model: Model) -> SensitivityReport:
         np.sum(np.abs(model.coefficients[o.block].reshape(len(o.factors), -1)) ** 2, axis=1)
         for o in model.index_union.layout.values()
     ])
-    indices = tuple((u, float(m) / sigma2) for u, m in zip(model.index_union.terms[1:], mass))
-    return SensitivityReport(model.terms.dimension, sigma2, indices)
+    terms = model.index_union.terms
+    indices = tuple((u, float(m) / sigma2) for u, m in zip(terms.nonempty_terms, mass))
+    return SensitivityReport(terms.dimension, sigma2, indices)
 
 
 def attribute_ranking(report: SensitivityReport) -> np.ndarray:

@@ -169,11 +169,9 @@ class DesignOperator:
         X.setflags(write=False)
         if X.ndim != 2:
             raise DataError(f"nodes must be a 2-d array, got shape {X.shape}")
-        if X.shape[1] != index_union.dimension:
-            raise DataError(
-                f"nodes have {X.shape[1]} coordinates but the index union "
-                f"expects {index_union.dimension}"
-            )
+        d = index_union.terms.dimension
+        if X.shape[1] != d:
+            raise DataError(f"nodes have {X.shape[1]} coordinates but the index union expects {d}")
 
         self.kind = kind
         self.index_union = index_union
@@ -266,10 +264,9 @@ def dense_design_matrix(nodes, index_union: FrequencyIndexUnion) -> np.ndarray:
     """
     kind = index_union.kind
     X = check_domain(kind, nodes)
-    if X.ndim != 2 or X.shape[1] != index_union.dimension:
-        raise DataError(
-            f"nodes must have shape (M, {index_union.dimension}), got {X.shape}"
-        )
+    d = index_union.terms.dimension
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DataError(f"nodes must have shape (M, {d}), got {X.shape}")
     full = index_union.frequencies_full()
     if X.shape[0] * len(full) > DENSE_ORACLE_MAX_ENTRIES:
         raise ConfigError(

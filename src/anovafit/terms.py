@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisKind, as_bandwidth, full_grid_1d
-from .errors import ConfigError, DataError, as_integer, check_memory, json_reader
+from .errors import ConfigError, DataError, as_integer, check_memory, check_type, json_reader
 
 Term = tuple[int, ...]
 # distinct arguments whose term set or index union is kept (each a few small arrays)
@@ -65,7 +65,10 @@ class TermSet:
         object.__setattr__(self, "dimension", as_integer(self.dimension, "dimension"))
         if self.dimension < 1:
             raise ConfigError("dimension must be positive")
-        normalized = [normalize_term(u) for u in self.terms]
+        try:
+            normalized = [normalize_term(u) for u in self.terms]
+        except TypeError:
+            raise ConfigError("terms must each be a collection of variable indices") from None
         if len(set(normalized)) != len(normalized):
             raise ConfigError("duplicate terms in term set")
         if () not in normalized:
@@ -165,6 +168,7 @@ class BandwidthProfile:
     by_order: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_type(self.by_order, Mapping, "bandwidths by order")
         clean = {}
         orders = {as_integer(order, "bandwidth order"): n for order, n in self.by_order.items()}
         for order, n in sorted(orders.items()):
@@ -197,7 +201,7 @@ class BandwidthProfile:
             return cls({int(order): n for order, n in obj.items()})  # JSON keys are strings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderLayout:
     """One term order ``l``'s coefficient layout: read-only arrays, none sized by ``N_l``."""
 
@@ -211,28 +215,25 @@ class OrderLayout:
     q: np.ndarray  # each term's row in lead, so that lead[q] == pos[:, :-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyIndexUnion:
     """Union of the per-term embedded frequency grids, enumerated by term.
 
     Every term of order ``l`` carries the ``(N_l - 1) ** l`` frequencies of
     ``itertools.product(full_grid_1d(kind, N_l), repeat=l)`` on its own
     coordinates, all others zero, so the support of each frequency equals its
-    owning term.  The union is a layout only and builds no grid: ``terms``
-    follow :class:`TermSet` order, the empty term (the zero frequency) is
-    index 0, ``bandwidths`` holds ``(l, N_l)`` and ``layout[l]`` is order
-    ``l``'s :class:`OrderLayout` over ``variables`` (all terms', ascending),
-    built once per union.  Equality and hashing leave out these last two,
-    which follow from the others.
+    owning term.  The union is a layout only and builds no grid: it holds the
+    :class:`TermSet` it lays out, whose order it follows, so the empty term
+    (the zero frequency) is index 0; ``layout[l]`` is order ``l``'s
+    :class:`OrderLayout`, with its bandwidth ``N_l``, over ``variables`` (all
+    terms', ascending).
     """
 
-    dimension: int
+    terms: TermSet
     kind: BasisKind
-    terms: tuple[Term, ...]
-    bandwidths: tuple[tuple[int, int], ...]
     size: int
-    variables: np.ndarray = field(compare=False)
-    layout: Mapping[int, OrderLayout] = field(compare=False)
+    variables: np.ndarray
+    layout: Mapping[int, OrderLayout]
 
     def slice_for(self, term) -> slice:
         term = normalize_term(term)
@@ -247,11 +248,11 @@ class FrequencyIndexUnion:
 
     def frequencies_full(self) -> np.ndarray:
         """All frequencies as ``(size, dimension)`` integer vectors in ``Z^d``."""
-        full = np.zeros((self.size, self.dimension), dtype=np.int64)
+        d = self.terms.dimension
+        full = np.zeros((self.size, d), dtype=np.int64)
         for o in self.layout.values():
             grid = list(itertools.product(full_grid_1d(self.kind, o.bandwidth), repeat=o.order))
-            for rows, term in zip(full[o.block].reshape(len(o.factors), -1, self.dimension),
-                                  o.factors):
+            for rows, term in zip(full[o.block].reshape(len(o.factors), -1, d), o.factors):
                 rows[:, term - 1] = grid
         return full
 
@@ -264,6 +265,9 @@ def build_index_union(
     Equal arguments give the same union, kept in a bounded cache, so its
     layout and arrays are read-only.
     """
+    check_type(termset, TermSet, "term set")
+    check_type(bandwidths, BandwidthProfile, "bandwidth profile")
+    check_type(kind, BasisKind, "basis kind")
     return _index_union(termset, tuple(bandwidths.by_order.items()), kind)
 
 
@@ -287,11 +291,7 @@ def _index_union(termset: TermSet, by_order, kind: BasisKind) -> FrequencyIndexU
         layout[order] = OrderLayout(order, bandwidths.for_order(order), block, *arrays)
         size = block.stop
     variables.setflags(write=False)
-    return FrequencyIndexUnion(
-        termset.dimension, kind, termset.terms,
-        tuple((order, o.bandwidth) for order, o in layout.items()), size, variables,
-        types.MappingProxyType(layout),
-    )
+    return FrequencyIndexUnion(termset, kind, size, variables, types.MappingProxyType(layout))
 
 
 def write_json(obj, path) -> None:

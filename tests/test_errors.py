@@ -68,6 +68,14 @@ def _fit(nodes, values):
                BasisKind.COSINE)
 
 
+def _fit_with(**changes):
+    """A valid small fit with the named record arguments replaced."""
+    rng = np.random.default_rng(0)
+    args = {"termset": superposition_terms(2, 1), "bandwidths": BandwidthProfile.from_list([4]),
+            "kind": BasisKind.COSINE, "config": None}
+    return fit(rng.random((20, 2)), rng.random(20), **{**args, **changes})
+
+
 def _model():
     rng = np.random.default_rng(0)
     return fit(rng.random((20, 2)), rng.random(20), superposition_terms(2, 1),
@@ -339,6 +347,14 @@ CASES = {
     "string model-file oversampling": (
         DataError, lambda: model_from_obj(_diagnostics(oversampling="10"))
     ),
+    "term list as a fit term set": (ConfigError, lambda: _fit_with(termset=[(1,), (2,)])),
+    "bandwidth list as a fit profile": (ConfigError, lambda: _fit_with(bandwidths=[4, 2])),
+    "token string as a fit basis kind": (ConfigError, lambda: _fit_with(kind="cos")),
+    "dict as a fit solver config": (
+        ConfigError, lambda: _fit_with(config={"regularization": 1.0})
+    ),
+    "integer terms of a term set": (ConfigError, lambda: TermSet(3, (1, 2))),
+    "bandwidth list as a profile's orders": (ConfigError, lambda: BandwidthProfile([4, 2])),
     "bool dimension": (ConfigError, lambda: TermSet(True, ((True,),))),
     "bool term index": (ConfigError, lambda: TermSet(2, ((True,),))),
     "bool bandwidth order": (ConfigError, lambda: BandwidthProfile({True: 4})),

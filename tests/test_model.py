@@ -985,7 +985,7 @@ RECORDS = {
 def test_records_compare_without_raising(name):
     a, b = RECORDS[name](), RECORDS[name]()
     assert a == a
-    # the union compares by value; the records holding data compare by identity
+    # equal arguments share one cached union; the records holding data compare by identity
     assert (a == b) is (name == "union")
     if name == "union":
         assert hash(a) == hash(b)

@@ -151,13 +151,13 @@ def test_order_tables_equal_their_own_evaluation(kind):
     for _ in range(20):
         op = random_instance(rng, kind)
         union = op.index_union
-        grids = {order: full_grid_1d(kind, bandwidth) for order, bandwidth in union.bandwidths}
+        grids = {order: full_grid_1d(kind, o.bandwidth) for order, o in union.layout.items()}
         longest = max(map(len, grids.values()), default=0)
         every = np.unique(np.concatenate([o.factors.ravel() for o in union.layout.values()]))
         for stack in op._stacks:
             grid = grids[stack.layout.order]
             variables = np.unique(union.layout[stack.layout.order].factors)
-            bandwidth = dict(union.bandwidths)[stack.layout.order]
+            bandwidth = union.layout[stack.layout.order].bandwidth
             want = eval_1d_table(kind, bandwidth, op.nodes.T[variables - 1].ravel())
             np.testing.assert_array_equal(
                 stack.table, want.T.reshape(len(grid), len(variables), op.rows)

@@ -183,7 +183,7 @@ class TestIndexUnion:
     )
     def test_order_blocks_tile_the_union(self, termset, kind, n):
         union = build_index_union(termset, BandwidthProfile.from_list([n, n, n]), kind)
-        grids = {order: full_grid_1d(kind, bandwidth) for order, bandwidth in union.bandwidths}
+        grids = {order: full_grid_1d(kind, o.bandwidth) for order, o in union.layout.items()}
         assert list(union.layout) == sorted(grids)
         assert union.variables.tolist() == sorted({i for u in union.terms for i in u})
         stop = 1
@@ -240,6 +240,21 @@ class TestIndexUnion:
         np.testing.assert_array_equal(block[:, 1], [1, 2, 3])
         with pytest.raises(ValueError):
             union.slice_for((1, 2, 3))
+
+    def test_union_holds_the_term_set_it_lays_out(self):
+        ts = TermSet(4, ((1,), (3,), (1, 4)))
+        union = build_index_union(ts, BandwidthProfile.from_list([4, 2]), BasisKind.COSINE)
+        assert union.terms == ts
+
+    def test_order_layouts_of_equal_shape_compare_unequal_without_raising(self):
+        # equal order, bandwidth and block: only the factor arrays differ
+        a, b = (
+            build_index_union(TermSet(3, ((1,), (v,))), BandwidthProfile.from_list([4]),
+                              BasisKind.COSINE).layout[1]
+            for v in (2, 3)
+        )
+        assert (a.order, a.bandwidth, a.block) == (b.order, b.bandwidth, b.block)
+        assert a == a and a != b
 
 
 class TestCaches:
