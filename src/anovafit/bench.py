@@ -311,7 +311,7 @@ def run_real_benchmark(
         model, _ = run_recipe(preset.recipe, train, termset)
         value = METRICS[preset.metric](test.targets, predict(model, test.nodes))
         # appended last, so it holds exactly the repetitions that succeeded
-        sizes.append(len(model.terms))
+        sizes.append(len(model.index_union.terms))
         return value
 
     plan = SplitPlan(train_fraction=preset.train_fraction, repetitions=repetitions, seed=seed)

@@ -162,10 +162,10 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     ds = load_csv(args.csv, args.target)
-    if ds.dimension != model.terms.dimension:
+    if ds.dimension != model.index_union.terms.dimension:
         raise DataError(
             f"{args.csv}: {ds.dimension} feature columns, but the model is over "
-            f"{model.terms.dimension} variables"
+            f"{model.index_union.terms.dimension} variables"
         )
     stats = model.normalization
     if stats is not None:
@@ -208,7 +208,7 @@ def cmd_refine(args) -> int:
         raise ConfigError("--expand needs --theta for the ranking threshold")
     model = load_model(args.model)
     report = analyze(model)
-    termset = model.terms
+    termset = model.index_union.terms
     before = set(termset.terms)
 
     if args.gsi_threshold is not None:

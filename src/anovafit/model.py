@@ -1,7 +1,7 @@
 """Fitting, evaluating, and interpreting truncated ANOVA expansions.
 
-A fitted :class:`Model` bundles the basis kind, the active term set, the
-bandwidths, the frequency enumeration, and one coefficient per frequency.
+A fitted :class:`Model` holds an index union (basis kind, active term set,
+bandwidths, frequency layout) and one coefficient per frequency.
 Because every frequency's support equals exactly one term, the model
 decomposes exactly: the sum of the per-term evaluations reproduces the full
 prediction, and each term's share of the squared coefficient mass off the
@@ -43,7 +43,7 @@ from .datasets import Normalization
 from .errors import (ConfigError, DataError, DegenerateModelError, as_array, as_integer,
                      as_real, check_memory, check_type)
 from .operators import NODE_BLOCK, DesignOperator
-from .solver import LsqrResult, SolverConfig, direct_solve, lsqr_solve
+from .solver import STOP_REASONS, LsqrResult, SolverConfig, direct_solve, lsqr_solve
 from .terms import (
     BandwidthProfile,
     FrequencyIndexUnion,
@@ -66,14 +66,13 @@ DIRECT_SOLVE_MAX_ERROR = 1e-8
 class Model:
     """Fitted truncated expansion with its fit diagnostics.
 
+    Its basis kind, term set and bandwidths are ``index_union``'s ``kind``,
+    ``terms`` and ``bandwidths``, held there alone.
     ``normalization`` holds the extrema that mapped the training data into
     the basis domain, its targets too exactly when it holds target extrema;
     :func:`predict` still takes nodes in that domain.
     """
 
-    kind: BasisKind
-    terms: TermSet
-    bandwidths: BandwidthProfile
     index_union: FrequencyIndexUnion
     coefficients: np.ndarray
     regularization: float
@@ -161,9 +160,6 @@ def fit(
             stacklevel=2,
         )
     return Model(
-        kind=kind,
-        terms=termset,
-        bandwidths=bandwidths,
         index_union=union,
         coefficients=result.coefficients,
         regularization=cfg.regularization,
@@ -192,11 +188,12 @@ def _evaluate(model: Model, coefficients: np.ndarray, nodes) -> np.ndarray:
     """``DesignOperator(nodes, ...).matvec(coefficients)``, one row block at a time."""
     X = as_array(nodes, "node coordinate")
     rows = len(X) if X.ndim == 2 else 0
-    out = np.empty(rows, dtype=np.float64 if model.real_output else model.kind.dtype)
+    union = model.index_union
+    out = np.empty(rows, dtype=np.float64 if model.real_output else union.kind.dtype)
     # a zero-row or malformed input still builds one operator, which raises
     for start in range(0, max(rows, 1), NODE_BLOCK):
         block = X[start:start + NODE_BLOCK] if rows else X
-        values = DesignOperator(block, model.index_union).matvec(coefficients)
+        values = DesignOperator(block, union).matvec(coefficients)
         out[start:start + len(values)] = values.real if model.real_output else values
     return out
 
@@ -408,20 +405,35 @@ def _coeffs_from_obj(obj, kind: BasisKind) -> np.ndarray:
     return c
 
 
+# a model file's diagnostics: each field's reader, the values a fit writes, and their rule
+_DIAGNOSTICS = {
+    "iterations": (as_integer, lambda n: n >= 0, "an integer >= 0"),
+    "relative_residual": (as_real, lambda r: 0.0 <= r < np.inf, "a finite number >= 0"),
+    "stop_reason": (lambda s, _: s, lambda s: s in STOP_REASONS, f"one of {STOP_REASONS}"),
+    "oversampling": (as_real, lambda r: 0.0 < r < np.inf, "a finite number > 0"),
+}
+
+
+def _diagnostics(source) -> dict:
+    """The fields of :data:`_DIAGNOSTICS` in the mapping ``source``, each read and checked."""
+    out = {}
+    for name, (read, written, rule) in _DIAGNOSTICS.items():
+        out[name] = value = read(source[name], name)
+        if not written(value):
+            raise DataError(f"{name} must be {rule}, got {value!r}")
+    return out
+
+
 def model_to_obj(model: Model) -> dict:
+    union = model.index_union
     obj = {
-        "basis": model.kind.token,
-        **model.terms.to_json_obj(),
-        "bandwidths": model.bandwidths.to_json_obj(),
+        "basis": union.kind.token,
+        **union.terms.to_json_obj(),
+        "bandwidths": union.bandwidths.to_json_obj(),
         "lambda": float(model.regularization),
         "coefficients": _coeffs_to_obj(model.coefficients),
         "real_output": model.real_output,
-        "diagnostics": {
-            "iterations": model.iterations,
-            "relative_residual": float(model.relative_residual),
-            "stop_reason": model.stop_reason,
-            "oversampling": float(model.oversampling),
-        },
+        "diagnostics": _diagnostics(vars(model)),
     }
     if model.normalization is not None:
         obj["normalization"] = model.normalization.to_json_obj()
@@ -449,16 +461,10 @@ def model_from_obj(obj: dict) -> Model:
         if stats is not None:
             stats.check_width(termset.dimension)
         model = Model(
-            kind=kind,
-            terms=termset,
-            bandwidths=bandwidths,
             index_union=union,
             coefficients=coefficients,
             regularization=SolverConfig(regularization=obj["lambda"]).regularization,
-            iterations=as_integer(diagnostics["iterations"], "iterations"),
-            relative_residual=as_real(diagnostics["relative_residual"], "relative_residual"),
-            stop_reason=str(diagnostics["stop_reason"]),
-            oversampling=as_real(diagnostics["oversampling"], "oversampling"),
+            **_diagnostics(diagnostics),
             real_output=real_output,
             normalization=stats,
         )

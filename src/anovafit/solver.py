@@ -76,12 +76,16 @@ class SolverConfig:
         return 10 * n_columns
 
 
+# why a solve stopped: a stopping test held, the iteration cap, or direct_solve
+STOP_REASONS = ("tolerance", "max_iterations", "direct")
+
+
 @dataclass(frozen=True, eq=False)
 class LsqrResult:
     coefficients: np.ndarray
     iterations: int
     relative_residual: float  # damped residual norm / ||y||
-    stop_reason: str  # "tolerance", "max_iterations" or "direct"
+    stop_reason: str  # one of STOP_REASONS
     residual_history: np.ndarray  # damped residual norm, entry per iteration
 
 

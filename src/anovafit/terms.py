@@ -160,12 +160,12 @@ def _superposition_terms(dimension: int, threshold: int) -> TermSet:
 class BandwidthProfile:
     """Order-dependent bandwidths: every term of order ``l`` shares ``N_l``.
 
-    Each bandwidth passes :func:`~anovafit.basis.as_bandwidth`.  Orders
-    missing from the profile are an error rather than a default, so
-    misconfiguration cannot pass silently.
+    Each bandwidth passes :func:`~anovafit.basis.as_bandwidth`; ``by_order``
+    is read-only.  Orders missing from the profile are an error rather than a
+    default, so misconfiguration cannot pass silently.
     """
 
-    by_order: dict[int, int] = field(default_factory=dict)
+    by_order: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         check_type(self.by_order, Mapping, "bandwidths by order")
@@ -175,7 +175,7 @@ class BandwidthProfile:
             if order < 1:
                 raise ConfigError(f"bandwidth given for invalid order {order}")
             clean[order] = as_bandwidth(n, f"bandwidth for order {order}")
-        object.__setattr__(self, "by_order", clean)
+        object.__setattr__(self, "by_order", types.MappingProxyType(clean))
 
     @classmethod
     def from_list(cls, bandwidths) -> "BandwidthProfile":
@@ -222,14 +222,16 @@ class FrequencyIndexUnion:
     Every term of order ``l`` carries the ``(N_l - 1) ** l`` frequencies of
     ``itertools.product(full_grid_1d(kind, N_l), repeat=l)`` on its own
     coordinates, all others zero, so the support of each frequency equals its
-    owning term.  The union is a layout only and builds no grid: it holds the
-    :class:`TermSet` it lays out, whose order it follows, so the empty term
-    (the zero frequency) is index 0; ``layout[l]`` is order ``l``'s
-    :class:`OrderLayout`, with its bandwidth ``N_l``, over ``variables`` (all
-    terms', ascending).
+    owning term.  The union is a layout only and builds no grid.  It holds
+    :func:`build_index_union`'s arguments: the :class:`TermSet` it lays out,
+    in whose order the empty term (the zero frequency) is index 0, the whole
+    :class:`BandwidthProfile` and the basis kind.  ``layout[l]`` is order
+    ``l``'s :class:`OrderLayout`, with its bandwidth ``N_l``, over
+    ``variables`` (all terms', ascending).
     """
 
     terms: TermSet
+    bandwidths: BandwidthProfile
     kind: BasisKind
     size: int
     variables: np.ndarray
@@ -291,7 +293,9 @@ def _index_union(termset: TermSet, by_order, kind: BasisKind) -> FrequencyIndexU
         layout[order] = OrderLayout(order, bandwidths.for_order(order), block, *arrays)
         size = block.stop
     variables.setflags(write=False)
-    return FrequencyIndexUnion(termset, kind, size, variables, types.MappingProxyType(layout))
+    return FrequencyIndexUnion(
+        termset, bandwidths, kind, size, variables, types.MappingProxyType(layout)
+    )
 
 
 def write_json(obj, path) -> None:

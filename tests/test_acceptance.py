@@ -132,7 +132,7 @@ def test_criterion_5_gsi_active_set_recovery():
     for rep in range(REPS):
         train, _ = friedman_rep_data(2, rep, SEED)
         model, (report,) = run_recipe(FRIEDMAN_RECIPES[2][:1], train)
-        active = threshold_active_set(report, model.terms, (0.02, 0.02))
+        active = threshold_active_set(report, model.index_union.terms, (0.02, 0.02))
         if active.terms == expected:
             hits += 1
     ok = hits >= 95

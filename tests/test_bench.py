@@ -36,7 +36,7 @@ CRITERION_ACTIVE_SETS = {
 def test_friedman_recipe_selects_the_criterion_active_set(which):
     train, _ = friedman_rep_data(which, 0, 0)
     model, reports = run_recipe(FRIEDMAN_RECIPES[which], train)
-    assert model.terms == CRITERION_ACTIVE_SETS[which]
+    assert model.index_union.terms == CRITERION_ACTIVE_SETS[which]
     assert len(reports) == sum(s.rank is not None or s.gsi is not None
                                for s in FRIEDMAN_RECIPES[which])
 
@@ -46,7 +46,7 @@ def test_rank_stage_with_nothing_above_theta_keeps_the_term_set():
     stages = (Stage(2, (4, 2), 3.0, rank=0.99), Stage(2, (4, 2), 3.0))
     model, (report,) = run_recipe(stages, train)
     assert report.ranked_above(0.99) == ()
-    assert model.terms == superposition_terms(10, 2)
+    assert model.index_union.terms == superposition_terms(10, 2)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -58,13 +58,13 @@ def test_ranking_reduces_forty_variables_to_the_informative_five(seed):
     train = Dataset(nodes, base.targets, tuple(f"x{i}" for i in range(1, 41)))
     stages = (Stage(2, (4, 2), 3.0, rank=0.02), Stage(2, (6, 4), 1.0))
     model, _ = run_recipe(stages, train)
-    assert tuple(sorted({i for u in model.terms for i in u})) == (1, 2, 3, 4, 5)
+    assert tuple(sorted({i for u in model.index_union.terms for i in u})) == (1, 2, 3, 4, 5)
 
 
 def test_higher_order_terms_are_dropped_before_a_lower_order_stage():
     train, _ = friedman_rep_data(3, 0, 0)
     model, _ = run_recipe((Stage(3, (4, 2, 2), 1.0), Stage(2, (4, 2), 1.0)), train)
-    assert model.terms == superposition_terms(4, 2)
+    assert model.index_union.terms == superposition_terms(4, 2)
 
 
 def test_real_protocol_fits_only_the_kept_variables(monkeypatch):

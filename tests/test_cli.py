@@ -31,6 +31,12 @@ from anovafit.plots import HEIGHT, MARGIN_BOTTOM, MARGIN_TOP, svg_bar_chart
 from conftest import NoDraws
 
 
+FIT_DIAGNOSTICS = {"iterations": 3, "relative_residual": 0.1, "stop_reason": "tolerance",
+                   "oversampling": 2.0}
+BAD_DIAGNOSTICS = ({"stop_reason": 5}, {"iterations": -3}, {"relative_residual": -1.0},
+                   {"oversampling": float("nan")}, {"oversampling": -2.0})
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -923,17 +929,23 @@ class TestErrorBoundary:
                                             ("bandwidths", {"1": 10**6, "2": 2}),
                                             ("bandwidths", {"1": 10**30, "2": 2}),
                                             ("real_output", "false"), ("lambda", "1.5"),
-                                            ("lambda", -1), ("lambda", True)])
+                                            ("lambda", -1), ("lambda", True),
+                                            # diagnostics no fit writes
+                                            *(("diagnostics", {**FIT_DIAGNOSTICS, **bad})
+                                              for bad in BAD_DIAGNOSTICS)])
     def test_bad_model_settings_exit_3(self, friedman2_model, tmp_path, capsys, key, value):
         model_path, _ = friedman2_model
         obj = read_json(model_path)
         obj[key] = value
         bad_path = tmp_path / "bad.json"
-        bad_path.write_text(json.dumps(obj))
-        code, out, err = run_cli(capsys, "rank", "--model", str(bad_path))
-        assert code == 3
-        assert out == ""
-        assert "malformed model object" in err
+        bad_path.write_text(json.dumps(obj))  # json writes and reads NaN
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("a,b,c,d\n0.1,0.2,0.3,0.4\n")
+        for command in (["rank"], ["predict", "--csv", str(csv_path)]):
+            code, out, err = run_cli(capsys, *command, "--model", str(bad_path))
+            assert code == 3
+            assert out == ""
+            assert "malformed model object" in err
 
     @pytest.mark.parametrize("command, flags", [
         ("rank", []),

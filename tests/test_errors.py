@@ -347,6 +347,30 @@ CASES = {
     "string model-file oversampling": (
         DataError, lambda: model_from_obj(_diagnostics(oversampling="10"))
     ),
+    "numeric model-file stop reason": (
+        DataError, lambda: model_from_obj(_diagnostics(stop_reason=5))
+    ),
+    "unknown model-file stop reason": (
+        DataError, lambda: model_from_obj(_diagnostics(stop_reason="converged"))
+    ),
+    "negative model-file iteration count": (
+        DataError, lambda: model_from_obj(_diagnostics(iterations=-3))
+    ),
+    "negative model-file relative residual": (
+        DataError, lambda: model_from_obj(_diagnostics(relative_residual=-1.0))
+    ),
+    "infinite model-file relative residual": (
+        DataError, lambda: model_from_obj(_diagnostics(relative_residual=float("inf")))
+    ),
+    "NaN model-file oversampling": (
+        DataError, lambda: model_from_obj(_diagnostics(oversampling=float("nan")))
+    ),
+    "negative model-file oversampling": (
+        DataError, lambda: model_from_obj(_diagnostics(oversampling=-2.0))
+    ),
+    "zero model-file oversampling": (
+        DataError, lambda: model_from_obj(_diagnostics(oversampling=0.0))
+    ),
     "term list as a fit term set": (ConfigError, lambda: _fit_with(termset=[(1,), (2,)])),
     "bandwidth list as a fit profile": (ConfigError, lambda: _fit_with(bandwidths=[4, 2])),
     "token string as a fit basis kind": (ConfigError, lambda: _fit_with(kind="cos")),

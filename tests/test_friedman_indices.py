@@ -78,7 +78,8 @@ def recipe_runs(which: int):
     for rep in range(REPETITIONS):
         train, _ = friedman_rep_data(which, rep, 0)
         model, reports = run_recipe(FRIEDMAN_RECIPES[which], train)
-        runs.append((dict(gsi(model).indices), set(model.terms.nonempty_terms), reports[0]))
+        terms = set(model.index_union.terms.nonempty_terms)
+        runs.append((dict(gsi(model).indices), terms, reports[0]))
     return runs
 
 

@@ -1,6 +1,8 @@
 """Tests for fitting, prediction, interpretation, and refinement."""
 
+import dataclasses
 import functools
+import json
 import tracemalloc
 import warnings
 
@@ -60,9 +62,6 @@ def planted_model(dimension, terms, bandwidths, coefficients, kind=BasisKind.COS
     coeffs = np.asarray(coefficients, dtype=kind.dtype)
     assert coeffs.shape == (union.size,)
     return Model(
-        kind=kind,
-        terms=termset,
-        bandwidths=profile,
         index_union=union,
         coefficients=coeffs,
         regularization=0.0,
@@ -77,11 +76,12 @@ def planted_model(dimension, terms, bandwidths, coefficients, kind=BasisKind.COS
 def naive_predict(model, nodes):
     """Independent per-point summation over the full frequency vectors."""
     full = model.index_union.frequencies_full()
-    out = np.zeros(len(nodes), dtype=model.kind.dtype)
+    kind = model.index_union.kind
+    out = np.zeros(len(nodes), dtype=kind.dtype)
     for m, x in enumerate(np.asarray(nodes, dtype=float)):
-        acc = model.kind.dtype.type(0.0)
+        acc = kind.dtype.type(0.0)
         for c, k in zip(model.coefficients, full):
-            acc += c * eval_tensor(model.kind, k, x)
+            acc += c * eval_tensor(kind, k, x)
         out[m] = acc
     return out.real if model.real_output else out
 
@@ -409,7 +409,7 @@ class TestPredict:
     def test_row_blocks_equal_one_operator(self, kind, order):
         block = NODE_BLOCK
         model, nodes = self._blocked_instance(kind, order, 2 * block + 17)
-        term = model.terms.terms[-1]
+        term = model.index_union.terms.terms[-1]
         sl = model.index_union.slice_for(term)
         only_term = np.zeros_like(model.coefficients)
         only_term[sl] = model.coefficients[sl]
@@ -891,10 +891,25 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         assert np.array_equal(loaded.coefficients, model.coefficients)
-        assert loaded.terms == model.terms
+        # the union is cached, so the file gives back the fit's own union object
+        assert loaded.index_union is model.index_union
         assert loaded.regularization == 0.5
         nodes = rng.uniform(size=(20, 4))
         np.testing.assert_array_equal(predict(loaded, nodes), predict(model, nodes))
+        # a profile may name an order the term set lacks (fit --ds 1 --bandwidths 4,2):
+        # the file keeps that order, byte for byte, for each basis
+        stats = Normalization(np.zeros(4), np.full(4, 2.0), -1.0, 4.0)
+        profile = BandwidthProfile.from_list([4, 2])
+        for kind in BasisKind:
+            model = fit(train.nodes, train.targets, superposition_terms(4, 1), profile, kind)
+            save_model(dataclasses.replace(model, normalization=stats), path)
+            first = path.read_bytes()
+            loaded = load_model(path)
+            assert loaded.index_union is model.index_union
+            save_model(loaded, path)
+            assert path.read_bytes() == first
+            obj = json.loads(first)
+            assert obj["bandwidths"] == {"1": 4, "2": 2} and obj["basis"] == kind.token
 
     def test_round_trip_complex(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -911,6 +926,20 @@ class TestSerialization:
         assert np.array_equal(loaded.coefficients, model.coefficients)
         predictions = predict(loaded, nodes)
         assert not np.iscomplexobj(predictions)
+
+    def test_kind_terms_and_bandwidths_are_the_unions_alone(self):
+        fields = [field.name for field in dataclasses.fields(Model)]
+        assert fields == ["index_union", "coefficients", "regularization", "iterations",
+                          "relative_residual", "stop_reason", "oversampling", "real_output",
+                          "normalization"]
+        model = _fitted()
+        for name in ("kind", "terms", "bandwidths"):
+            assert not hasattr(model, name)
+        with pytest.raises(TypeError):
+            dataclasses.replace(model, kind=BasisKind.CHEBYSHEV)
+        union = model.index_union
+        assert union.kind is BasisKind.COSINE and union.terms == superposition_terms(3, 2)
+        assert union.bandwidths == BandwidthProfile.from_list([4, 2])
 
     def test_malformed_model_object(self):
         from anovafit.model import model_from_obj

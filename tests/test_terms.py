@@ -280,6 +280,9 @@ class TestCaches:
                 array[...] = 0
         with pytest.raises(TypeError):
             union.layout[1] = union.layout[2]
+        assert union.bandwidths == BandwidthProfile.from_list([4, 2])
+        with pytest.raises(TypeError):
+            union.bandwidths.by_order[2] = 8
 
     def test_missing_bandwidth_raises_cold_and_warm(self):
         ts = superposition_terms(3, 2)
