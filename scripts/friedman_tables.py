@@ -56,7 +56,7 @@ def sweep(which: int, reps: int, seed: int) -> None:
 
         def recipe(train, test):
             model, _ = run_recipe((stage,), train, active)
-            return mse(test.targets, predict(model, test.nodes))
+            return {"metric": mse(test.targets, predict(model, test.nodes))}
 
         summary = median_evaluate(recipe, FriedmanSpec(which), plan)
         profile = BandwidthProfile.from_list([n1, n2])

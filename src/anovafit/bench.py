@@ -3,10 +3,14 @@
 A recipe is a tuple of :class:`Stage` data that :func:`run_recipe` runs on
 a training set: each stage fits the running term set and may shrink it, by
 attribute ranking or sensitivity thresholding, for the next stage's refit.
+``median_evaluate`` keeps, per successful repetition, the record of named
+numbers (the metric under ``"metric"``) that an evaluation recipe returns;
+a failed repetition leaves a ``failed_reps`` entry and no record.
+
 ``bench_friedman`` runs ``FRIEDMAN_RECIPES[k]`` per seeded repetition and
 records the final fit's test error.  Test targets carry observation noise
 exactly like the training targets; the noise-free error against the
-underlying function is reported alongside as a diagnostic.
+underlying function is recorded alongside as a diagnostic.
 
 ``run_real_benchmark`` runs a :class:`RealPreset`'s recipe on repeated
 random splits of a real table, min-max normalized by training extrema.
@@ -94,61 +98,62 @@ def rep_data(
 
 @dataclass(frozen=True)
 class EvaluationSummary:
-    """Median and quartiles of a metric over repetitions, and the failures."""
+    """The successful repetitions' records, and the failures."""
 
-    median: float
-    q1: float
-    q3: float
+    records: tuple[dict, ...]
     repetitions: int
-    values: tuple[float, ...]
     failed_reps: tuple[dict, ...] = ()
 
     @property
     def failures(self) -> int:
         return len(self.failed_reps)
 
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(r["metric"] for r in self.records)
+
+    def median_of(self, key: str = "metric") -> float:
+        return float(np.median([r[key] for r in self.records]))
+
+    median = property(median_of)
+
+    @property
+    def q1(self) -> float:
+        return float(np.percentile(self.values, 25))
+
+    @property
+    def q3(self) -> float:
+        return float(np.percentile(self.values, 75))
+
     def to_json_obj(self) -> dict:
-        return {
-            "median": self.median,
-            "q1": self.q1,
-            "q3": self.q3,
-            "repetitions": self.repetitions,
-            "failures": self.failures,
-            "failed_reps": list(self.failed_reps),
-        }
+        return {"median": self.median, "q1": self.q1, "q3": self.q3,
+                "repetitions": self.repetitions, "failures": self.failures,
+                "failed_reps": list(self.failed_reps)}
 
 
 def median_evaluate(
-    recipe: Callable[[Dataset, Dataset], float],
-    source: Dataset | FriedmanSpec,
-    plan: SplitPlan,
+    recipe: Callable[[Dataset, Dataset], dict], source: Dataset | FriedmanSpec, plan: SplitPlan
 ) -> EvaluationSummary:
-    """Median and quartiles of a fit metric over the repetitions of ``plan``.
+    """Records of ``recipe`` over the repetitions of ``plan``, and the failures.
 
     Per repetition, ``recipe`` turns the training and test sets of
-    :func:`rep_data` into one metric value.  A repetition whose recipe
-    raises one of ``COUNTED_ERRORS`` is recorded as ``{rep, type, message}``
-    and skipped; any other exception, and any error in deriving the data,
-    propagates.  Only all repetitions failing raises :class:`NumericalError`.
+    :func:`rep_data` into a record of named numbers, the metric under
+    ``"metric"``, kept with its ``rep``.  A repetition whose recipe
+    raises one of ``COUNTED_ERRORS`` leaves no record but a ``{rep, type,
+    message}`` entry in ``failed_reps``; any other exception, and any error
+    in deriving the data, propagates.  Only all repetitions failing raises
+    :class:`NumericalError`.
     """
-    values = []
-    failed = []
+    records, failed = [], []
     for rep in range(plan.repetitions):
         train, test = rep_data(source, plan, rep)
         try:
-            values.append(float(recipe(train, test)))
+            records.append({**recipe(train, test), "rep": rep})
         except COUNTED_ERRORS as exc:
             failed.append({"rep": rep, "type": type(exc).__name__, "message": str(exc)})
-    if not values:
+    if not records:
         raise NumericalError(f"all {plan.repetitions} repetitions failed: {failed[0]['message']}")
-    return EvaluationSummary(
-        median=float(np.median(values)),
-        q1=float(np.percentile(values, 25)),
-        q3=float(np.percentile(values, 75)),
-        repetitions=plan.repetitions,
-        values=tuple(values),
-        failed_reps=tuple(failed),
-    )
+    return EvaluationSummary(tuple(records), plan.repetitions, tuple(failed))
 
 
 @dataclass(frozen=True)
@@ -226,14 +231,11 @@ def _friedman_plan(repetitions: int, seed: int) -> SplitPlan:
 def bench_friedman(which: int, repetitions: int = 100, seed: int = 0) -> dict:
     """Median test MSE of the staged pipeline over seeded repetitions."""
     spec = FriedmanSpec(which)
-    errors_truth = []
 
-    def recipe(train: Dataset, test: Dataset) -> float:
+    def recipe(train: Dataset, test: Dataset) -> dict:
         predictions = predict(run_recipe(FRIEDMAN_RECIPES[spec.which], train)[0], test.nodes)
-        error = mse(test.targets, predictions)
-        # appended last, so it holds exactly the repetitions that succeeded
-        errors_truth.append(mse(friedman_eval(spec, test.nodes), predictions))
-        return error
+        return {"metric": mse(test.targets, predictions),
+                "mse_vs_truth": mse(friedman_eval(spec, test.nodes), predictions)}
 
     summary = median_evaluate(recipe, spec, _friedman_plan(repetitions, seed))
     reference = REFERENCE_RESULTS[spec.which]
@@ -246,7 +248,7 @@ def bench_friedman(which: int, repetitions: int = 100, seed: int = 0) -> dict:
         "median_mse": summary.median,
         "q1_mse": summary.q1,
         "q3_mse": summary.q3,
-        "median_mse_vs_truth": float(np.median(errors_truth)),
+        "median_mse_vs_truth": summary.median_of("mse_vs_truth"),
         "reference_median_mse": reference["median_mse"],
         "reference_baselines": reference["baselines"],
     }
@@ -303,16 +305,13 @@ def run_real_benchmark(
     termset = superposition_terms(ds.dimension, preset.recipe[0].order)
     if preset.keep is not None:
         termset = drop_variables(termset, preset.keep)
-    sizes = []
 
-    def recipe(train_raw: Dataset, test_raw: Dataset) -> float:
+    def recipe(train_raw: Dataset, test_raw: Dataset) -> dict:
         train = normalize(train_raw, include_target=preset.normalize_targets)
         test = apply_normalization(test_raw, train.normalization)
         model, _ = run_recipe(preset.recipe, train, termset)
-        value = METRICS[preset.metric](test.targets, predict(model, test.nodes))
-        # appended last, so it holds exactly the repetitions that succeeded
-        sizes.append(len(model.index_union.terms))
-        return value
+        return {"metric": METRICS[preset.metric](test.targets, predict(model, test.nodes)),
+                "active_terms": len(model.index_union.terms)}
 
     plan = SplitPlan(train_fraction=preset.train_fraction, repetitions=repetitions, seed=seed)
     summary = median_evaluate(recipe, ds, plan)
@@ -320,5 +319,5 @@ def run_real_benchmark(
         **summary.to_json_obj(),
         "metric": preset.metric,
         "seed": seed,
-        "median_active_terms": float(np.median(sizes)),
+        "median_active_terms": summary.median_of("active_terms"),
     }

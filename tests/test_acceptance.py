@@ -62,7 +62,7 @@ def _median_final_mse(which: int, termset: TermSet, bandwidths, lam: float) -> f
     def recipe(train, test):
         model = fit(train.nodes, train.targets, termset, profile,
                     BasisKind.COSINE, config)
-        return mse(test.targets, predict(model, test.nodes))
+        return {"metric": mse(test.targets, predict(model, test.nodes))}
 
     plan = SplitPlan(train_size=TRAIN_SIZE, test_size=TEST_SIZE,
                      repetitions=REPS, seed=SEED)

@@ -8,9 +8,17 @@ import pytest
 from anovafit import (
     Dataset,
     FriedmanSpec,
+    NumericalError,
+    SplitPlan,
     TermSet,
+    apply_normalization,
     drop_variables,
+    friedman_eval,
     friedman_sample,
+    mse,
+    normalize,
+    predict,
+    rmse,
     rng_stream,
     superposition_terms,
 )
@@ -19,7 +27,9 @@ from anovafit.bench import (
     FRIEDMAN_RECIPES,
     REAL_PRESETS,
     Stage,
+    bench_friedman,
     friedman_rep_data,
+    rep_data,
     run_real_benchmark,
     run_recipe,
 )
@@ -83,3 +93,55 @@ def test_real_protocol_fits_only_the_kept_variables(monkeypatch):
     assert all(termset == drop_variables(superposition_terms(10, 2), (1, 2, 4))
                for termset in fitted)
     assert result["median_active_terms"] <= 7
+
+
+def _fail_second_call(monkeypatch):
+    """Make ``bench.run_recipe`` raise a counted error on its second call, repetition 1."""
+    calls = []
+
+    def failing_recipe(stages, train, termset=None):
+        calls.append(train)
+        if len(calls) == 2:
+            raise NumericalError("injected")
+        return run_recipe(stages, train, termset)
+
+    monkeypatch.setattr(bench, "run_recipe", failing_recipe)
+
+
+def test_friedman_records_are_the_successful_repetitions(monkeypatch):
+    _fail_second_call(monkeypatch)
+    # seed 1: rep 0 is not the median of reps 0, 2 and 3, so a record kept
+    # for the failed or a shifted repetition moves it
+    result = bench_friedman(2, repetitions=4, seed=1)
+    assert result["failures"] == 1
+    assert result["failed_reps"] == [{"rep": 1, "type": "NumericalError", "message": "injected"}]
+    errors, truth = [], []
+    for rep in (0, 2, 3):
+        train, test = friedman_rep_data(2, rep, 1)
+        predictions = predict(run_recipe(FRIEDMAN_RECIPES[2], train)[0], test.nodes)
+        errors.append(mse(test.targets, predictions))
+        truth.append(mse(friedman_eval(FriedmanSpec(2), test.nodes), predictions))
+    assert result["median_mse"] == np.median(errors)
+    assert result["median_mse_vs_truth"] == np.median(truth)
+
+
+def test_real_records_are_the_successful_repetitions(monkeypatch):
+    _fail_second_call(monkeypatch)
+    table = friedman_sample(FriedmanSpec(1), 200, 5)
+    preset = REAL_PRESETS["enc"]
+    # seed 3: the active-term counts of reps 0-3 are 33, 29, 25 and 32, so a
+    # count kept for the failed or a shifted repetition moves their median
+    result = run_real_benchmark(table, preset, repetitions=4, seed=3)
+    assert result["failures"] == 1
+    assert result["failed_reps"] == [{"rep": 1, "type": "NumericalError", "message": "injected"}]
+    plan = SplitPlan(train_fraction=preset.train_fraction, repetitions=4, seed=3)
+    errors, sizes = [], []
+    for rep in (0, 2, 3):
+        train_raw, test_raw = rep_data(table, plan, rep)
+        train = normalize(train_raw)
+        test = apply_normalization(test_raw, train.normalization)
+        model, _ = run_recipe(preset.recipe, train, superposition_terms(10, 2))
+        errors.append(rmse(test.targets, predict(model, test.nodes)))
+        sizes.append(len(model.index_union.terms))
+    assert result["median"] == np.median(errors)
+    assert result["median_active_terms"] == np.median(sizes) == 32

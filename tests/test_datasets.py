@@ -396,7 +396,7 @@ class TestMedianEvaluate:
     def test_single_repetition(self):
         ds = _toy_dataset(size=20)
         plan = SplitPlan(train_fraction=0.5, repetitions=1)
-        summary = median_evaluate(lambda tr, te: 4.5, ds, plan)
+        summary = median_evaluate(lambda tr, te: {"metric": 4.5}, ds, plan)
         assert summary.median == 4.5
         assert summary.repetitions == 1 and summary.failures == 0
 
@@ -404,7 +404,7 @@ class TestMedianEvaluate:
         ds = _toy_dataset(size=20)
         plan = SplitPlan(train_fraction=0.5, repetitions=3)
         canned = iter([1.0, 2.0, 9.0])
-        summary = median_evaluate(lambda tr, te: next(canned), ds, plan)
+        summary = median_evaluate(lambda tr, te: {"metric": next(canned)}, ds, plan)
         assert summary.median == 2.0
         assert summary.values == (1.0, 2.0, 9.0)
 
@@ -417,11 +417,33 @@ class TestMedianEvaluate:
             value = next(calls)
             if value is None:
                 raise NumericalError("boom")
-            return value
+            return {"metric": value}
 
         summary = median_evaluate(recipe, ds, plan)
         assert summary.failures == 2
         assert summary.median == 2.0
+
+    def test_records_are_the_successful_repetitions_in_order(self):
+        ds = _toy_dataset(size=20)
+        plan = SplitPlan(train_fraction=0.5, repetitions=4)
+        calls = iter([{"metric": 5.0, "n": 1}, None,
+                      {"metric": 3.0, "n": 4}, {"metric": 4.0, "n": 2}])
+
+        def recipe(tr, te):
+            record = next(calls)
+            if record is None:
+                raise NumericalError("boom")
+            return record
+
+        summary = median_evaluate(recipe, ds, plan)
+        assert summary.records == (
+            {"rep": 0, "metric": 5.0, "n": 1},
+            {"rep": 2, "metric": 3.0, "n": 4},
+            {"rep": 3, "metric": 4.0, "n": 2},
+        )
+        assert summary.values == (5.0, 3.0, 4.0)
+        assert (summary.median, summary.median_of("n")) == (4.0, 2.0)
+        assert [f["rep"] for f in summary.failed_reps] == [1]
 
     def test_all_failures_raise(self):
         ds = _toy_dataset(size=20)
@@ -445,7 +467,7 @@ class TestMedianEvaluate:
             calls.append(tr)
             if len(calls) == 2:
                 raise error
-            return 1.0
+            return {"metric": 1.0}
 
         summary = median_evaluate(recipe, ds, plan)
         assert summary.failures == 1
@@ -484,7 +506,7 @@ class TestMedianEvaluate:
         ds = _toy_dataset(size=3)
         plan = SplitPlan(train_fraction=0.1, repetitions=2)
         with pytest.raises(DataError, match="empty side"):
-            median_evaluate(lambda tr, te: 1.0, ds, plan)
+            median_evaluate(lambda tr, te: {"metric": 1.0}, ds, plan)
 
     def test_synthetic_source_generates_fresh_sets(self):
         plan = SplitPlan(train_size=30, test_size=50, repetitions=2, seed=5)
@@ -492,7 +514,7 @@ class TestMedianEvaluate:
 
         def recipe(tr, te):
             sizes.append((tr.size, te.size))
-            return 1.0
+            return {"metric": 1.0}
 
         median_evaluate(recipe, FriedmanSpec(2), plan)
         assert sizes == [(30, 50), (30, 50)]
@@ -500,12 +522,12 @@ class TestMedianEvaluate:
     def test_synthetic_source_needs_generated_plan(self):
         plan = SplitPlan(train_fraction=0.5)
         with pytest.raises(ConfigError):
-            median_evaluate(lambda tr, te: 1.0, FriedmanSpec(1), plan)
+            median_evaluate(lambda tr, te: {"metric": 1.0}, FriedmanSpec(1), plan)
 
     def test_summary_json_keys(self):
         ds = _toy_dataset(size=20)
         plan = SplitPlan(train_fraction=0.5, repetitions=1)
-        summary = median_evaluate(lambda tr, te: 2.0, ds, plan)
+        summary = median_evaluate(lambda tr, te: {"metric": 2.0}, ds, plan)
         assert summary.to_json_obj() == {
             "median": 2.0,
             "q1": 2.0,
